@@ -26,13 +26,11 @@ RAY_MATCH = 1.0 - 1e-8  # |<x, y>| above this means same ray (unit vectors)
 class ConeExpr:
     """Construction-tree node attached to a built cone.
 
-    ``kind`` is one of the leaf families ("full_psd", "diagonal", "hankel",
-    "tridiag", "chordal", "codim1", "ternary_quartic", "cross_ratio",
-    "moment", "block_toeplitz") or a combinator ("direct_sum", "full_ext",
-    "intertwine", "transform", "reduce").  ``params`` is JSON-serializable;
-    ``children`` holds the already-built child cones of combinators and
-    ``aux`` derived runtime data (numpy arrays) that the decomposition
-    engines use.
+    ``kind`` is a key of the builder table ``constructions._BUILDERS``,
+    which the family table ``decompose._FAMILIES`` mirrors.  ``params`` is
+    JSON-serializable; ``children`` holds the already-built child cones of
+    combinators and ``aux`` derived runtime data (numpy arrays) that the
+    decomposition engines use.
     """
 
     kind: str
@@ -246,7 +244,7 @@ def _enrich_face_generators(cone, h, face_basis, found, tol):
     if have >= face_basis.shape[0]:
         return []
     from .decompose import rays_spanning_face
-    return rays_spanning_face(cone, h, face_basis, found)
+    return rays_spanning_face(cone, h)
 
 
 # ---------------------------------------------------------------------------

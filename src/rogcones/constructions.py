@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import symlin
-from .cone_model import (ConeExpr, SpectrahedralCone, certificate_complete,
-                         make_cone)
+from .cone_model import (ConeExpr, SpectrahedralCone, apply_congruence,
+                         certificate_complete, make_cone,
+                         reduce_nondegenerate)
 from .errors import InvalidInputError
 from .symlin import DEFAULT_TOL
 
@@ -97,17 +98,9 @@ def codim1_cone(q: np.ndarray, tol: float = DEFAULT_TOL) -> SpectrahedralCone:
     """
     q = symlin.sym_matrix(q)
     n = q.shape[0]
-    dec = symlin.eig_sym(q)
-    cut = tol * max(1.0, float(np.abs(dec.values).max()))
-    pos = dec.vectors[:, dec.values > cut]
-    lam_pos = dec.values[dec.values > cut]
-    neg = dec.vectors[:, dec.values < -cut]
-    lam_neg = dec.values[dec.values < -cut]
-    ker = dec.vectors[:, np.abs(dec.values) <= cut]
-    if pos.shape[1] == 0 or neg.shape[1] == 0:
+    u_dirs, v_dirs, ker = _split_form(q, tol)
+    if u_dirs.shape[1] == 0 or v_dirs.shape[1] == 0:
         raise InvalidInputError("form must be indefinite")
-    u_dirs = pos / np.sqrt(lam_pos)          # columns u with u^T Q u = 1
-    v_dirs = neg / np.sqrt(-lam_neg)         # columns v with v^T Q v = -1
     gens = []
     for a in range(u_dirs.shape[1]):
         for b in range(v_dirs.shape[1]):
@@ -141,6 +134,17 @@ def codim1_cone(q: np.ndarray, tol: float = DEFAULT_TOL) -> SpectrahedralCone:
     if not certificate_complete(cone):
         raise InvalidInputError("could not certify the codimension-1 cone")
     return cone
+
+
+def _split_form(q: np.ndarray, tol: float):
+    """Columns u with u^T q u = 1 and v with v^T q v = -1 along the
+    eigenvectors of q, and its kernel; eigenvalues within tol |q| are 0."""
+    dec = symlin.eig_sym(q)
+    cut = tol * max(1.0, float(np.abs(dec.values).max(initial=0.0)))
+    pos, neg = dec.values > cut, dec.values < -cut
+    return (dec.vectors[:, pos] / np.sqrt(dec.values[pos]),
+            dec.vectors[:, neg] / np.sqrt(-dec.values[neg]),
+            dec.vectors[:, np.abs(dec.values) <= cut])
 
 
 _TQ_SAMPLES = [
@@ -577,7 +581,6 @@ def chordal_cone(graph: ChordalGraph) -> SpectrahedralCone:
     perm = np.zeros((n, n))
     for current, vertex in enumerate(verts):
         perm[vertex, current] = 1.0
-    from .cone_model import apply_congruence
     inner = apply_congruence(cone, perm)
     expr = ConeExpr("chordal", {"n": n, "edges": [list(e) for e in graph.edges]},
                     children=(inner,))
@@ -610,66 +613,65 @@ def tridiagonal_cone(n: int) -> SpectrahedralCone:
 
 
 # ---------------------------------------------------------------------------
-# expression dispatch
+# expression builders
+
+
+def _array_param(value) -> np.ndarray:
+    """A matrix param; complex entries arrive as ``[re, im]`` pairs."""
+    a = np.asarray(value, dtype=float)
+    return a[..., 0] + 1j * a[..., 1] if a.ndim == 3 else a
+
+
+# kind -> (number of children, or None for a leaf; builder(params, children)).
+# The builders look the constructors up by name when called, so patching a
+# module attribute (as the benchmark tracer does) reaches these calls too.
+_BUILDERS = {
+    "full_psd": (None, lambda p, c: full_psd_cone(int(p["n"]))),
+    "diagonal": (None, lambda p, c: diagonal_cone(int(p["n"]))),
+    "hankel": (None, lambda p, c: hankel_cone(int(p["n"]), int(p.get("m", 1)))),
+    "tridiag": (None, lambda p, c: tridiagonal_cone(int(p["n"]))),
+    "chordal": (None, lambda p, c: chordal_cone(
+        ChordalGraph(int(p["n"]), [tuple(e) for e in p["edges"]]))),
+    "codim1": (None, lambda p, c: codim1_cone(_array_param(p["Q"]))),
+    "ternary_quartic": (None, lambda p, c: ternary_quartic_cone()),
+    "cross_ratio": (None, lambda p, c: cross_ratio_cone(p["angles"])),
+    "moment": (None, lambda p, c: _moment_from_params(p)),
+    "block_toeplitz": (None, lambda p, c: block_toeplitz_cone(int(p["n"]),
+                                                              int(p.get("m", 1)))),
+    "direct_sum": (2, lambda p, c: direct_sum(c[0], c[1])),
+    "full_ext": (1, lambda p, c: full_extension(c[0], int(p["n"]))),
+    "intertwine": (2, lambda p, c: intertwine(
+        c[0], c[1], GlueSpec(int(p["rank"]), _array_param(p["iota1"]),
+                             _array_param(p["iota2"])))),
+    "transform": (1, lambda p, c: apply_congruence(c[0], _array_param(p["matrix"]))),
+    "reduce": (1, lambda p, c: reduce_nondegenerate(c[0])[0]),
+}
+
+
+def _moment_from_params(params: dict) -> SpectrahedralCone:
+    if "powers" not in params:
+        raise InvalidInputError(
+            "moment expressions are only serializable with monomial powers")
+    return moment_cone_from_samples(None, params["samples"],
+                                    powers=params["powers"])
 
 
 def build(expr) -> SpectrahedralCone:
     """Build a cone from a ConeExpr or its JSON dict form."""
     if isinstance(expr, ConeExpr):
-        node = {"kind": expr.kind, "params": expr.params,
-                "children": list(expr.children)}
+        kind, params, children = expr.kind, expr.params, expr.children
     elif isinstance(expr, dict):
-        node = {"kind": expr.get("kind"), "params": expr.get("params", {}),
-                "children": expr.get("children", [])}
+        kind = expr.get("kind")
+        params = expr.get("params", {})
+        children = expr.get("children", [])
     else:
         raise InvalidInputError("expected a ConeExpr or a dict")
-    kind = node["kind"]
-    params = node["params"]
     children = [c if isinstance(c, SpectrahedralCone) else build(c)
-                for c in node["children"]]
-    if kind == "full_psd":
-        return full_psd_cone(int(params["n"]))
-    if kind == "diagonal":
-        return diagonal_cone(int(params["n"]))
-    if kind == "hankel":
-        return hankel_cone(int(params["n"]), int(params.get("m", 1)))
-    if kind == "tridiag":
-        return tridiagonal_cone(int(params["n"]))
-    if kind == "chordal":
-        return chordal_cone(ChordalGraph(int(params["n"]),
-                                         [tuple(e) for e in params["edges"]]))
-    if kind == "codim1":
-        return codim1_cone(np.asarray(params["Q"], dtype=float))
-    if kind == "ternary_quartic":
-        return ternary_quartic_cone()
-    if kind == "cross_ratio":
-        return cross_ratio_cone(params["angles"])
-    if kind == "moment":
-        if "powers" not in params:
-            raise InvalidInputError(
-                "moment expressions are only serializable with monomial powers")
-        return moment_cone_from_samples(None, params["samples"],
-                                        powers=params["powers"])
-    if kind == "block_toeplitz":
-        return block_toeplitz_cone(int(params["n"]), int(params.get("m", 1)))
-    if kind == "direct_sum":
-        if len(children) != 2:
-            raise InvalidInputError("direct_sum takes two children")
-        return direct_sum(children[0], children[1])
-    if kind == "full_ext":
-        if len(children) != 1:
-            raise InvalidInputError("full_ext takes one child")
-        return full_extension(children[0], int(params["n"]))
-    if kind == "intertwine":
-        if len(children) != 2:
-            raise InvalidInputError("intertwine takes two children")
-        glue = GlueSpec(int(params["rank"]),
-                        np.asarray(params["iota1"], dtype=float),
-                        np.asarray(params["iota2"], dtype=float))
-        return intertwine(children[0], children[1], glue)
-    if kind == "transform":
-        from .cone_model import apply_congruence
-        if len(children) != 1:
-            raise InvalidInputError("transform takes one child")
-        return apply_congruence(children[0], np.asarray(params["matrix"], dtype=float))
-    raise InvalidInputError(f"unknown cone expression kind {kind!r}")
+                for c in children]
+    if kind not in _BUILDERS:
+        raise InvalidInputError(f"unknown cone expression kind {kind!r}")
+    arity, builder = _BUILDERS[kind]
+    if arity is not None and len(children) != arity:
+        raise InvalidInputError(
+            f"{kind} takes {('one child', 'two children')[arity - 1]}")
+    return builder(params, children)

@@ -10,23 +10,26 @@ equals the matrix rank:
   full extensions and intertwinings,
 * a shift-invariance (Prony-type) node solver for block-Hankel matrices,
 * a unitary spectral factorization for complex block-Toeplitz matrices.
+
+What the engines know about each cone kind (its route, its extreme-ray
+rule, its face rays and its sampler) is one :class:`Family` record in
+``_FAMILIES`` at the end of this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
 
-from . import symlin
+from . import constructions, symlin
 from .cone_model import SpectrahedralCone, membership
 from .errors import (InvalidInputError, NumericalError,
                      OracleUnavailableError)
 from .symlin import DEFAULT_TOL
-
-_LEAF_ORACLES = ("full_psd", "diagonal", "hankel", "codim1", "cross_ratio")
-_WRAPPERS = ("transform", "reduce", "chordal", "tridiag")
 
 
 @dataclass
@@ -69,52 +72,16 @@ def _as_decomposition(weights, vectors, x_mat) -> Decomposition:
 
 def decompose(cone: SpectrahedralCone, x_mat: np.ndarray,
               tol: float = DEFAULT_TOL) -> Decomposition:
-    """Write X in K as a sum of rank(X) rank-1 elements of K."""
+    """Write X in K as a sum of rank(X) rank-1 elements of K.
+
+    Takes the direct route of the cone's kind when it has one, and the
+    peeling loop otherwise.
+    """
     x_mat = np.asarray(x_mat)
-    kind = cone.expr.kind if cone.expr is not None else None
-    if kind == "block_toeplitz":
-        return decompose_block_toeplitz(x_mat, cone.expr.params["n"],
-                                        cone.expr.params.get("m", 1), tol)
-    if kind == "hankel":
-        return decompose_hankel(x_mat, cone.expr.params["n"],
-                                cone.expr.params.get("m", 1), tol, cone=cone)
-    if kind == "direct_sum":
-        return _decompose_direct_sum(cone, x_mat, tol)
-    if kind == "full_ext":
-        return decompose_full_extension(cone, x_mat, tol)
-    if kind == "intertwine":
-        return decompose_intertwining(cone, x_mat, tol)
-    if kind in _WRAPPERS:
-        return _decompose_wrapped(cone, x_mat, tol)
-    return carath_decompose(cone, x_mat, tol)
-
-
-def _decompose_wrapped(cone, x_mat, tol):
-    child = cone.expr.children[0]
-    if cone.expr.kind == "transform":
-        a = cone.expr.aux.get("matrix")
-        if a is None:
-            a = np.asarray(cone.expr.params["matrix"], dtype=float)
-        ainv = np.linalg.inv(a)
-        inner = _decompose_checked(child, symlin.sym(ainv @ x_mat @ ainv.conj().T), tol)
-        return _as_decomposition([at.weight for at in inner.atoms],
-                                 [a @ at.vector for at in inner.atoms], x_mat)
-    if cone.expr.kind == "reduce":
-        b = cone.expr.aux.get("embedding")
-        if b is None:
-            b = np.asarray(cone.expr.params["embedding"], dtype=float)
-        inner = _decompose_checked(child, symlin.sym(b @ x_mat @ b.conj().T), tol)
-        return _as_decomposition([at.weight for at in inner.atoms],
-                                 [b.conj().T @ at.vector for at in inner.atoms], x_mat)
-    # chordal / tridiag wrap an equal cone in the same coordinates
-    inner = _decompose_checked(child, x_mat, tol)
-    return _as_decomposition([at.weight for at in inner.atoms],
-                             [at.vector for at in inner.atoms], x_mat)
-
-
-def _decompose_checked(cone, x_mat, tol):
-    dec = decompose(cone, x_mat, tol)
-    return dec
+    route = _rule(cone, "route")
+    if route is None:
+        return carath_decompose(cone, x_mat, tol)
+    return route(cone, x_mat, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -190,82 +157,39 @@ def extreme_ray_oracle(cone: SpectrahedralCone, h: np.ndarray,
     """
     if cone.expr is None:
         raise OracleUnavailableError("cone carries no construction expression")
-    kind = cone.expr.kind
     if h.shape[1] == 0:
         raise InvalidInputError("face is zero")
-    if kind == "full_psd":
-        return h[:, attempt % h.shape[1]]
-    if kind == "diagonal":
-        hits = _coordinates_inside(h, tol)
-        if not hits:
-            return None
-        e = np.zeros(cone.n)
-        e[hits[attempt % len(hits)]] = 1.0
-        return e
-    if kind == "codim1":
-        return _codim1_ray(cone, h, attempt, tol)
-    if kind == "cross_ratio":
-        return _cross_ratio_ray(cone, h, attempt, tol)
-    if kind == "hankel":
-        cands = _hankel_rays(cone.expr.params["n"], cone.expr.params.get("m", 1),
-                             h, cone, tol)
-        if not cands:
-            return None
-        return cands[attempt % len(cands)]
-    if kind in _WRAPPERS:
-        return _wrapped_ray(cone, h, x_current, attempt, tol)
-    if kind == "direct_sum":
-        return _direct_sum_ray(cone, h, x_current, attempt, tol)
-    if kind in ("full_ext", "intertwine"):
-        if x_current is None:
-            raise InvalidInputError("composite oracle needs the current iterate")
-        dec = decompose(cone, x_current, tol)
-        if not dec.atoms:
-            return None
-        return dec.atoms[attempt % len(dec.atoms)].vector
-    raise OracleUnavailableError(f"no extreme-ray rule for cone kind {kind!r}")
+    ray = _rule(cone, "ray")
+    if ray is None:
+        raise OracleUnavailableError(
+            f"no extreme-ray rule for cone kind {cone.expr.kind!r}")
+    return ray(cone, h, x_current, attempt, tol)
 
 
-def _coordinates_inside(h: np.ndarray, tol: float) -> list[int]:
-    p = h @ h.conj().T
-    return [i for i in range(h.shape[0]) if abs(p[i, i] - 1.0) <= 1e2 * tol]
+def _pick(cands, attempt):
+    return cands[attempt % len(cands)] if cands else None
 
 
-def _codim1_ray(cone, h, attempt, tol):
-    q = cone.expr.aux.get("Q")
-    if q is None:
-        q = np.asarray(cone.expr.params["Q"], dtype=float)
-    qh = symlin.sym(h.T @ q @ h)
-    dec = symlin.eig_sym(qh)
-    cut = tol * max(1.0, float(np.abs(dec.values).max(initial=0.0)))
-    pos = dec.values > cut
-    neg = dec.values < -cut
-    if pos.any() and neg.any():
-        i = attempt % int(pos.sum())
-        j = (attempt // max(int(pos.sum()), 1)) % int(neg.sum())
-        u = dec.vectors[:, pos][:, i] / np.sqrt(dec.values[pos][i])
-        v = dec.vectors[:, neg][:, j] / np.sqrt(-dec.values[neg][j])
-        sign = -1.0 if (attempt % 2 == 1 and pos.sum() == 1 and neg.sum() == 1) else 1.0
-        return h @ (u + sign * v)
-    kernel = np.abs(dec.values) <= cut
-    if kernel.any():
-        return h @ dec.vectors[:, kernel][:, attempt % int(kernel.sum())]
+def _codim1_ray(cone, h, x_current, attempt, tol):
+    q = _data(cone, "Q")
+    u_dirs, v_dirs, ker = constructions._split_form(symlin.sym(h.T @ q @ h), tol)
+    npos, nneg = u_dirs.shape[1], v_dirs.shape[1]
+    if npos and nneg:
+        sign = -1.0 if (attempt % 2 == 1 and npos == 1 and nneg == 1) else 1.0
+        return h @ (u_dirs[:, attempt % npos]
+                    + sign * v_dirs[:, (attempt // npos) % nneg])
+    if ker.shape[1]:
+        return h @ ker[:, attempt % ker.shape[1]]
     return None
 
 
-def _cross_ratio_ray(cone, h, attempt, tol):
-    planes = cone.expr.aux.get("planes")
-    if planes is None:
-        from .constructions import cross_ratio_planes
-        planes = cross_ratio_planes(cone.expr.params["angles"])
+def _cross_ratio_ray(cone, h, x_current, attempt, tol):
     found = []
-    for plane in planes:
+    for plane in _data(cone, "planes"):
         v = _subspace_intersection_vector(h, plane, tol)
         if v is not None:
             found.append(v)
-    if not found:
-        return None
-    return found[attempt % len(found)]
+    return _pick(found, attempt)
 
 
 def _subspace_intersection_vector(h, plane, tol):
@@ -279,56 +203,22 @@ def _subspace_intersection_vector(h, plane, tol):
     return v / np.linalg.norm(v)
 
 
-def _wrapped_ray(cone, h, x_current, attempt, tol):
-    child = cone.expr.children[0]
-    kind = cone.expr.kind
-    if kind == "transform":
-        a = cone.expr.aux.get("matrix")
-        if a is None:
-            a = np.asarray(cone.expr.params["matrix"], dtype=float)
-        ainv = np.linalg.inv(a)
-        h_child = symlin.subspace_of_vectors((ainv @ h).T)
-        x_child = None if x_current is None else symlin.sym(ainv @ x_current @ ainv.T)
-        ray = extreme_ray_oracle(child, h_child, x_child, attempt, tol)
-        return None if ray is None else a @ ray
-    if kind == "reduce":
-        b = cone.expr.aux.get("embedding")
-        if b is None:
-            b = np.asarray(cone.expr.params["embedding"], dtype=float)
-        h_child = symlin.subspace_of_vectors((b @ h).T)
-        x_child = None if x_current is None else symlin.sym(b @ x_current @ b.T)
-        ray = extreme_ray_oracle(child, h_child, x_child, attempt, tol)
-        return None if ray is None else b.T @ ray
-    return extreme_ray_oracle(child, h, x_current, attempt, tol)
-
-
 def _direct_sum_ray(cone, h, x_current, attempt, tol):
-    n1, n2 = cone.expr.params["sizes"]
-    k1, k2 = cone.expr.children
-    pieces = []
-    for lo, hi, child, other_lo, other_hi in (
-            (0, n1, k1, n1, n1 + n2), (n1, n1 + n2, k2, 0, n1)):
-        tail = h[other_lo:other_hi, :]
-        null = symlin.nullspace(tail)
-        if null.shape[1] == 0:
-            continue
-        sub = symlin.subspace_of_vectors((h @ null)[lo:hi, :].T)
-        if sub.shape[1] == 0:
-            continue
+    pieces = _direct_sum_faces(cone, h)
+    for shift in range(len(pieces)):
+        lo, hi, child, sub = pieces[(attempt + shift) % len(pieces)]
         x_child = None if x_current is None else x_current[lo:hi, lo:hi]
-        pieces.append((lo, hi, child, sub, x_child))
-    if not pieces:
-        return None
-    lo, hi, child, sub, x_child = pieces[attempt % len(pieces)]
-    ray = extreme_ray_oracle(child, sub, x_child, attempt // len(pieces), tol)
-    if ray is None and len(pieces) > 1:
-        lo, hi, child, sub, x_child = pieces[(attempt + 1) % len(pieces)]
         ray = extreme_ray_oracle(child, sub, x_child, attempt // len(pieces), tol)
-    if ray is None:
-        return None
-    out = np.zeros(cone.n, dtype=ray.dtype)
-    out[lo:hi] = ray
-    return out
+        if ray is not None:
+            return _place(cone.n, lo, ray)
+    return None
+
+
+def _composite_ray(cone, h, x_current, attempt, tol):
+    if x_current is None:
+        raise InvalidInputError("composite oracle needs the current iterate")
+    dec = decompose(cone, x_current, tol)
+    return _pick([a.vector for a in dec.atoms], attempt)
 
 
 # ---------------------------------------------------------------------------
@@ -506,17 +396,11 @@ def _hankel_candidates(x_or_basis, n, m, tol, from_matrix):
     return finite, inf_dirs
 
 
-def _hankel_rays(n, m, h, cone, tol):
-    finite, inf_dirs = _hankel_candidates(h, n, m, tol, from_matrix=False)
-    out = []
+def _hankel_face_rays(cone, h, tol):
+    finite, inf_dirs = _hankel_candidates(h, *_block_size(cone), tol, from_matrix=False)
     p = h @ h.T
-    for t, v in finite:
-        if np.linalg.norm(v - p @ v) <= 1e-6 * np.linalg.norm(v):
-            out.append(v)
-    for v in inf_dirs:
-        if np.linalg.norm(v - p @ v) <= 1e-6 * np.linalg.norm(v):
-            out.append(v)
-    return out
+    return [v for v in [v for _, v in finite] + inf_dirs
+            if np.linalg.norm(v - p @ v) <= 1e-6 * np.linalg.norm(v)]
 
 
 def decompose_hankel(x_mat: np.ndarray, n: int, m: int = 1,
@@ -546,8 +430,7 @@ def decompose_hankel(x_mat: np.ndarray, n: int, m: int = 1,
     if result is not None:
         return result
     if cone is None:
-        from .constructions import hankel_cone
-        cone = hankel_cone(n, m)
+        cone = constructions.hankel_cone(n, m)
     return carath_decompose(cone, x_mat, tol)
 
 
@@ -626,75 +509,35 @@ def decompose_block_toeplitz(t_mat: np.ndarray, n: int, m: int = 1,
 
 
 def rays_spanning_face(cone: SpectrahedralCone, h: np.ndarray,
-                       face_basis: np.ndarray, found, tol: float = DEFAULT_TOL):
+                       tol: float = DEFAULT_TOL):
     """Extra rank-1 directions of the face K ∩ L_n(H), kind permitting."""
-    if cone.expr is None:
-        return []
-    kind = cone.expr.kind
-    if kind == "full_psd":
-        cols = [h[:, i] for i in range(h.shape[1])]
-        cols += [h[:, i] + h[:, j] for i in range(h.shape[1])
-                 for j in range(i + 1, h.shape[1])]
-        return cols
-    if kind == "diagonal":
-        eye = np.eye(cone.n)
-        return [eye[i] for i in _coordinates_inside(h, tol)]
-    if kind == "codim1":
-        return _codim1_face_rays(cone, h, tol)
-    if kind == "cross_ratio":
-        return _cross_ratio_face_rays(cone, h, tol)
-    if kind == "hankel":
-        return _hankel_rays(cone.expr.params["n"], cone.expr.params.get("m", 1),
-                            h, cone, tol)
-    if kind in _WRAPPERS:
-        child = cone.expr.children[0]
-        if kind == "transform":
-            a = cone.expr.aux["matrix"]
-            ainv = np.linalg.inv(a)
-            sub = symlin.subspace_of_vectors((ainv @ h).T)
-            rays = rays_spanning_face(child, sub, face_basis, [], tol)
-            return [a @ r for r in rays]
-        if kind == "reduce":
-            b = cone.expr.aux["embedding"]
-            sub = symlin.subspace_of_vectors((b @ h).T)
-            rays = rays_spanning_face(child, sub, face_basis, [], tol)
-            return [b.T @ r for r in rays]
-        return rays_spanning_face(child, h, face_basis, found, tol)
-    if kind == "direct_sum":
-        n1, n2 = cone.expr.params["sizes"]
-        k1, k2 = cone.expr.children
-        out = []
-        for lo, hi, child, other in ((0, n1, k1, slice(n1, n1 + n2)),
-                                     (n1, n1 + n2, k2, slice(0, n1))):
-            null = symlin.nullspace(h[other, :])
-            if null.shape[1] == 0:
-                continue
-            sub = symlin.subspace_of_vectors((h @ null)[lo:hi, :].T)
-            if sub.shape[1] == 0:
-                continue
-            sub_face = symlin.subspace_pencil_span(sub)
-            for r in rays_spanning_face(child, sub, sub_face, [], tol):
-                v = np.zeros(cone.n)
-                v[lo:hi] = r
-                out.append(v)
-        return out
-    return []
+    face_rays = _rule(cone, "face_rays")
+    return [] if face_rays is None else face_rays(cone, h, tol)
+
+
+def _full_psd_face_rays(cone, h, tol):
+    cols = [h[:, i] for i in range(h.shape[1])]
+    cols += [h[:, i] + h[:, j] for i in range(h.shape[1])
+             for j in range(i + 1, h.shape[1])]
+    return cols
+
+
+def _diagonal_face_rays(cone, h, tol):
+    p = h @ h.conj().T
+    eye = np.eye(cone.n)
+    return [eye[i] for i in range(cone.n) if abs(p[i, i] - 1.0) <= 1e2 * tol]
+
+
+def _direct_sum_face_rays(cone, h, tol):
+    return [_place(cone.n, lo, r) for lo, _, child, sub in _direct_sum_faces(cone, h)
+            for r in rays_spanning_face(child, sub, tol)]
 
 
 def _codim1_face_rays(cone, h, tol):
-    q = cone.expr.aux["Q"]
-    qh = symlin.sym(h.T @ q @ h)
-    dec = symlin.eig_sym(qh)
-    cut = tol * max(1.0, float(np.abs(dec.values).max(initial=0.0)))
-    pos = dec.vectors[:, dec.values > cut]
-    lp = dec.values[dec.values > cut]
-    neg = dec.vectors[:, dec.values < -cut]
-    ln = dec.values[dec.values < -cut]
-    ker = dec.vectors[:, np.abs(dec.values) <= cut]
+    q = _data(cone, "Q")
+    u_dirs, v_dirs, ker = constructions._split_form(symlin.sym(h.T @ q @ h), tol)
     rays = [h @ ker[:, i] for i in range(ker.shape[1])]
-    if pos.shape[1] and neg.shape[1]:
-        u_dirs = pos / np.sqrt(lp)
-        v_dirs = neg / np.sqrt(-ln)
+    if u_dirs.shape[1] and v_dirs.shape[1]:
         rng = np.random.default_rng(777)
         for a in range(u_dirs.shape[1]):
             for b in range(v_dirs.shape[1]):
@@ -711,10 +554,9 @@ def _codim1_face_rays(cone, h, tol):
 
 
 def _cross_ratio_face_rays(cone, h, tol):
-    planes = cone.expr.aux["planes"]
     rays = []
     p = h @ h.T
-    for plane in planes:
+    for plane in _data(cone, "planes"):
         if np.linalg.norm(plane - p @ plane) <= 1e-7 * np.linalg.norm(plane):
             rays.extend([plane[:, 0], plane[:, 1], plane[:, 0] + plane[:, 1]])
             continue
@@ -729,82 +571,239 @@ def random_extreme_ray(cone: SpectrahedralCone, rng: np.random.Generator
     """A random unit vector on the cone's rank-1 variety (test support)."""
     if cone.expr is None:
         raise OracleUnavailableError("cone carries no construction expression")
-    kind = cone.expr.kind
-    n = cone.n
-    if kind == "full_psd":
-        x = rng.standard_normal(n)
-    elif kind == "diagonal":
-        x = np.zeros(n)
-        x[rng.integers(n)] = 1.0
-    elif kind == "hankel":
-        nn, mm = cone.expr.params["n"], cone.expr.params.get("m", 1)
-        v = rng.standard_normal(mm)
-        if rng.random() < 0.1:
-            x = np.concatenate([np.zeros((nn - 1) * mm), v])
-        else:
-            t = np.tan(rng.uniform(-1.2, 1.2))
-            x = _moment_kron(t, nn, v)
-    elif kind == "codim1":
-        q = cone.expr.aux["Q"]
-        dec = symlin.eig_sym(q)
-        cut = 1e-8 * max(1.0, float(np.abs(dec.values).max()))
-        u_dirs = dec.vectors[:, dec.values > cut] / np.sqrt(dec.values[dec.values > cut])
-        v_dirs = dec.vectors[:, dec.values < -cut] / np.sqrt(-dec.values[dec.values < -cut])
-        ker = dec.vectors[:, np.abs(dec.values) <= cut]
-        s = rng.standard_normal(u_dirs.shape[1])
-        r = rng.standard_normal(v_dirs.shape[1])
-        x = u_dirs @ (s / np.linalg.norm(s)) + v_dirs @ (r / np.linalg.norm(r))
-        if ker.shape[1] and rng.random() < 0.5:
-            x = x + ker @ rng.standard_normal(ker.shape[1])
-    elif kind == "cross_ratio":
-        planes = cone.expr.aux["planes"]
-        plane = planes[rng.integers(len(planes))]
-        x = plane @ rng.standard_normal(2)
-    elif kind == "ternary_quartic":
-        from .constructions import _quadric_vector
-        x = _quadric_vector(rng.standard_normal(3))
-    elif kind == "block_toeplitz":
-        nn, mm = cone.expr.params["n"], cone.expr.params.get("m", 1)
-        v = rng.standard_normal(mm) + 1j * rng.standard_normal(mm)
-        q = np.exp(1j * rng.uniform(0, 2 * np.pi))
-        x = np.kron(q ** np.arange(nn), v)
-    elif kind == "direct_sum":
-        n1, n2 = cone.expr.params["sizes"]
-        k1, k2 = cone.expr.children
-        if rng.random() < n1 / (n1 + n2):
-            x = np.concatenate([random_extreme_ray(k1, rng), np.zeros(n2)])
-        else:
-            x = np.concatenate([np.zeros(n1), random_extreme_ray(k2, rng)])
-    elif kind == "full_ext":
-        child = cone.expr.children[0]
-        k = cone.expr.aux["tail"]
-        if rng.random() < 0.2:
-            x = np.concatenate([np.zeros(child.n), rng.standard_normal(k)])
-        else:
-            x = np.concatenate([random_extreme_ray(child, rng),
-                                rng.standard_normal(k)])
-    elif kind == "intertwine":
-        k1, k2 = cone.expr.children
-        if rng.random() < 0.5:
-            x = cone.expr.aux["f1"] @ random_extreme_ray(k1, rng)
-        else:
-            x = cone.expr.aux["f2"] @ random_extreme_ray(k2, rng)
-    elif kind == "transform":
-        x = cone.expr.aux["matrix"] @ random_extreme_ray(cone.expr.children[0], rng)
-    elif kind == "reduce":
-        x = cone.expr.aux["embedding"].T @ random_extreme_ray(cone.expr.children[0], rng)
-    elif kind in ("chordal", "tridiag"):
-        x = random_extreme_ray(cone.expr.children[0], rng)
-    elif kind == "moment":
-        gens = cone.generators
-        x = gens[rng.integers(len(gens))]
-    else:
-        raise OracleUnavailableError(f"no sampler for cone kind {kind!r}")
+    sample = _rule(cone, "sample")
+    if sample is None:
+        raise OracleUnavailableError(f"no sampler for cone kind {cone.expr.kind!r}")
+    x = sample(cone, rng)
     nrm = np.linalg.norm(x)
     if nrm < 1e-9:
         return random_extreme_ray(cone, rng)
     return x / nrm
 
 
-def _moment_kron(t, n, x):
-    return np.kron(t ** np.arange(n), x)
+def _hankel_sample(cone, rng):
+    n, m = _block_size(cone)
+    v = rng.standard_normal(m)
+    if rng.random() < 0.1:
+        return np.concatenate([np.zeros((n - 1) * m), v])
+    return constructions._moment_vector(np.tan(rng.uniform(-1.2, 1.2)), n, v)
+
+
+def _codim1_sample(cone, rng):
+    u_dirs, v_dirs, ker = constructions._split_form(_data(cone, "Q"), 1e-8)
+    s = rng.standard_normal(u_dirs.shape[1])
+    r = rng.standard_normal(v_dirs.shape[1])
+    x = u_dirs @ (s / np.linalg.norm(s)) + v_dirs @ (r / np.linalg.norm(r))
+    if ker.shape[1] and rng.random() < 0.5:
+        x = x + ker @ rng.standard_normal(ker.shape[1])
+    return x
+
+
+def _cross_ratio_sample(cone, rng):
+    planes = _data(cone, "planes")
+    return planes[rng.integers(len(planes))] @ rng.standard_normal(2)
+
+
+def _block_toeplitz_sample(cone, rng):
+    n, m = _block_size(cone)
+    v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    q = np.exp(1j * rng.uniform(0, 2 * np.pi))
+    return constructions._phase_vector(q, n, v)
+
+
+def _direct_sum_sample(cone, rng):
+    n1, n2 = cone.expr.params["sizes"]
+    k1, k2 = cone.expr.children
+    if rng.random() < n1 / (n1 + n2):
+        return _place(cone.n, 0, random_extreme_ray(k1, rng))
+    return _place(cone.n, n1, random_extreme_ray(k2, rng))
+
+
+def _full_ext_sample(cone, rng):
+    child = cone.expr.children[0]
+    k = cone.expr.aux["tail"]
+    if rng.random() < 0.2:
+        return np.concatenate([np.zeros(child.n), rng.standard_normal(k)])
+    return np.concatenate([random_extreme_ray(child, rng), rng.standard_normal(k)])
+
+
+def _intertwine_sample(cone, rng):
+    k1, k2 = cone.expr.children
+    if rng.random() < 0.5:
+        return cone.expr.aux["f1"] @ random_extreme_ray(k1, rng)
+    return cone.expr.aux["f2"] @ random_extreme_ray(k2, rng)
+
+
+# ---------------------------------------------------------------------------
+# shared pieces of the kind rules
+
+
+def _data(cone, key):
+    """Numeric data of the cone's expression: the copy its builder left in
+    ``aux``, else decoded from the JSON params."""
+    val = cone.expr.aux.get(key)
+    if val is not None:
+        return val
+    if key == "planes":
+        return constructions.cross_ratio_planes(cone.expr.params["angles"])
+    return constructions._array_param(cone.expr.params[key])
+
+
+def _block_size(cone):
+    return cone.expr.params["n"], cone.expr.params.get("m", 1)
+
+
+def _place(n, lo, x):
+    """x padded with zeros to length n, starting at index lo."""
+    out = np.zeros(n, dtype=x.dtype)
+    out[lo:lo + len(x)] = x
+    return out
+
+
+def _direct_sum_faces(cone, h):
+    """(lo, hi, child, face basis) for each summand whose block col(h) meets."""
+    n1, n2 = cone.expr.params["sizes"]
+    k1, k2 = cone.expr.children
+    pieces = []
+    for lo, hi, child, other in ((0, n1, k1, slice(n1, n1 + n2)),
+                                 (n1, n1 + n2, k2, slice(0, n1))):
+        null = symlin.nullspace(h[other, :])
+        if null.shape[1] == 0:
+            continue
+        sub = symlin.subspace_of_vectors((h @ null)[lo:hi, :].T)
+        if sub.shape[1]:
+            pieces.append((lo, hi, child, sub))
+    return pieces
+
+
+# A wrapper cone holds one child in other coordinates: X = G X_child G^*
+# and x = G x_child, with F = G^{-1} (or the pull-back B for a reduction)
+# carrying matrices and faces into the child.  None stands for I.
+
+
+def _congruence_coords(cone):
+    a = _data(cone, "matrix")
+    return np.linalg.inv(a), a
+
+
+def _reduce_coords(cone):
+    b = _data(cone, "embedding")
+    return b, b.conj().T
+
+
+def _into(fwd, x_mat):
+    return x_mat if fwd is None else symlin.sym(fwd @ x_mat @ fwd.conj().T)
+
+
+def _face_into(fwd, h):
+    return h if fwd is None else symlin.subspace_of_vectors((fwd @ h).T)
+
+
+def _out(back, x):
+    return x if back is None else back @ x
+
+
+def _decompose_wrapped(coords, cone, x_mat, tol):
+    fwd, back = coords(cone)
+    inner = decompose(cone.expr.children[0], _into(fwd, x_mat), tol)
+    return _as_decomposition([a.weight for a in inner.atoms],
+                             [_out(back, a.vector) for a in inner.atoms], x_mat)
+
+
+def _wrapped_ray(coords, cone, h, x_current, attempt, tol):
+    fwd, back = coords(cone)
+    x_child = None if x_current is None else _into(fwd, x_current)
+    ray = extreme_ray_oracle(cone.expr.children[0], _face_into(fwd, h), x_child,
+                             attempt, tol)
+    return None if ray is None else _out(back, ray)
+
+
+def _wrapped_face_rays(coords, cone, h, tol):
+    fwd, back = coords(cone)
+    return [_out(back, r)
+            for r in rays_spanning_face(cone.expr.children[0], _face_into(fwd, h), tol)]
+
+
+def _wrapped_sample(coords, cone, rng):
+    return _out(coords(cone)[1], random_extreme_ray(cone.expr.children[0], rng))
+
+
+# ---------------------------------------------------------------------------
+# the family table
+
+
+@dataclass(frozen=True)
+class Family:
+    """What the engines know about one cone kind.
+
+    ``sample(cone, rng)`` draws a point of the rank-1 variety.
+    ``ray(cone, h, x_current, attempt, tol)`` is the extreme-ray rule of
+    :func:`extreme_ray_oracle`, ``face_rays(cone, h, tol)`` the rule of
+    :func:`rays_spanning_face`, and ``route(cone, x_mat, tol)`` a direct
+    decomposition; without a route, :func:`decompose` peels.  Rules call
+    the public engines by their module names, never through captured
+    function objects, so a patched module attribute sees every call.
+    """
+
+    sample: Callable
+    ray: Callable | None = None
+    face_rays: Callable | None = None
+    route: Callable | None = None
+
+
+def _wrapper(coords) -> Family:
+    return Family(sample=partial(_wrapped_sample, coords),
+                  ray=partial(_wrapped_ray, coords),
+                  face_rays=partial(_wrapped_face_rays, coords),
+                  route=partial(_decompose_wrapped, coords))
+
+
+_FAMILIES = {
+    "full_psd": Family(
+        sample=lambda cone, rng: rng.standard_normal(cone.n),
+        ray=lambda cone, h, x, attempt, tol: h[:, attempt % h.shape[1]],
+        face_rays=_full_psd_face_rays),
+    "diagonal": Family(
+        sample=lambda cone, rng: np.eye(cone.n)[rng.integers(cone.n)],
+        ray=lambda cone, h, x, attempt, tol: _pick(
+            _diagonal_face_rays(cone, h, tol), attempt),
+        face_rays=_diagonal_face_rays),
+    "hankel": Family(
+        sample=_hankel_sample,
+        ray=lambda cone, h, x, attempt, tol: _pick(
+            _hankel_face_rays(cone, h, tol), attempt),
+        face_rays=_hankel_face_rays,
+        route=lambda cone, x, tol: decompose_hankel(x, *_block_size(cone), tol,
+                                                    cone=cone)),
+    "codim1": Family(sample=_codim1_sample, ray=_codim1_ray,
+                     face_rays=_codim1_face_rays),
+    "cross_ratio": Family(sample=_cross_ratio_sample, ray=_cross_ratio_ray,
+                          face_rays=_cross_ratio_face_rays),
+    "ternary_quartic": Family(
+        sample=lambda cone, rng: constructions._quadric_vector(rng.standard_normal(3))),
+    "moment": Family(
+        sample=lambda cone, rng: cone.generators[rng.integers(len(cone.generators))]),
+    "block_toeplitz": Family(
+        sample=_block_toeplitz_sample,
+        route=lambda cone, x, tol: decompose_block_toeplitz(x, *_block_size(cone),
+                                                            tol)),
+    "direct_sum": Family(sample=_direct_sum_sample, ray=_direct_sum_ray,
+                         face_rays=_direct_sum_face_rays,
+                         route=_decompose_direct_sum),
+    "full_ext": Family(
+        sample=_full_ext_sample, ray=_composite_ray,
+        route=lambda cone, x, tol: decompose_full_extension(cone, x, tol)),
+    "intertwine": Family(
+        sample=_intertwine_sample, ray=_composite_ray,
+        route=lambda cone, x, tol: decompose_intertwining(cone, x, tol)),
+    "transform": _wrapper(_congruence_coords),
+    "reduce": _wrapper(_reduce_coords),
+    "chordal": _wrapper(lambda cone: (None, None)),
+    "tridiag": _wrapper(lambda cone: (None, None)),
+}
+
+
+def _rule(cone, name):
+    """The ``name`` rule of the cone's kind, or None."""
+    family = None if cone.expr is None else _FAMILIES.get(cone.expr.kind)
+    return None if family is None else getattr(family, name)

@@ -140,12 +140,7 @@ def build_expr(expr_json: dict) -> SpectrahedralCone:
     if expr_json.get("kind") == "raw":
         return cone_from_json(expr_json["params"]["cone"])
     node = dict(expr_json)
-    children = [build_expr(c) for c in expr_json.get("children", [])]
-    node["children"] = children
-    if node["kind"] == "reduce":
-        from .cone_model import reduce_nondegenerate
-        reduced, _ = reduce_nondegenerate(children[0])
-        return reduced
+    node["children"] = [build_expr(c) for c in expr_json.get("children", [])]
     return constructions.build(node)
 
 

@@ -21,7 +21,7 @@ from .cone_model import (FaceHandle, SpectrahedralCone, apply_congruence,
                          degree, face_of, reduce_nondegenerate,
                          simplicity_partition, tangent_space)
 from .errors import InvalidInputError, NumericalError
-from .isomorph import _signature, codim1_form
+from .isomorph import _greedy_basis, _signature, codim1_form
 from .symlin import DEFAULT_TOL
 
 
@@ -399,24 +399,11 @@ def classify_small(cone: SpectrahedralCone, tol: float = DEFAULT_TOL) -> ClassLa
     return ClassLabel(tag="Unknown", n=n)
 
 
-def _independent_generator_basis(cone, tol):
-    gens = cone.generators
-    idx = []
-    basis = np.zeros((cone.n, 0))
-    for j in range(len(gens)):
-        r = gens[j] - basis @ (basis.T @ gens[j]) if basis.shape[1] else gens[j]
-        if np.linalg.norm(r) > 1e-6:
-            idx.append(j)
-            basis = np.hstack([basis, (r / np.linalg.norm(r))[:, None]])
-        if len(idx) == cone.n:
-            break
+def _classify_deg4_dim7(cone, tol):
+    idx = _greedy_basis(cone.generators.T)
     if len(idx) < cone.n:
         raise InvalidInputError("certificate does not span the space")
-    return gens[np.array(idx)]
-
-
-def _classify_deg4_dim7(cone, tol):
-    xs = _independent_generator_basis(cone, tol)
+    xs = cone.generators[np.array(idx)]
     a_inv = np.linalg.inv(xs.T)
     work = apply_congruence(cone, a_inv, keep_expr=False)
     ys = []
