@@ -55,7 +55,7 @@ def _cmd_analyze(args) -> int:
             parts = cone_model.simplicity_partition(cone)
             report["simple"] = len(parts) == 1
             report["factor_dims"] = [h.dim for h in parts]
-            report["isolated_rays"] = cone_model.isolated_rays(cone)
+            report["isolated_rays"] = cone_model.unit_factor_rays(cone, parts)
     _write_json(report, args.out)
     return 0
 

@@ -106,10 +106,18 @@ def _normalize_generators(generators, n: int, complex_field: bool) -> np.ndarray
         # canonical sign so that certificates are deterministic
         i = int(np.argmax(np.abs(x)))
         phase = x[i] / abs(x[i])
-        x = x / phase
-        if not any(abs(np.vdot(x, y)) > RAY_MATCH for y in vecs):
-            vecs.append(x)
-    return np.array(vecs) if vecs else np.zeros((0, n), dtype=dtype)
+        vecs.append(x / phase)
+    if not vecs:
+        return np.zeros((0, n), dtype=dtype)
+    # keep the first ray of each near-duplicate group, in input order: a
+    # row is dropped when it matches an earlier kept row, so only rows that
+    # match some row besides themselves need a look at which were kept
+    rays = np.array(vecs)
+    close = np.abs(rays @ rays.conj().T) > RAY_MATCH
+    keep = close.sum(axis=1) == 1
+    for i in np.flatnonzero(~keep):
+        keep[i] = not close[i, :i][keep[:i]].any()
+    return rays[keep]
 
 
 def certificate_complete(cone: SpectrahedralCone, tol: float = 1e-7) -> bool:
@@ -182,7 +190,7 @@ def reduce_nondegenerate(cone: SpectrahedralCone, tol: float = DEFAULT_TOL
     if m == cone.n:
         reduced = cone.copy_with(expr=_reduce_expr(cone, np.eye(cone.n)))
         return reduced, np.eye(cone.n)
-    span = [b.conj().T @ s @ b for s in cone.span_basis]
+    span = b.conj().T @ cone.span_basis @ b
     gens = [b.conj().T @ x for x in cone.generators]
     reduced = make_cone(m, span, gens, expr=_reduce_expr(cone, b),
                         complex_field=cone.complex_field, check=False)
@@ -324,7 +332,12 @@ def isolated_rays(cone: SpectrahedralCone, tol: float = DEFAULT_TOL) -> list[int
     These are exactly the isolated extreme rays: the discrete part of the
     extreme-ray variety splits off as a nonnegative-orthant factor.
     """
-    handles = simplicity_partition(cone, tol)
+    return unit_factor_rays(cone, simplicity_partition(cone, tol))
+
+
+def unit_factor_rays(cone: SpectrahedralCone, handles: list[FaceHandle]) -> list[int]:
+    """Generator indices spanning the 1-dimensional factors among handles,
+    a partition that :func:`simplicity_partition` returned for the cone."""
     out = []
     for h in handles:
         if h.dim != 1:
@@ -428,7 +441,7 @@ def apply_congruence(cone: SpectrahedralCone, a: np.ndarray,
     a = np.asarray(a, dtype=cone.span_basis.dtype)
     if abs(np.linalg.det(a)) < 1e-12:
         raise InvalidInputError("congruence matrix must be invertible")
-    span = [a @ s @ a.conj().T for s in cone.span_basis]
+    span = a @ cone.span_basis @ a.conj().T
     gens = [a @ x for x in cone.generators]
     expr = None
     if keep_expr:

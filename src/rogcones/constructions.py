@@ -299,15 +299,10 @@ def direct_sum(k1: SpectrahedralCone, k2: SpectrahedralCone) -> SpectrahedralCon
     n1, n2 = k1.n, k2.n
     n = n1 + n2
     dtype = complex if k1.complex_field else float
-    span = []
-    for s in k1.span_basis:
-        mat = np.zeros((n, n), dtype=dtype)
-        mat[:n1, :n1] = s
-        span.append(mat)
-    for s in k2.span_basis:
-        mat = np.zeros((n, n), dtype=dtype)
-        mat[n1:, n1:] = s
-        span.append(mat)
+    d1 = k1.dim
+    span = np.zeros((d1 + k2.dim, n, n), dtype=dtype)
+    span[:d1, :n1, :n1] = k1.span_basis
+    span[d1:, n1:, n1:] = k2.span_basis
     gens = [np.concatenate([x, np.zeros(n2, dtype=dtype)]) for x in k1.generators]
     gens += [np.concatenate([np.zeros(n1, dtype=dtype), y]) for y in k2.generators]
     expr = ConeExpr("direct_sum", {"sizes": [n1, n2]}, children=(k1, k2))
@@ -430,8 +425,8 @@ def intertwine(k1: SpectrahedralCone, k2: SpectrahedralCone, glue: GlueSpec,
     f1[:a + k, :] = np.linalg.inv(c1)
     f2 = np.zeros((n, n2))
     f2[a:, :] = np.linalg.inv(c2)
-    span = [symlin.sym(f1 @ s @ f1.T) for s in k1.span_basis]
-    span += [symlin.sym(f2 @ s @ f2.T) for s in k2.span_basis]
+    span = symlin.sym(np.concatenate([f1 @ k1.span_basis @ f1.T,
+                                      f2 @ k2.span_basis @ f2.T]))
     gens = [f1 @ x for x in k1.generators]
     gens += [f2 @ y for y in k2.generators]
     expr = ConeExpr("intertwine",
@@ -648,6 +643,11 @@ _BUILDERS = {
 }
 
 
+# Leaf kinds take no children; chordal and tridiagonal cones build their own
+# gluing tree, so it is neither serialized nor rebuilt from JSON.
+LEAF_KINDS = frozenset(kind for kind, (arity, _) in _BUILDERS.items() if arity is None)
+
+
 def _moment_from_params(params: dict) -> SpectrahedralCone:
     if "powers" not in params:
         raise InvalidInputError(
@@ -666,12 +666,14 @@ def build(expr) -> SpectrahedralCone:
         children = expr.get("children", [])
     else:
         raise InvalidInputError("expected a ConeExpr or a dict")
-    children = [c if isinstance(c, SpectrahedralCone) else build(c)
-                for c in children]
     if kind not in _BUILDERS:
         raise InvalidInputError(f"unknown cone expression kind {kind!r}")
     arity, builder = _BUILDERS[kind]
-    if arity is not None and len(children) != arity:
+    if arity is None:
+        return builder(params, ())
+    children = [c if isinstance(c, SpectrahedralCone) else build(c)
+                for c in children]
+    if len(children) != arity:
         raise InvalidInputError(
             f"{kind} takes {('one child', 'two children')[arity - 1]}")
     return builder(params, children)

@@ -340,13 +340,18 @@ def _signature(q: np.ndarray, tol: float = 1e-8) -> tuple[int, int, int]:
 
 
 def codim1_form(cone: SpectrahedralCone) -> np.ndarray:
-    """The orthogonal-complement form of a codimension-1 cone."""
+    """The orthogonal-complement form of a codimension-1 cone.
+
+    The kernel is taken in the coordinates of ``symlin.sym_basis(n)``,
+    where it is one-dimensional; in the full n^2 space it would also hold
+    the antisymmetric matrices.
+    """
     n = cone.n
     if cone.dim != n * (n + 1) // 2 - 1:
         raise InvalidInputError("cone is not of codimension 1")
-    rows = np.array([symlin.vec(s) for s in cone.span_basis])
-    null = symlin.nullspace(rows)
-    q = symlin.sym(null[:, 0].reshape(n, n))
+    basis = symlin.sym_basis(n)
+    coords = np.tensordot(cone.span_basis, basis, axes=([1, 2], [1, 2]))
+    q = symlin.span_from_coords(basis, symlin.nullspace(coords)[:, 0])
     return q / np.linalg.norm(q)
 
 

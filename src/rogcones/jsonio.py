@@ -5,7 +5,10 @@ each span element flattened to its upper triangle (row-major, i <= j).
 Complex data uses ``[re, im]`` pairs and a ``"complex": true`` flag.
 Cones carrying a construction expression are rebuilt from it on load,
 which reproduces the original bit-for-bit because the builders are
-deterministic.
+deterministic.  Expressions of leaf kinds (``constructions.LEAF_KINDS``)
+carry no children: the chordal and tridiagonal builders make their own
+gluing tree from the parameters, so the tree is neither written nor
+rebuilt on load.
 """
 
 from __future__ import annotations
@@ -85,15 +88,12 @@ def _utri_unflatten(vals, n: int) -> np.ndarray:
 
 
 def expr_to_json(expr: ConeExpr) -> dict:
-    children = []
-    for child in expr.children:
-        if child.expr is not None:
-            children.append(expr_to_json(child.expr))
-        else:
-            children.append({"kind": "raw", "params": {"cone": cone_to_json(child)}})
     out = {"kind": expr.kind, "params": _params_to_json(expr.params)}
-    if children:
-        out["children"] = children
+    if expr.children and expr.kind not in constructions.LEAF_KINDS:
+        out["children"] = [
+            expr_to_json(child.expr) if child.expr is not None
+            else {"kind": "raw", "params": {"cone": cone_to_json(child)}}
+            for child in expr.children]
     return out
 
 
@@ -140,7 +140,8 @@ def build_expr(expr_json: dict) -> SpectrahedralCone:
     if expr_json.get("kind") == "raw":
         return cone_from_json(expr_json["params"]["cone"])
     node = dict(expr_json)
-    node["children"] = [build_expr(c) for c in expr_json.get("children", [])]
+    if node.get("kind") not in constructions.LEAF_KINDS:
+        node["children"] = [build_expr(c) for c in expr_json.get("children", [])]
     return constructions.build(node)
 
 

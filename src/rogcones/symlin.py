@@ -50,10 +50,10 @@ def herm_matrix(entries) -> np.ndarray:
 
 
 def sym(a: np.ndarray) -> np.ndarray:
-    """Symmetric (Hermitian) part of a square matrix."""
+    """Symmetric (Hermitian) part of a square matrix, or of each in a stack."""
     if np.iscomplexobj(a):
-        return 0.5 * (a + a.conj().T)
-    return 0.5 * (a + a.T)
+        return 0.5 * (a + a.conj().swapaxes(-1, -2))
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
 def outer(x: np.ndarray) -> np.ndarray:
@@ -164,33 +164,42 @@ def vec(a: np.ndarray) -> np.ndarray:
     return a.ravel()
 
 
-def unvec(v: np.ndarray, n: int, complex_field: bool = False) -> np.ndarray:
-    if complex_field:
-        half = n * n
-        return (v[:half] + 1j * v[half:]).reshape(n, n)
-    return v.reshape(n, n)
+def _vec_stack(a: np.ndarray) -> np.ndarray:
+    """Rows vec(a[k]) of a stack of matrices."""
+    flat = a.reshape(a.shape[0], int(np.prod(a.shape[1:])))
+    if np.iscomplexobj(a):
+        return np.concatenate([flat.real, flat.imag], axis=1)
+    return flat
 
 
 def orthonormal_span(mats, tol: float = 1e-10) -> np.ndarray:
-    """Orthonormal basis (stack) of the real span of the given matrices."""
-    mats = [np.asarray(m) for m in mats]
-    if not mats:
+    """Orthonormal basis (stack) of the real span of the given matrices.
+
+    The SVD runs only on the coordinates that are nonzero in some input
+    matrix and its right singular vectors are scattered back into place.
+    A coordinate that is zero in every input carries no part of any right
+    singular vector, so the span is the one a dense SVD gives; a chordal
+    pattern on 40 vertices, for instance, uses 268 of the 1,600 entries.
+    """
+    stack = np.asarray(mats)
+    if len(stack) == 0:
         raise InvalidInputError("empty generating set")
-    n = mats[0].shape[0]
-    complex_field = any(np.iscomplexobj(m) for m in mats)
-    rows = np.array([vec(m.astype(complex) if complex_field else m) for m in mats])
-    _, s, vt = np.linalg.svd(rows, full_matrices=False)
+    n = stack.shape[1]
+    complex_field = np.iscomplexobj(stack)
+    rows = _vec_stack(stack.astype(complex if complex_field else float, copy=False))
+    support = np.flatnonzero(rows.any(axis=0))
+    _, s, vt = np.linalg.svd(rows[:, support], full_matrices=False)
     cut = tol * max(1.0, s[0] if s.size else 0.0)
-    keep = vt[s > cut]
-    basis = np.array([sym(unvec(row, n, complex_field)) for row in keep])
-    return basis
+    keep = np.zeros((int(np.count_nonzero(s > cut)), rows.shape[1]))
+    keep[:, support] = vt[s > cut]
+    if complex_field:
+        keep = keep[:, :n * n] + 1j * keep[:, n * n:]
+    return sym(keep.reshape(-1, n, n))
 
 
 def span_coords(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Coefficients of the orthogonal projection of x onto the span."""
-    vx = vec(np.asarray(x, dtype=basis.dtype))
-    rows = np.array([vec(b) for b in basis])
-    return rows @ vx
+    return _vec_stack(basis) @ vec(np.asarray(x, dtype=basis.dtype))
 
 
 def span_project(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -221,12 +230,12 @@ def subspace_of_vectors(vectors, tol: float = 1e-10) -> np.ndarray:
 
 
 def nullspace(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Orthonormal basis, as columns, of the kernel of a."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
+    """Orthonormal basis, as columns, of the kernel of a (real or complex)."""
+    a = np.atleast_2d(np.asarray(a))
     _, s, vt = np.linalg.svd(a, full_matrices=True)
     cut = tol * max(1.0, s[0] if s.size else 0.0)
     rank = int(np.count_nonzero(s > cut))
-    return vt[rank:].T
+    return vt[rank:].conj().T
 
 
 def complement_basis(cols: np.ndarray, n: int) -> np.ndarray:

@@ -232,3 +232,24 @@ def test_cross_ratio_cones_isomorphism(rng):
     k3 = rc.cross_ratio_cone(phis_b)
     out = rc.cones_isomorphic(k1, k3)
     assert out.status == "not_isomorphic"
+
+
+def test_cones_isomorphic_k4_minus_edge(rng):
+    # the codim-1 signatures compared here need the form from the symmetric
+    # kernel; in the full n^2 space the kernel also holds antisymmetric ones
+    k = rc.chordal_cone(rc.ChordalGraph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]))
+    for _ in range(3):
+        ka = rc.apply_congruence(k, random_congruence(rng, 4), keep_expr=False)
+        assert rc.cones_isomorphic(k, ka).status == "isomorphic"
+
+
+def test_codim1_form_recovers_the_form(rng):
+    from rogcones.isomorph import codim1_form
+    q = np.diag([1.0, 2.0, -1.0, -0.5])
+    a = random_congruence(rng, 4)
+    a_inv = np.linalg.inv(a)
+    for cone, form in ((rc.codim1_cone(q), q),
+                       (rc.apply_congruence(rc.codim1_cone(q), a), a_inv.T @ q @ a_inv)):
+        got = codim1_form(cone)
+        form = form / np.linalg.norm(form)
+        assert min(np.linalg.norm(got - form), np.linalg.norm(got + form)) < 1e-8

@@ -1,0 +1,250 @@
+"""Invariants of span assembly and of the JSON rebuild.
+
+``make_cone`` dedupes rays with one Gram matrix, ``orthonormal_span`` runs
+its SVD on the nonzero support only, and leaf kinds (chordal, tridiagonal)
+build their gluing tree once: these tests pin each shortcut to the result
+of the direct computation it replaces.
+"""
+
+import json
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+import rogcones as rc
+from rogcones import cli, cone_model, constructions, jsonio, symlin
+from rogcones.cone_model import RAY_MATCH, _normalize_generators
+
+from conftest import random_chordal_graph
+
+
+# ---------------------------------------------------------------------------
+# ray dedupe
+
+
+def _pairwise_dedupe(generators, n, complex_field):
+    """The pairwise loop the batched dedupe replaces."""
+    dtype = complex if complex_field else float
+    vecs = []
+    for x in generators:
+        x = np.asarray(x, dtype=dtype).reshape(n)
+        nrm = np.linalg.norm(x)
+        if nrm < 1e-14:
+            continue
+        x = x / nrm
+        i = int(np.argmax(np.abs(x)))
+        x = x / (x[i] / abs(x[i]))
+        if not any(abs(np.vdot(x, y)) > RAY_MATCH for y in vecs):
+            vecs.append(x)
+    return np.array(vecs) if vecs else np.zeros((0, n), dtype=dtype)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6),
+       base=st.integers(0, 12), extra=st.integers(0, 20),
+       complex_field=st.booleans())
+def test_batched_dedupe_matches_pairwise_loop(seed, n, base, extra, complex_field):
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        x = rng.standard_normal(n)
+        return x + 1j * rng.standard_normal(n) if complex_field else x
+
+    gens = [draw() for _ in range(base)]
+    for _ in range(extra):
+        kind = rng.integers(5)
+        if kind == 4 and n >= 2:
+            gens.extend(_chain(rng, n, complex_field))
+            continue
+        if kind == 0 or not gens:
+            gens.append(np.zeros(n))
+            continue
+        x = gens[rng.integers(len(gens))]
+        if kind == 1:      # phase (or sign) multiple of an earlier ray
+            phase = np.exp(1j * rng.uniform(0, 2 * np.pi)) if complex_field \
+                else rng.choice([-1.0, 1.0])
+            gens.append(rng.uniform(0.1, 10.0) * phase * x)
+        elif kind == 2:    # near-duplicate, well inside the match threshold
+            gens.append(x + 1e-10 * np.linalg.norm(x) * draw())
+        else:              # close ray, well outside it
+            gens.append(x + 1e-3 * np.linalg.norm(x) * draw())
+    order = rng.permutation(len(gens))
+    gens = [gens[i] for i in order]
+    got = _normalize_generators(gens, n, complex_field)
+    want = _pairwise_dedupe(gens, n, complex_field)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+def _chain(rng, n, complex_field, length=4, step=1e-4):
+    """Rays cos(k step) u + sin(k step) w: neighbours match (1 - |<,>| is
+    5e-9), rays two steps apart do not (2e-8)."""
+    u, w = np.linalg.qr(rng.standard_normal((n, 2)))[0].T
+    phase = np.exp(1j * rng.uniform(0, 2 * np.pi)) if complex_field else 1.0
+    return [phase * (np.cos(k * step) * u + np.sin(k * step) * w) for k in range(length)]
+
+
+def test_dedupe_keeps_first_of_each_group():
+    e = np.eye(3)
+    gens = [e[0], 2 * e[1], -e[0], e[1] + 1e-12 * e[2], np.zeros(3), e[2], -3 * e[1]]
+    assert np.array_equal(_normalize_generators(gens, 3, False), e)
+    # a ray that matches only a dropped ray is kept
+    chain = _chain(np.random.default_rng(0), 3, False)
+    assert np.array_equal(_normalize_generators(chain, 3, False),
+                          _pairwise_dedupe([chain[0], chain[2]], 3, False))
+
+
+# ---------------------------------------------------------------------------
+# span on the nonzero support
+
+
+def _dense_span(mats, tol=1e-10):
+    """The SVD over all n^2 coordinates that the support compression replaces."""
+    complex_field = any(np.iscomplexobj(m) for m in mats)
+    rows = np.array([symlin.vec(np.asarray(m, dtype=complex if complex_field else float))
+                     for m in mats])
+    _, s, vt = np.linalg.svd(rows, full_matrices=False)
+    return vt[s > tol * max(1.0, s[0])]
+
+
+def _rows(stack):
+    return np.array([symlin.vec(b) for b in stack])
+
+
+def _assert_same_span(mats):
+    basis = symlin.orthonormal_span(mats)
+    dense = _dense_span(mats)
+    rows = _rows(basis)
+    assert basis.shape[0] == dense.shape[0]
+    assert np.abs(rows @ rows.T - np.eye(len(rows))).max() <= 1e-12
+    assert np.abs(rows.T @ rows - dense.T @ dense).max() <= 1e-12
+    assert np.array_equal(basis, symlin.sym(basis))
+
+
+def test_support_span_chordal_pattern():
+    graph = random_chordal_graph(np.random.default_rng(5), 12)
+    cone = rc.chordal_cone(graph)
+    prods = [symlin.outer(x) for x in cone.generators]
+    assert np.count_nonzero(_rows(prods).any(axis=0)) < 12 * 12
+    _assert_same_span(prods)
+    _assert_same_span(list(cone.span_basis) + prods)
+
+
+def test_support_span_direct_sum():
+    cone = rc.direct_sum(rc.hankel_cone(3), rc.direct_sum(rc.full_psd_cone(2),
+                                                          rc.diagonal_cone(2)))
+    _assert_same_span(list(cone.span_basis))
+    _assert_same_span([symlin.outer(x) for x in cone.generators])
+
+
+def test_support_span_complex_block_toeplitz():
+    single = rc.block_toeplitz_cone(3, 2)
+    _assert_same_span([symlin.outer(x) for x in single.generators])
+    pair = rc.direct_sum(rc.block_toeplitz_cone(2, 1), rc.block_toeplitz_cone(3, 1))
+    _assert_same_span(list(pair.span_basis))
+    _assert_same_span([symlin.outer(x) for x in pair.generators])
+
+
+def test_support_span_all_zero():
+    basis = symlin.orthonormal_span([np.zeros((3, 3)), np.zeros((3, 3))])
+    assert basis.shape[0] == 0
+    cone = rc.make_cone(3, [np.zeros((3, 3))], [], check=False)
+    assert cone.dim == 0
+
+
+def test_span_coords_matches_vec_rows():
+    for cone in (rc.hankel_cone(3), rc.block_toeplitz_cone(2, 2)):
+        x = sum(symlin.outer(g) for g in cone.generators[:3])
+        assert np.array_equal(symlin.span_coords(cone.span_basis, x),
+                              _rows(cone.span_basis) @ symlin.vec(x))
+
+
+# ---------------------------------------------------------------------------
+# leaf kinds build their tree once
+
+
+def _count_intertwines(monkeypatch):
+    calls = []
+    real = constructions.intertwine
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(constructions, "intertwine", counted)
+    return calls
+
+
+def _leaf_nodes_with_children(node):
+    found = []
+    if node["kind"] in constructions.LEAF_KINDS and "children" in node:
+        found.append(node["kind"])
+    for child in node.get("children", []):
+        found += _leaf_nodes_with_children(child)
+    return found
+
+
+def test_chordal_load_builds_the_tree_once(monkeypatch):
+    graph = random_chordal_graph(np.random.default_rng(11), 10)
+    expr = {"kind": "chordal",
+            "params": {"n": 10, "edges": [list(e) for e in graph.edges]}}
+    calls = _count_intertwines(monkeypatch)
+    cone = jsonio.build_expr(expr)
+    built = len(calls)
+    assert built > 0
+    data = json.loads(json.dumps(jsonio.cone_to_json(cone)))
+    assert "children" not in data["expr"]
+    del calls[:]
+    loaded = jsonio.cone_from_json(data)
+    assert len(calls) == built
+    assert jsonio.cone_to_json(loaded) == data
+    # the runtime tree that the decomposition route walks is still there
+    assert loaded.expr.children and loaded.expr.children[0].expr.kind == "transform"
+
+
+def test_legacy_json_children_under_a_leaf_are_ignored(monkeypatch):
+    calls = _count_intertwines(monkeypatch)
+    cone = rc.chordal_cone(rc.ChordalGraph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)]))
+    built = len(calls)
+    data = jsonio.cone_to_json(cone)
+    legacy = dict(data, expr=dict(data["expr"], children=[
+        {"kind": "transform", "params": {"matrix": np.eye(5).tolist()},
+         "children": [{"kind": "full_psd", "params": {"n": 5}}]}]))
+    del calls[:]
+    assert jsonio.cone_to_json(jsonio.cone_from_json(legacy)) == data
+    assert len(calls) == built
+
+
+def test_no_children_under_leaf_kinds_in_nested_json():
+    tri = rc.tridiagonal_cone(4)
+    chordal = rc.chordal_cone(rc.ChordalGraph(4, [(0, 1), (1, 2), (0, 2), (2, 3)]))
+    moved = rc.apply_congruence(rc.direct_sum(tri, chordal),
+                                np.eye(8) + np.diag(np.full(7, 0.5), 1))
+    data = jsonio.cone_to_json(moved)
+    assert _leaf_nodes_with_children(data["expr"]) == []
+    assert jsonio.cone_to_json(jsonio.cone_from_json(data)) == data
+
+
+# ---------------------------------------------------------------------------
+# rog analyze
+
+
+def test_analyze_partitions_once(tmp_path, monkeypatch):
+    cone = rc.direct_sum(rc.tridiagonal_cone(3), rc.diagonal_cone(2))
+    path = tmp_path / "cone.json"
+    out = tmp_path / "report.json"
+    path.write_text(json.dumps(jsonio.cone_to_json(cone)))
+    rays = rc.isolated_rays(cone)
+    calls = []
+    real = cone_model.simplicity_partition
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cone_model, "simplicity_partition", counted)
+    assert cli.run(["analyze", str(path), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert len(calls) == 1
+    assert report["factor_dims"] == [3, 1, 1]
+    assert report["isolated_rays"] == rays and len(rays) == 2

@@ -132,3 +132,27 @@ def test_complex_hermitian_path():
     assert np.allclose(sorted(dec.values), [1.0, 3.0])
     assert symlin.psd_check(a)
     assert symlin.numeric_rank(a) == 2
+
+
+def test_nullspace_keeps_complex_entries():
+    a = np.array([[1.0, 1j, 0.0], [0.0, 0.0, 1.0]])
+    null = symlin.nullspace(a)
+    assert null.shape == (3, 1)
+    assert np.linalg.norm(a @ null) < 1e-12
+    assert abs(np.vdot(null[:, 0], null[:, 0]) - 1.0) < 1e-12
+
+
+def test_face_of_complex_direct_sum_keeps_imaginary_parts():
+    import warnings
+
+    import rogcones as rc
+    cone = rc.direct_sum(rc.block_toeplitz_cone(2, 1), rc.block_toeplitz_cone(3, 1))
+    # a phase vector off the certificate's root-of-unity grid: its face is
+    # not spanned by generators, so face_of splits it over the summands
+    h = np.zeros((5, 1), dtype=complex)
+    h[2:, 0] = np.exp(0.3j * np.arange(3)) / np.sqrt(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", np.exceptions.ComplexWarning)
+        face = rc.face_of(cone, rc.FaceHandle(h))
+    assert face.dim == 1
+    assert symlin.span_contains(face.span_basis, symlin.outer(h[:, 0]))
