@@ -299,7 +299,7 @@ def simplicity_partition(cone: SpectrahedralCone, tol: float = DEFAULT_TOL
             if not indep:
                 indep.append(j)
                 continue
-            a_mat = gens[indep].T if isinstance(indep, np.ndarray) else gens[np.array(indep)].T
+            a_mat = gens[indep].T
             coef, res, rank, sv = np.linalg.lstsq(a_mat, gens[j], rcond=None)
             resid = np.linalg.norm(a_mat @ coef - gens[j])
             if resid > 100 * tol:
@@ -309,8 +309,6 @@ def simplicity_partition(cone: SpectrahedralCone, tol: float = DEFAULT_TOL
             for k, c in zip(indep, coef):
                 if abs(c) > cut:
                     changed |= union(j, k)
-        if changed:
-            continue
     groups: dict[int, list[int]] = {}
     for i in range(m):
         groups.setdefault(find(i), []).append(i)

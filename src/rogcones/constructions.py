@@ -546,44 +546,28 @@ def _avoiding_path_cycle(n, adj, v, a, b):
 def chordal_cone(graph: ChordalGraph) -> SpectrahedralCone:
     """PSD matrices whose off-pattern entries vanish, for a chordal pattern.
 
-    Built as the vertex-by-vertex gluing sequence (each new vertex joins
-    the full block over its earlier-neighbor clique, or starts a new
-    direct summand), then permuted back to natural vertex order.  The
-    resulting expression tree drives compositional decomposition.
+    The certificate goes vertex by vertex in maximum-cardinality-search
+    order: e_v, then (e_u + e_v) / sqrt(2) for each earlier neighbor u.
+    The earlier neighbors of v form a clique, so the reversed order is a
+    perfect elimination order and zero-fill elimination along it writes
+    every member as a sum of rank-1 terms on these cliques
+    (Agler-Helton-McCullough-Rodman 1988).  ``aux`` keeps the order and,
+    for each of its vertices, the clique of it and its earlier neighbors.
     """
     n = graph.n
     adj = graph.adjacency()
     order = mcs_order(n, adj)
-    verts = [order[0]]
-    cone = full_psd_cone(1)
-    for idx in range(1, n):
-        v = order[idx]
+    eye = np.eye(n)
+    gens = []
+    cliques = []
+    for idx, v in enumerate(order):
         earlier = [u for u in order[:idx] if u in adj[v]]
-        if not earlier:
-            cone = direct_sum(cone, full_psd_cone(1))
-            verts.append(v)
-            continue
-        c = len(earlier)
-        positions = [verts.index(u) for u in earlier]
-        iota1 = np.zeros((cone.n, c))
-        for col, p in enumerate(positions):
-            iota1[p, col] = 1.0
-        k2 = full_psd_cone(c + 1)
-        iota2 = np.eye(c + 1)[:, :c]
-        cone = intertwine(cone, k2, GlueSpec(c, iota1, iota2))
-        verts = [verts[i] for i in range(len(verts)) if i not in positions] \
-            + earlier + [v]
-    perm = np.zeros((n, n))
-    for current, vertex in enumerate(verts):
-        perm[vertex, current] = 1.0
-    inner = apply_congruence(cone, perm)
+        gens.append(eye[v])
+        gens += [(eye[u] + eye[v]) / np.sqrt(2) for u in earlier]
+        cliques.append(np.array([v] + earlier))
     expr = ConeExpr("chordal", {"n": n, "edges": [list(e) for e in graph.edges]},
-                    children=(inner,))
-    span = _pattern_span(n, graph.edges)
-    out = make_cone(n, span, inner.generators, expr=expr, check=False)
-    if out.dim != inner.dim:
-        raise InvalidInputError("chordal pattern span mismatch")
-    return out
+                    aux={"order": order, "cliques": cliques})
+    return make_cone(n, _pattern_span(n, graph.edges), gens, expr=expr, check=False)
 
 
 def _pattern_span(n: int, edges) -> list[np.ndarray]:
@@ -601,10 +585,8 @@ def _pattern_span(n: int, edges) -> list[np.ndarray]:
 
 def tridiagonal_cone(n: int) -> SpectrahedralCone:
     """PSD tridiagonal matrices: the chordal cone of the path graph."""
-    path = ChordalGraph(n, [(i, i + 1) for i in range(n - 1)])
-    inner = chordal_cone(path)
-    expr = ConeExpr("tridiag", {"n": n}, children=(inner,))
-    return inner.copy_with(expr=expr)
+    cone = chordal_cone(ChordalGraph(n, [(i, i + 1) for i in range(n - 1)]))
+    return cone.copy_with(expr=ConeExpr("tridiag", {"n": n}, aux=cone.expr.aux))
 
 
 # ---------------------------------------------------------------------------
@@ -643,8 +625,8 @@ _BUILDERS = {
 }
 
 
-# Leaf kinds take no children; chordal and tridiagonal cones build their own
-# gluing tree, so it is neither serialized nor rebuilt from JSON.
+# Leaf kinds take no children; JSON written before the chordal kinds became
+# leaves lists their gluing tree, which loading skips.
 LEAF_KINDS = frozenset(kind for kind, (arity, _) in _BUILDERS.items() if arity is None)
 
 

@@ -5,7 +5,8 @@ equals the matrix rank:
 
 * a generic peeling loop (``carath_decompose``) that repeatedly extracts
   an extreme ray from the face of the current iterate and steps to the
-  PSD boundary,
+  PSD boundary; on chordal patterns the ray is a pivot column, so each
+  step is one step of zero-fill elimination,
 * compositional recursions over the construction tree for direct sums,
   full extensions and intertwinings,
 * a shift-invariance (Prony-type) node solver for block-Hankel matrices,
@@ -211,6 +212,23 @@ def _direct_sum_ray(cone, h, x_current, attempt, tol):
         ray = extreme_ray_oracle(child, sub, x_child, attempt // len(pieces), tol)
         if ray is not None:
             return _place(cone.n, lo, ray)
+    return None
+
+
+def _chordal_ray(cone, h, x_current, attempt, tol):
+    """The iterate's column at the last vertex in MCS order whose column is
+    nonzero, zeroed outside that vertex's clique.  Earlier peels cleared the
+    columns of the later vertices, so the column already lies on the clique
+    and peeling it is one step of zero-fill elimination."""
+    if x_current is None:
+        raise InvalidInputError("chordal oracle needs the current iterate")
+    cut = tol * max(1.0, float(np.abs(x_current).max()))
+    aux = cone.expr.aux
+    for v, clique in zip(reversed(aux["order"]), reversed(aux["cliques"])):
+        if np.linalg.norm(x_current[:, v]) > cut:
+            x = np.zeros(cone.n)
+            x[clique] = x_current[clique, v]
+            return x
     return None
 
 
@@ -611,6 +629,14 @@ def _block_toeplitz_sample(cone, rng):
     return constructions._phase_vector(q, n, v)
 
 
+def _chordal_sample(cone, rng):
+    cliques = cone.expr.aux["cliques"]
+    clique = cliques[rng.integers(len(cliques))]
+    x = np.zeros(cone.n)
+    x[clique] = rng.standard_normal(len(clique))
+    return x
+
+
 def _direct_sum_sample(cone, rng):
     n1, n2 = cone.expr.params["sizes"]
     k1, k2 = cone.expr.children
@@ -678,7 +704,7 @@ def _direct_sum_faces(cone, h):
 
 # A wrapper cone holds one child in other coordinates: X = G X_child G^*
 # and x = G x_child, with F = G^{-1} (or the pull-back B for a reduction)
-# carrying matrices and faces into the child.  None stands for I.
+# carrying matrices and faces into the child.
 
 
 def _congruence_coords(cone):
@@ -692,22 +718,18 @@ def _reduce_coords(cone):
 
 
 def _into(fwd, x_mat):
-    return x_mat if fwd is None else symlin.sym(fwd @ x_mat @ fwd.conj().T)
+    return symlin.sym(fwd @ x_mat @ fwd.conj().T)
 
 
 def _face_into(fwd, h):
-    return h if fwd is None else symlin.subspace_of_vectors((fwd @ h).T)
-
-
-def _out(back, x):
-    return x if back is None else back @ x
+    return symlin.subspace_of_vectors((fwd @ h).T)
 
 
 def _decompose_wrapped(coords, cone, x_mat, tol):
     fwd, back = coords(cone)
     inner = decompose(cone.expr.children[0], _into(fwd, x_mat), tol)
     return _as_decomposition([a.weight for a in inner.atoms],
-                             [_out(back, a.vector) for a in inner.atoms], x_mat)
+                             [back @ a.vector for a in inner.atoms], x_mat)
 
 
 def _wrapped_ray(coords, cone, h, x_current, attempt, tol):
@@ -715,17 +737,17 @@ def _wrapped_ray(coords, cone, h, x_current, attempt, tol):
     x_child = None if x_current is None else _into(fwd, x_current)
     ray = extreme_ray_oracle(cone.expr.children[0], _face_into(fwd, h), x_child,
                              attempt, tol)
-    return None if ray is None else _out(back, ray)
+    return None if ray is None else back @ ray
 
 
 def _wrapped_face_rays(coords, cone, h, tol):
     fwd, back = coords(cone)
-    return [_out(back, r)
+    return [back @ r
             for r in rays_spanning_face(cone.expr.children[0], _face_into(fwd, h), tol)]
 
 
 def _wrapped_sample(coords, cone, rng):
-    return _out(coords(cone)[1], random_extreme_ray(cone.expr.children[0], rng))
+    return coords(cone)[1] @ random_extreme_ray(cone.expr.children[0], rng)
 
 
 # ---------------------------------------------------------------------------
@@ -757,6 +779,8 @@ def _wrapper(coords) -> Family:
                   face_rays=partial(_wrapped_face_rays, coords),
                   route=partial(_decompose_wrapped, coords))
 
+
+_CHORDAL = Family(sample=_chordal_sample, ray=_chordal_ray)
 
 _FAMILIES = {
     "full_psd": Family(
@@ -798,8 +822,8 @@ _FAMILIES = {
         route=lambda cone, x, tol: decompose_intertwining(cone, x, tol)),
     "transform": _wrapper(_congruence_coords),
     "reduce": _wrapper(_reduce_coords),
-    "chordal": _wrapper(lambda cone: (None, None)),
-    "tridiag": _wrapper(lambda cone: (None, None)),
+    "chordal": _CHORDAL,
+    "tridiag": _CHORDAL,
 }
 
 

@@ -5,10 +5,10 @@ each span element flattened to its upper triangle (row-major, i <= j).
 Complex data uses ``[re, im]`` pairs and a ``"complex": true`` flag.
 Cones carrying a construction expression are rebuilt from it on load,
 which reproduces the original bit-for-bit because the builders are
-deterministic.  Expressions of leaf kinds (``constructions.LEAF_KINDS``)
-carry no children: the chordal and tridiagonal builders make their own
-gluing tree from the parameters, so the tree is neither written nor
-rebuilt on load.
+deterministic.  Only combinator and wrapper expressions carry children;
+leaf kinds (``constructions.LEAF_KINDS``) are rebuilt from their
+parameters alone, and children that older files list under a leaf are
+skipped on load.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ def _utri_unflatten(vals, n: int) -> np.ndarray:
 
 def expr_to_json(expr: ConeExpr) -> dict:
     out = {"kind": expr.kind, "params": _params_to_json(expr.params)}
-    if expr.children and expr.kind not in constructions.LEAF_KINDS:
+    if expr.children:
         out["children"] = [
             expr_to_json(child.expr) if child.expr is not None
             else {"kind": "raw", "params": {"cone": cone_to_json(child)}}

@@ -243,8 +243,8 @@ def complement_basis(cols: np.ndarray, n: int) -> np.ndarray:
 
     When the given columns are signed canonical basis vectors, the
     complement is returned as canonical basis vectors in index order so
-    that coordinate structure survives (the chordal builder relies on
-    this).
+    that coordinate structure survives an intertwining along coordinate
+    faces.
     """
     cols = np.asarray(cols, dtype=float)
     if cols.size == 0:

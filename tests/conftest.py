@@ -66,6 +66,7 @@ def family_registry():
         "hankel4": rc.hankel_cone(4),
         "hankel22": rc.hankel_cone(2, 2),
         "tridiag4": rc.tridiagonal_cone(4),
+        "chordal6": rc.chordal_cone(random_chordal_graph(np.random.default_rng(2), 6)),
         "codim1": rc.codim1_cone(np.diag([1.0, 1.0, -1.0, -1.0])),
         "cross_ratio": rc.cross_ratio_cone([0.15, 0.8, 1.65, 2.4]),
         "full_ext_han3": rc.full_extension(rc.hankel_cone(3), 5),

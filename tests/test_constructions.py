@@ -114,6 +114,26 @@ def test_chordal_complete_graph():
     assert span_equal(rc.chordal_cone(g), rc.full_psd_cone(3))
 
 
+@pytest.mark.parametrize("n, edges, rays", [
+    (3, [(0, 1), (1, 2)], [(0,), (1,), (0, 1), (2,), (1, 2)]),
+    (4, [(3, 0), (3, 1), (3, 2)], [(0,), (3,), (0, 3), (1,), (3, 1), (2,), (3, 2)]),
+    (6, [(0, 1), (0, 2), (1, 2), (3, 5)],
+     [(0,), (1,), (0, 1), (2,), (0, 2), (1, 2), (3,), (5,), (3, 5), (4,)]),
+    (3, [], [(0,), (1,), (2,)]),
+])
+def test_chordal_certificate_in_mcs_order(n, edges, rays):
+    """e_v, then (e_u + e_v) / sqrt(2) for each earlier neighbor u, vertex
+    by vertex in MCS order; the bit-exact JSON round trip depends on it."""
+    eye = np.eye(n)
+    expected = []
+    for ray in rays:
+        x = eye[list(ray)].sum(axis=0) / np.sqrt(len(ray))
+        expected.append(x / np.linalg.norm(x))
+    cone = rc.chordal_cone(rc.ChordalGraph(n, edges))
+    assert np.array_equal(cone.generators, np.array(expected))
+    assert rc.certificate_complete(cone)
+
+
 def test_chordal_rejects_cycle():
     with pytest.raises(InvalidInputError) as err:
         rc.ChordalGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])

@@ -197,6 +197,32 @@ def test_decompose_toeplitz_rejects_pattern():
         decompose_block_toeplitz(t, 2, 1)
 
 
+@pytest.mark.parametrize("n, edges, atoms", [
+    # lambda_4 / lambda_1 = 0.025; the gluing-tree split rejected this
+    # member as "not positive semidefinite"
+    (8, [(0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (1, 7), (2, 3), (2, 4),
+         (2, 5), (3, 4), (3, 6), (4, 5), (4, 6)],
+     [(0.518, {0: 0.0912, 2: -0.0085, 4: 0.0494, 5: 0.9946}),
+      (1.501, {0: 0.9102, 2: -0.0053, 3: 0.0023, 4: 0.4140}),
+      (0.870, {0: 0.2895, 3: -0.7649, 4: -0.1056, 6: 0.5657}),
+      (0.582, {0: -0.1415, 2: 0.3620, 4: -0.2128, 5: -0.8965})]),
+    # vertex 3 has a 7e-9 diagonal entry but a 1e-4 column, so a pivot
+    # test on the diagonal would skip it and stall
+    (6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (4, 5)],
+     [(1.475, {0: -0.6257, 1: 0.6854, 2: 0.3723, 3: -6.7e-5}),
+      (1.422, {4: -0.9052, 5: 0.4250})]),
+])
+def test_chordal_well_conditioned_member(n, edges, atoms):
+    cone = rc.chordal_cone(rc.ChordalGraph(n, edges))
+    x = np.zeros((n, n))
+    for weight, entries in atoms:
+        v = np.zeros(n)
+        v[list(entries)] = list(entries.values())
+        x += weight * np.outer(v, v)
+    assert rc.numeric_rank(x) == len(atoms)
+    check_decomposition(cone, x, rc.decompose(cone, x))
+
+
 def _check_phase_structure(v, n, m, tol=1e-8):
     blocks = v.reshape(n, m)
     norms = np.linalg.norm(blocks, axis=1)

@@ -2,10 +2,11 @@
 
 ``make_cone`` dedupes rays with one Gram matrix, ``orthonormal_span`` runs
 its SVD on the nonzero support only, and leaf kinds (chordal, tridiagonal)
-build their gluing tree once: these tests pin each shortcut to the result
-of the direct computation it replaces.
+are built from their parameters alone, with no gluing tree: these tests pin
+each shortcut to the result of the direct computation it replaces.
 """
 
+import importlib
 import json
 
 import numpy as np
@@ -15,7 +16,7 @@ import rogcones as rc
 from rogcones import cli, cone_model, constructions, jsonio, symlin
 from rogcones.cone_model import RAY_MATCH, _normalize_generators
 
-from conftest import random_chordal_graph
+from conftest import random_chordal_graph, rank_r_member
 
 
 # ---------------------------------------------------------------------------
@@ -160,19 +161,30 @@ def test_span_coords_matches_vec_rows():
 
 
 # ---------------------------------------------------------------------------
-# leaf kinds build their tree once
+# leaf kinds hold no gluing tree
+
+
+# the gluing construction and its decomposition route; the package
+# attribute ``rogcones.decompose`` is the function, not the module
+_GLUING = ((constructions, "intertwine"), (constructions, "direct_sum"),
+           (constructions, "apply_congruence"), (cone_model, "apply_congruence"),
+           (importlib.import_module("rogcones.decompose"), "decompose_intertwining"),
+           (symlin, "schur_split"))
+
+
+def _count_calls(monkeypatch, targets):
+    calls = []
+    for module, name in targets:
+        def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def _count_intertwines(monkeypatch):
-    calls = []
-    real = constructions.intertwine
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(constructions, "intertwine", counted)
-    return calls
+    return _count_calls(monkeypatch, [(constructions, "intertwine")])
 
 
 def _leaf_nodes_with_children(node):
@@ -184,22 +196,23 @@ def _leaf_nodes_with_children(node):
     return found
 
 
-def test_chordal_load_builds_the_tree_once(monkeypatch):
+def test_chordal_kinds_glue_nothing(monkeypatch):
     graph = random_chordal_graph(np.random.default_rng(11), 10)
-    expr = {"kind": "chordal",
-            "params": {"n": 10, "edges": [list(e) for e in graph.edges]}}
-    calls = _count_intertwines(monkeypatch)
-    cone = jsonio.build_expr(expr)
-    built = len(calls)
-    assert built > 0
-    data = json.loads(json.dumps(jsonio.cone_to_json(cone)))
-    assert "children" not in data["expr"]
-    del calls[:]
-    loaded = jsonio.cone_from_json(data)
-    assert len(calls) == built
-    assert jsonio.cone_to_json(loaded) == data
-    # the runtime tree that the decomposition route walks is still there
-    assert loaded.expr.children and loaded.expr.children[0].expr.kind == "transform"
+    exprs = [{"kind": "chordal",
+              "params": {"n": 10, "edges": [list(e) for e in graph.edges]}},
+             {"kind": "tridiag", "params": {"n": 6}}]
+    calls = _count_calls(monkeypatch, _GLUING)
+    rng = np.random.default_rng(3)
+    for expr in exprs:
+        cone = jsonio.build_expr(expr)
+        text = json.dumps(jsonio.cone_to_json(cone))
+        assert "children" not in json.loads(text)["expr"]
+        loaded = jsonio.cone_from_json(json.loads(text))
+        assert json.dumps(jsonio.cone_to_json(loaded)) == text
+        assert loaded.expr.children == ()
+        x_mat = rank_r_member(loaded, rng, 4)
+        assert len(rc.decompose(loaded, x_mat).atoms) == 4
+    assert calls == []
 
 
 def test_legacy_json_children_under_a_leaf_are_ignored(monkeypatch):
