@@ -15,7 +15,8 @@ import sys
 
 import numpy as np
 
-from . import cone_model, decompose, isomorph, jsonio, pencil_struct, qcqp_relax
+from . import cone_model, isomorph, jsonio, pencil_struct, qcqp_relax
+from .decompose import decompose
 from .errors import InvalidInputError, MissingCertificateError, NumericalError
 
 
@@ -49,10 +50,10 @@ def _cmd_analyze(args) -> int:
         "dim": cone_model.dimension(cone),
     }
     if len(cone.generators) > 0:
-        report["degree"] = cone_model.degree(cone)
+        report["degree"] = cone_model.degree(cone, args.tol)
         report["certificate_complete"] = cone_model.certificate_complete(cone)
-        if cone_model.is_nondegenerate(cone):
-            parts = cone_model.simplicity_partition(cone)
+        if cone_model.is_nondegenerate(cone, args.tol):
+            parts = cone_model.simplicity_partition(cone, args.tol)
             report["simple"] = len(parts) == 1
             report["factor_dims"] = [h.dim for h in parts]
             report["isolated_rays"] = cone_model.unit_factor_rays(cone, parts)
@@ -63,7 +64,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_decompose(args) -> int:
     cone = jsonio.cone_from_json(_read_json(args.cone))
     x_mat = jsonio.matrix_argument(_read_json(args.matrix))
-    dec = decompose.decompose(cone, x_mat, tol=args.tol)
+    dec = decompose(cone, x_mat, tol=args.tol)
     _write_json(jsonio.decomposition_to_json(dec), args.out)
     return 0
 

@@ -120,7 +120,7 @@ def _normalize_generators(generators, n: int, complex_field: bool) -> np.ndarray
     return rays[keep]
 
 
-def certificate_complete(cone: SpectrahedralCone, tol: float = 1e-7) -> bool:
+def certificate_complete(cone: SpectrahedralCone) -> bool:
     """True iff the generator outer products span the cone's subspace L."""
     if len(cone.generators) == 0:
         return cone.dim == 0
@@ -184,8 +184,7 @@ def reduce_nondegenerate(cone: SpectrahedralCone, tol: float = DEFAULT_TOL
             raise MissingCertificateError(
                 "cone carries no certificate and no obvious interior element")
     dec = symlin.eig_sym(hub)
-    cut = tol * max(1.0, float(np.abs(dec.values).max(initial=0.0)))
-    b = dec.vectors[:, dec.values > cut]
+    b = dec.vectors[:, dec.values > symlin.cut(dec.values, tol)]
     m = b.shape[1]
     if m == cone.n:
         reduced = cone.copy_with(expr=_reduce_expr(cone, np.eye(cone.n)))
@@ -231,7 +230,7 @@ def face_of(cone: SpectrahedralCone, handle: FaceHandle,
     p = h @ h.conj().T
     gens = [x for x in cone.generators
             if np.linalg.norm(x - p @ x) <= 10 * tol * np.linalg.norm(x)]
-    gens.extend(_enrich_face_generators(cone, h, basis, gens, tol))
+    gens.extend(_enrich_face_generators(cone, h, basis, gens))
     if basis.shape[0] == 0:
         return SpectrahedralCone(n=cone.n, span_basis=basis,
                                  generators=np.zeros((0, cone.n), dtype=cone.generators.dtype),
@@ -240,11 +239,11 @@ def face_of(cone: SpectrahedralCone, handle: FaceHandle,
                      complex_field=cone.complex_field, check=False)
 
 
-def _enrich_face_generators(cone, h, face_basis, found, tol):
+def _enrich_face_generators(cone, h, face_basis, found):
     """Top up a face certificate using the cone's rank-1 structure.
 
-    Delegates to the constructions module (leaf-kind specific rules);
-    returns an empty list when no rule applies.
+    Delegates to ``decompose.rays_spanning_face`` (the face rule of the
+    cone's kind); returns an empty list when no rule applies.
     """
     if face_basis.shape[0] == 0:
         return []
@@ -305,7 +304,7 @@ def simplicity_partition(cone: SpectrahedralCone, tol: float = DEFAULT_TOL
             if resid > 100 * tol:
                 indep.append(j)
                 continue
-            cut = 100 * tol * max(1.0, float(np.abs(coef).max()))
+            cut = symlin.cut(coef, 100 * tol)
             for k, c in zip(indep, coef):
                 if abs(c) > cut:
                     changed |= union(j, k)
@@ -348,19 +347,16 @@ def unit_factor_rays(cone: SpectrahedralCone, handles: list[FaceHandle]) -> list
     return sorted(out)
 
 
-def has_tangent(cone: SpectrahedralCone, x: np.ndarray,
-                tol: float = DEFAULT_TOL) -> bool:
+def has_tangent(cone: SpectrahedralCone, x: np.ndarray) -> bool:
     """True iff some y independent of x has x y^T + y x^T in span K.
 
     Diagnostic counterpart of the direct-sum test for isolated rays: an
     extreme ray that is not isolated always admits such a tangent.
     """
-    sols = tangent_space(cone, x, tol)
-    return sols.shape[1] >= 2
+    return tangent_space(cone, x).shape[1] >= 2
 
 
-def tangent_space(cone: SpectrahedralCone, x: np.ndarray,
-                  tol: float = DEFAULT_TOL) -> np.ndarray:
+def tangent_space(cone: SpectrahedralCone, x: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of {y : x y^T + y x^T ∈ span K}."""
     x = np.asarray(x, dtype=float).reshape(cone.n)
     basis = cone.span_basis
@@ -391,13 +387,10 @@ def find_mld_sets(cone: SpectrahedralCone, max_size: int = 6,
     out = []
     for size in range(2, min(max_size, len(gens)) + 1):
         for subset in combinations(range(len(gens)), size):
-            cols = gens[np.array(subset)].T
-            u, s, vt = np.linalg.svd(cols)
-            cut = tol * max(1.0, s[0])
-            rank = int(np.count_nonzero(s > cut))
-            if rank != size - 1:
+            null = symlin.nullspace(gens[np.array(subset)].T, tol)
+            if null.shape[1] != 1:
                 continue
-            kern = vt[-1]
+            kern = null[:, 0]
             if np.abs(kern).min() > tol:
                 out.append(MldSet(indices=list(subset), kernel_coeffs=kern))
     return out

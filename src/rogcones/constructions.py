@@ -98,7 +98,7 @@ def codim1_cone(q: np.ndarray, tol: float = DEFAULT_TOL) -> SpectrahedralCone:
     """
     q = symlin.sym_matrix(q)
     n = q.shape[0]
-    u_dirs, v_dirs, ker = _split_form(q, tol)
+    u_dirs, v_dirs, ker = symlin.inertia_split(q, tol)
     if u_dirs.shape[1] == 0 or v_dirs.shape[1] == 0:
         raise InvalidInputError("form must be indefinite")
     gens = []
@@ -134,17 +134,6 @@ def codim1_cone(q: np.ndarray, tol: float = DEFAULT_TOL) -> SpectrahedralCone:
     if not certificate_complete(cone):
         raise InvalidInputError("could not certify the codimension-1 cone")
     return cone
-
-
-def _split_form(q: np.ndarray, tol: float):
-    """Columns u with u^T q u = 1 and v with v^T q v = -1 along the
-    eigenvectors of q, and its kernel; eigenvalues within tol |q| are 0."""
-    dec = symlin.eig_sym(q)
-    cut = tol * max(1.0, float(np.abs(dec.values).max(initial=0.0)))
-    pos, neg = dec.values > cut, dec.values < -cut
-    return (dec.vectors[:, pos] / np.sqrt(dec.values[pos]),
-            dec.vectors[:, neg] / np.sqrt(-dec.values[neg]),
-            dec.vectors[:, np.abs(dec.values) <= cut])
 
 
 _TQ_SAMPLES = [

@@ -106,13 +106,12 @@ def carath_decompose(cone: SpectrahedralCone, x_mat: np.ndarray,
     current = symlin.span_project(cone.span_basis, symlin.sym(x_mat))
     weights: list[float] = []
     vectors: list[np.ndarray] = []
-    rank = symlin.numeric_rank(current, tol)
+    dec = symlin.eig_sym(current)
+    rank = dec.rank(tol)
     mu_trace: list[float] = []
     while rank > 0:
-        dec = symlin.eig_sym(current)
-        cut = tol * max(1.0, float(np.abs(dec.values).max()))
-        h = dec.vectors[:, dec.values > cut]
-        pinv = symlin.pseudo_inverse(current, tol)
+        h = dec.vectors[:, dec.values > symlin.cut(dec.values, tol)]
+        pinv = dec.pinv(tol)
         accepted = False
         for attempt in range(max_retries):
             x = extreme_ray_oracle(cone, h, x_current=current, attempt=attempt,
@@ -125,14 +124,15 @@ def carath_decompose(cone: SpectrahedralCone, x_mat: np.ndarray,
                 continue
             mu = 1.0 / denom
             candidate = symlin.sym(current - mu * symlin.outer(x))
-            new_rank = symlin.numeric_rank(candidate, tol)
-            if new_rank >= rank or not symlin.psd_check(candidate, 10 * tol):
+            cand_dec = symlin.eig_sym(candidate)
+            new_rank = cand_dec.rank(tol)
+            if (new_rank >= rank
+                    or not symlin.psd_values(cand_dec.values, candidate, 10 * tol)):
                 mu_trace.append(mu)
                 continue
             weights.append(mu)
             vectors.append(x)
-            current = candidate
-            rank = new_rank
+            current, dec, rank = candidate, cand_dec, new_rank
             accepted = True
             break
         if not accepted:
@@ -173,7 +173,7 @@ def _pick(cands, attempt):
 
 def _codim1_ray(cone, h, x_current, attempt, tol):
     q = _data(cone, "Q")
-    u_dirs, v_dirs, ker = constructions._split_form(symlin.sym(h.T @ q @ h), tol)
+    u_dirs, v_dirs, ker = symlin.inertia_split(symlin.sym(h.T @ q @ h), tol)
     npos, nneg = u_dirs.shape[1], v_dirs.shape[1]
     if npos and nneg:
         sign = -1.0 if (attempt % 2 == 1 and npos == 1 and nneg == 1) else 1.0
@@ -187,13 +187,13 @@ def _codim1_ray(cone, h, x_current, attempt, tol):
 def _cross_ratio_ray(cone, h, x_current, attempt, tol):
     found = []
     for plane in _data(cone, "planes"):
-        v = _subspace_intersection_vector(h, plane, tol)
+        v = _subspace_intersection_vector(h, plane)
         if v is not None:
             found.append(v)
     return _pick(found, attempt)
 
 
-def _subspace_intersection_vector(h, plane, tol):
+def _subspace_intersection_vector(h, plane):
     stacked = np.hstack([h, -plane])
     null = symlin.nullspace(stacked)
     if null.shape[1] == 0:
@@ -222,7 +222,7 @@ def _chordal_ray(cone, h, x_current, attempt, tol):
     and peeling it is one step of zero-fill elimination."""
     if x_current is None:
         raise InvalidInputError("chordal oracle needs the current iterate")
-    cut = tol * max(1.0, float(np.abs(x_current).max()))
+    cut = symlin.cut(x_current, tol)
     aux = cone.expr.aux
     for v, clique in zip(reversed(aux["order"]), reversed(aux["cliques"])):
         if np.linalg.norm(x_current[:, v]) > cut:
@@ -291,7 +291,7 @@ def decompose_full_extension(cone: SpectrahedralCone, x_mat: np.ndarray,
             raise InvalidInputError("strip block inconsistent with zero head")
         schur = symlin.sym(x22)
     dec = symlin.eig_sym(schur)
-    cut = tol * max(1.0, float(np.abs(dec.values).max(initial=0.0)))
+    cut = symlin.cut(dec.values, tol)
     for lam, z in zip(dec.values, dec.vectors.T):
         if lam > cut:
             vectors.append(np.concatenate([np.zeros(n1), z * np.sqrt(lam)]))
@@ -370,14 +370,8 @@ def _snap_moment_vector(v, n, m, t):
     return np.kron(powers, x)
 
 
-def _hankel_candidates(x_or_basis, n, m, tol, from_matrix):
-    """Candidate atom directions (moment vectors) for a Hankel face/member."""
-    if from_matrix:
-        dec = symlin.eig_sym(x_or_basis)
-        cut = tol * max(1.0, float(np.abs(dec.values).max(initial=0.0)))
-        u = dec.vectors[:, dec.values > cut]
-    else:
-        u = x_or_basis
+def _hankel_candidates(u, n, m):
+    """Candidate atom directions (moment vectors) for the Hankel face col(u)."""
     r = u.shape[1]
     if r == 0:
         return [], []
@@ -415,7 +409,7 @@ def _hankel_candidates(x_or_basis, n, m, tol, from_matrix):
 
 
 def _hankel_face_rays(cone, h, tol):
-    finite, inf_dirs = _hankel_candidates(h, *_block_size(cone), tol, from_matrix=False)
+    finite, inf_dirs = _hankel_candidates(h, *_block_size(cone))
     p = h @ h.T
     return [v for v in [v for _, v in finite] + inf_dirs
             if np.linalg.norm(v - p @ v) <= 1e-6 * np.linalg.norm(v)]
@@ -437,14 +431,16 @@ def decompose_hankel(x_mat: np.ndarray, n: int, m: int = 1,
         raise InvalidInputError("matrix size does not match (n, m)")
     if not _hankel_pattern_ok(x_mat, n, m, tol):
         raise InvalidInputError("matrix is not block-Hankel")
-    if not symlin.psd_check(x_mat, max(tol, 1e-7)):
+    dec = symlin.eig_sym(x_mat)
+    if not symlin.psd_values(dec.values, x_mat, max(tol, 1e-7)):
         raise InvalidInputError("matrix is not positive semidefinite")
-    rank = symlin.numeric_rank(x_mat, tol)
+    rank = dec.rank(tol)
     if rank == 0:
         return Decomposition(atoms=[], residual=float(np.linalg.norm(x_mat)))
-    finite, inf_dirs = _hankel_candidates(x_mat, n, m, tol, from_matrix=True)
+    finite, inf_dirs = _hankel_candidates(
+        dec.vectors[:, dec.values > symlin.cut(dec.values, tol)], n, m)
     dirs = [v for _, v in finite] + inf_dirs
-    result = _solve_weights(dirs, x_mat, tol) if len(dirs) == rank else None
+    result = _solve_weights(dirs, x_mat) if len(dirs) == rank else None
     if result is not None:
         return result
     if cone is None:
@@ -452,7 +448,7 @@ def decompose_hankel(x_mat: np.ndarray, n: int, m: int = 1,
     return carath_decompose(cone, x_mat, tol)
 
 
-def _solve_weights(dirs, x_mat, tol):
+def _solve_weights(dirs, x_mat):
     if not dirs:
         return None
     cols = np.array([symlin.vec(symlin.outer(v)) for v in dirs]).T
@@ -498,11 +494,10 @@ def decompose_block_toeplitz(t_mat: np.ndarray, n: int, m: int = 1,
     if not _toeplitz_pattern_ok(t_mat, n, m, tol):
         raise InvalidInputError("matrix is not Hermitian block-Toeplitz")
     t_mat = symlin.sym(t_mat)
-    if not symlin.psd_check(t_mat, max(tol, 1e-7)):
-        raise InvalidInputError("matrix is not positive semidefinite")
     dec = symlin.eig_sym(t_mat)
-    cut = tol * max(1.0, float(np.abs(dec.values).max(initial=0.0)))
-    keep = dec.values > cut
+    if not symlin.psd_values(dec.values, t_mat, max(tol, 1e-7)):
+        raise InvalidInputError("matrix is not positive semidefinite")
+    keep = dec.values > symlin.cut(dec.values, tol)
     if not keep.any():
         return Decomposition(atoms=[], residual=float(np.linalg.norm(t_mat)))
     w_full = dec.vectors[:, keep] * np.sqrt(dec.values[keep])
@@ -553,7 +548,7 @@ def _direct_sum_face_rays(cone, h, tol):
 
 def _codim1_face_rays(cone, h, tol):
     q = _data(cone, "Q")
-    u_dirs, v_dirs, ker = constructions._split_form(symlin.sym(h.T @ q @ h), tol)
+    u_dirs, v_dirs, ker = symlin.inertia_split(symlin.sym(h.T @ q @ h), tol)
     rays = [h @ ker[:, i] for i in range(ker.shape[1])]
     if u_dirs.shape[1] and v_dirs.shape[1]:
         rng = np.random.default_rng(777)
@@ -578,7 +573,7 @@ def _cross_ratio_face_rays(cone, h, tol):
         if np.linalg.norm(plane - p @ plane) <= 1e-7 * np.linalg.norm(plane):
             rays.extend([plane[:, 0], plane[:, 1], plane[:, 0] + plane[:, 1]])
             continue
-        v = _subspace_intersection_vector(h, plane, tol)
+        v = _subspace_intersection_vector(h, plane)
         if v is not None:
             rays.append(v)
     return rays
@@ -608,7 +603,7 @@ def _hankel_sample(cone, rng):
 
 
 def _codim1_sample(cone, rng):
-    u_dirs, v_dirs, ker = constructions._split_form(_data(cone, "Q"), 1e-8)
+    u_dirs, v_dirs, ker = symlin.inertia_split(_data(cone, "Q"))
     s = rng.standard_normal(u_dirs.shape[1])
     r = rng.standard_normal(v_dirs.shape[1])
     x = u_dirs @ (s / np.linalg.norm(s)) + v_dirs @ (r / np.linalg.norm(r))

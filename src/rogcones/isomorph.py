@@ -20,6 +20,7 @@ import numpy as np
 from . import symlin
 from .cone_model import SpectrahedralCone, reduce_nondegenerate
 from .errors import InvalidInputError
+from .symlin import DEFAULT_TOL
 
 _ENTRY_TOL = 1e-9
 
@@ -275,9 +276,8 @@ def reconstruct_isomorphism(x_gens, y_gens, tol: float = 1e-7) -> IsoOutcome:
                               reason=f"determinant compatibility fails on {offending}")
     m_x = np.linalg.solve(xb, xs)
     m_y = np.linalg.solve(yb, ys)
-    cut = 1e-6 * max(1.0, float(np.abs(m_x).max()))
-    pattern = np.abs(m_x) > cut
-    if np.any(np.abs(m_y[~pattern]) > 1e-5 * max(1.0, float(np.abs(m_y).max()))):
+    pattern = np.abs(m_x) > symlin.cut(m_x, 1e-6)
+    if np.any(np.abs(m_y[~pattern]) > symlin.cut(m_y, 1e-5)):
         return IsoOutcome("incompatible", reason="zero patterns differ")
     ratio = np.abs(m_y[pattern] / m_x[pattern])
     if ratio.size and (ratio.max() / ratio.min() > 1.0 + 1e-5):
@@ -328,12 +328,8 @@ def _span_maps_onto(s_mat, span1, span2, tol=1e-6) -> bool:
     return True
 
 
-def _signature(q: np.ndarray, tol: float = 1e-8) -> tuple[int, int, int]:
-    w = np.linalg.eigvalsh(q)
-    cut = tol * max(1.0, float(np.abs(w).max()))
-    pos = int(np.count_nonzero(w > cut))
-    neg = int(np.count_nonzero(w < -cut))
-    zero = len(w) - pos - neg
+def _signature(q: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[int, int, int]:
+    pos, neg, zero = (d.shape[1] for d in symlin.inertia_split(q, tol))
     if (pos, neg) < (neg, pos):
         pos, neg = neg, pos
     return pos, neg, zero
@@ -384,7 +380,7 @@ def cones_isomorphic(k1: SpectrahedralCone, k2: SpectrahedralCone,
                 reason=f"codimension-1 signatures differ: {s1} vs {s2}")
     kinds = tuple(c.expr.kind if c.expr else None for c in (k1, k2))
     if kinds == ("cross_ratio", "cross_ratio"):
-        return _cross_ratio_isomorphic(k1, k2, tol)
+        return _cross_ratio_isomorphic(k1, k2)
     return _match_and_reconstruct(k1r, k2r, seed, max_tuples, tol)
 
 
@@ -438,13 +434,13 @@ def _search_assignment(xs, ys, basis_idx, rng, ratio_tol=1e-6):
         if perm[i] >= 0:
             continue
         col = m_x[:, i]
-        pat = np.abs(col) > 1e-6 * max(1.0, np.abs(col).max())
+        pat = np.abs(col) > symlin.cut(col, 1e-6)
         found = None
         for j in range(my):
             if j in used:
                 continue
             coly = m_y[:, j]
-            paty = np.abs(coly) > 1e-6 * max(1.0, np.abs(coly).max())
+            paty = np.abs(coly) > symlin.cut(coly, 1e-6)
             if not np.array_equal(pat, paty):
                 continue
             if not _ratio_consistent(col, coly, matched_cols, ratio_tol):
@@ -487,9 +483,9 @@ def _try_matching(k1, k2, perm, tol):
         return None
     m_x = np.linalg.solve(xb, xo)
     m_y = np.linalg.solve(yb, yo)
-    cut = 1e-6 * max(1.0, float(np.abs(m_x).max()))
+    cut = symlin.cut(m_x, 1e-6)
     pattern = np.abs(m_x) > cut
-    if np.any(np.abs(m_y[~pattern]) > 1e-5 * max(1.0, float(np.abs(m_y).max()))):
+    if np.any(np.abs(m_y[~pattern]) > symlin.cut(m_y, 1e-5)):
         return None
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(pattern, m_y / np.where(np.abs(m_x) > cut, m_x, 1.0), 0.0)
@@ -561,7 +557,7 @@ def same_s4_orbit(lam1: float, lam2: float, tol: float = 1e-9) -> bool:
     return any(abs(v - lam2) <= tol * (1.0 + abs(lam2)) for v in s4_orbit(lam1))
 
 
-def _cross_ratio_isomorphic(k1, k2, tol) -> IsoOutcome:
+def _cross_ratio_isomorphic(k1, k2) -> IsoOutcome:
     """Constructive isomorphism test for two gluing-family cones."""
     a1 = k1.expr.params["angles"]
     a2 = k2.expr.params["angles"]

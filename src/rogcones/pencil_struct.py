@@ -190,14 +190,12 @@ def rank2_extreme_check(forms, x: np.ndarray, y: np.ndarray,
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     m_rows = np.array([[x @ q @ x, 2.0 * (x @ q @ y), y @ q @ y] for q in forms])
-    sv = np.linalg.svd(m_rows, compute_uv=False)
-    scale = max(1.0, sv[0] if sv.size else 0.0)
-    rank = int(np.count_nonzero(sv > tol * scale))
-    if rank != 2:
+    _, sv, vt = np.linalg.svd(m_rows)
+    cut = symlin.cut(sv, tol)
+    if np.count_nonzero(sv > cut) != 2:
         return None
-    _, _, vt = np.linalg.svd(m_rows)
     a, b, c = vt[-1]
-    if b * b - a * c >= -tol * scale:
+    if b * b - a * c >= -cut:
         return None
     if a < 0:
         a, b, c = -a, -b, -c
@@ -232,8 +230,7 @@ class Codim2Structure:
 
 
 def codim2_structure(q1: np.ndarray, q2: np.ndarray, seed: int = 0,
-                     null_seeds: int = 1000, p_samples: int = 10_000,
-                     tol: float = DEFAULT_TOL) -> Codim2Structure:
+                     null_seeds: int = 1000, p_samples: int = 10_000) -> Codim2Structure:
     """Structure of the codimension-2 section cut out by two forms.
 
     First samples the bi-quartic: a verified negative sample is a rank-2
@@ -395,11 +392,11 @@ def classify_small(cone: SpectrahedralCone, tol: float = DEFAULT_TOL) -> ClassLa
     if n == 4 and dim == 8:
         return ClassLabel(tag="Codim2FullExt", n=4)
     if n == 4 and dim == 7:
-        return _classify_deg4_dim7(cone, tol)
+        return _classify_deg4_dim7(cone)
     return ClassLabel(tag="Unknown", n=n)
 
 
-def _classify_deg4_dim7(cone, tol):
+def _classify_deg4_dim7(cone):
     idx = _greedy_basis(cone.generators.T)
     if len(idx) < cone.n:
         raise InvalidInputError("certificate does not span the space")
@@ -409,7 +406,7 @@ def _classify_deg4_dim7(cone, tol):
     ys = []
     for i in range(4):
         e = np.eye(4)[i]
-        sols = tangent_space(work, e, tol)
+        sols = tangent_space(work, e)
         # drop the trivial direction e_i and impose y_i = 0
         cand = None
         for j in range(sols.shape[1]):
@@ -432,17 +429,16 @@ def _classify_deg4_dim7(cone, tol):
         y_mat[r, j] = ys[j][i]
     col_nonzeros = [int(np.count_nonzero(np.abs(y_mat[:, c]) > 1e-7)) for c in range(4)]
     if all(np.abs(y_mat[r]).max() > 1e-7 for r in range(6)) and min(col_nonzeros) == 3:
-        if _hankel4_test(y_mat, ys) and not rank2_face_planes(cone, tol):
+        if _hankel4_test(y_mat, ys) and not rank2_face_planes(cone):
             return ClassLabel(tag="Han4", n=4)
-    return _plane_census_label(cone, tol)
+    return _plane_census_label(cone)
 
 
 def _hankel4_test(y_mat, ys):
     """Minor identity + transversality test for the all-nonzero branch."""
-    sv = np.linalg.svd(y_mat, compute_uv=False)
+    _, sv, vt = np.linalg.svd(y_mat)
     if sv[3] > 1e-6 * sv[0]:
         return False
-    _, _, vt = np.linalg.svd(y_mat)
     beta = vt[-1]
     if np.abs(beta).min() < 1e-8:
         return False
@@ -474,14 +470,14 @@ def _hankel4_test(y_mat, ys):
     for i in range(4):
         for j in range(i + 1, 4):
             minor = plane[i, 0] * plane[j, 1] - plane[j, 0] * plane[i, 1]
-            if abs(minor) < 1e-9 * max(1.0, np.abs(plane).max() ** 2):
+            if abs(minor) < symlin.cut(plane ** 2, 1e-9):
                 return False
     return True
 
 
-def _plane_census_label(cone, tol):
+def _plane_census_label(cone):
     """Distinguish the three plane-bearing degree-4 dimension-7 classes."""
-    planes = rank2_face_planes(cone, tol)
+    planes = rank2_face_planes(cone)
     if len(planes) == 0:
         return ClassLabel(tag="Han4", n=4)
     if len(planes) == 1:
@@ -498,7 +494,7 @@ def _plane_census_label(cone, tol):
     return ClassLabel(tag="Unknown", n=4)
 
 
-def rank2_face_planes(cone: SpectrahedralCone, tol: float = DEFAULT_TOL):
+def rank2_face_planes(cone: SpectrahedralCone):
     """Maximal 2-dimensional subspaces carrying full rank-2 faces,
     detected from certificate generator pairs."""
     gens = cone.generators

@@ -311,11 +311,9 @@ def purify_to_extreme(problem: QcqpProblem, cone: SpectrahedralCone,
     basis = cone.span_basis
     for _ in range(problem.n * (problem.n + 1)):
         dec = symlin.eig_sym(x)
-        cut = tol * max(1.0, float(np.abs(dec.values).max(initial=0.0)))
-        rank = int(np.count_nonzero(dec.values > cut))
-        if rank <= 1:
+        h = dec.vectors[:, dec.values > symlin.cut(dec.values, tol)]
+        if h.shape[1] <= 1:
             break
-        h = dec.vectors[:, dec.values > cut]
         p = h @ h.T
         image_cols = np.array([symlin.vec(s - p @ s @ p) for s in basis]).T
         row_b = np.array([float(np.tensordot(problem.normalization, s)) for s in basis])
@@ -412,8 +410,7 @@ def certify_exactness(problem: QcqpProblem,
     certified = len(cone.generators) > 0 and certificate_complete(cone)
     x_pure = purify_to_extreme(problem, cone, sol.x_mat, tol)
     dec = symlin.eig_sym(x_pure)
-    cut = tol * max(1.0, float(np.abs(dec.values).max(initial=0.0)))
-    rank = int(np.count_nonzero(dec.values > cut))
+    rank = int(np.count_nonzero(dec.values > symlin.cut(dec.values, tol)))
     if rank == 1:
         x_opt = dec.vectors[:, 0] * np.sqrt(max(dec.values[0], 0.0))
         extracted = float(x_opt @ problem.cost @ x_opt)

@@ -8,9 +8,15 @@ toolbox for working with linear subspaces of matrix space (spans of
 symmetric or Hermitian matrices under the Frobenius inner product).
 
 Matrices are plain numpy arrays.  Symmetric means ``A == A.T`` exactly;
-``sym_matrix`` / ``herm_matrix`` enforce that at API boundaries.  All
-rank/PSD decisions are thresholded with a relative tolerance, 1e-8 by
-default, overridable per call.
+``sym_matrix`` / ``herm_matrix`` enforce that at API boundaries.
+
+Rank, range, kernel and inertia decisions share one rule, computed only
+by :func:`cut`: v_i counts as nonzero when |v_i| > tol * max(1, max|v|),
+v being the eigenvalues, singular values or entries decided on.  The
+defaults, overridable per call, are ``DEFAULT_TOL`` = 1e-8 and, for the
+singular-value cut that ``orthonormal_span``, ``subspace_of_vectors`` and
+``nullspace`` share, ``SUBSPACE_TOL`` = 1e-10.  PSD decisions use the
+rule of :func:`psd_check`.
 """
 
 from __future__ import annotations
@@ -22,6 +28,13 @@ import numpy as np
 from .errors import InvalidInputError
 
 DEFAULT_TOL = 1e-8
+SUBSPACE_TOL = 1e-10
+
+
+def cut(values, tol: float) -> float:
+    """The threshold tol * max(1, max|v|) above which |v_i| counts as
+    nonzero; tol for empty input."""
+    return tol * max(1.0, float(np.abs(values).max(initial=0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +89,16 @@ class EigDecomp:
     def reconstruct(self) -> np.ndarray:
         return (self.vectors * self.values) @ self.vectors.conj().T
 
+    def rank(self, tol: float) -> int:
+        """Number of eigenvalues with |lambda| > cut(lambda, tol)."""
+        return int(np.count_nonzero(np.abs(self.values) > cut(self.values, tol)))
+
+    def pinv(self, tol: float) -> np.ndarray:
+        """Moore-Penrose inverse, inverting the eigenvalues above the cut."""
+        inv = np.where(np.abs(self.values) > cut(self.values, tol),
+                       1.0 / np.where(self.values == 0, 1.0, self.values), 0.0)
+        return (self.vectors * inv) @ self.vectors.conj().T
+
 
 def eig_sym(a: np.ndarray) -> EigDecomp:
     """Full spectral decomposition of a symmetric (Hermitian) matrix.
@@ -94,31 +117,38 @@ def eig_sym(a: np.ndarray) -> EigDecomp:
 
 
 def numeric_rank(a: np.ndarray, tol: float = DEFAULT_TOL) -> int:
-    """Number of eigenvalues with |lambda| > tol * max(1, |lambda|_max)."""
+    """Number of eigenvalues with |lambda| > cut(lambda, tol)."""
     if tol <= 0:
         raise InvalidInputError("tol must be positive")
     w = np.linalg.eigvalsh(sym(np.asarray(a)))
-    if w.size == 0:
-        return 0
-    cut = tol * max(1.0, float(np.abs(w).max()))
-    return int(np.count_nonzero(np.abs(w) > cut))
+    return int(np.count_nonzero(np.abs(w) > cut(w, tol)))
 
 
 def psd_check(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """True iff lambda_min(A) >= -tol * (1 + ||A||_F)."""
     a = sym(np.asarray(a))
-    if a.shape[0] == 0:
-        return True
-    w_min = float(np.linalg.eigvalsh(a)[0])
-    return w_min >= -tol * (1.0 + float(np.linalg.norm(a)))
+    return psd_values(np.linalg.eigvalsh(a), a, tol)
+
+
+def psd_values(w: np.ndarray, a: np.ndarray, tol: float) -> bool:
+    """The :func:`psd_check` rule on eigenvalues w already computed for A."""
+    return float(w.min(initial=np.inf)) >= -tol * (1.0 + float(np.linalg.norm(a)))
 
 
 def pseudo_inverse(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Moore-Penrose inverse of a symmetric (Hermitian) matrix."""
-    dec = eig_sym(np.asarray(a))
-    cut = tol * max(1.0, float(np.abs(dec.values).max(initial=0.0)))
-    inv = np.where(np.abs(dec.values) > cut, 1.0 / np.where(dec.values == 0, 1.0, dec.values), 0.0)
-    return (dec.vectors * inv) @ dec.vectors.conj().T
+    return eig_sym(np.asarray(a)).pinv(tol)
+
+
+def inertia_split(q: np.ndarray, tol: float = DEFAULT_TOL):
+    """Columns u with u^T q u = 1 and v with v^T q v = -1 along eigenvectors
+    of q, and its kernel: eigenvalues within cut(lambda, tol) count as 0."""
+    dec = eig_sym(q)
+    c = cut(dec.values, tol)
+    pos, neg = dec.values > c, dec.values < -c
+    return (dec.vectors[:, pos] / np.sqrt(dec.values[pos]),
+            dec.vectors[:, neg] / np.sqrt(-dec.values[neg]),
+            dec.vectors[:, np.abs(dec.values) <= c])
 
 
 def schur_split(m: np.ndarray, block_sizes: tuple[int, int, int],
@@ -172,7 +202,14 @@ def _vec_stack(a: np.ndarray) -> np.ndarray:
     return flat
 
 
-def orthonormal_span(mats, tol: float = 1e-10) -> np.ndarray:
+def _svd_cut(a: np.ndarray, tol: float, full_matrices: bool):
+    """(rank, vt) of a, counting singular values above cut(s, tol): the rows
+    of a lie in the span of vt[:rank]; vt[rank:].conj() spans the kernel."""
+    _, s, vt = np.linalg.svd(a, full_matrices=full_matrices)
+    return int(np.count_nonzero(s > cut(s, tol))), vt
+
+
+def orthonormal_span(mats, tol: float = SUBSPACE_TOL) -> np.ndarray:
     """Orthonormal basis (stack) of the real span of the given matrices.
 
     The SVD runs only on the coordinates that are nonzero in some input
@@ -188,10 +225,9 @@ def orthonormal_span(mats, tol: float = 1e-10) -> np.ndarray:
     complex_field = np.iscomplexobj(stack)
     rows = _vec_stack(stack.astype(complex if complex_field else float, copy=False))
     support = np.flatnonzero(rows.any(axis=0))
-    _, s, vt = np.linalg.svd(rows[:, support], full_matrices=False)
-    cut = tol * max(1.0, s[0] if s.size else 0.0)
-    keep = np.zeros((int(np.count_nonzero(s > cut)), rows.shape[1]))
-    keep[:, support] = vt[s > cut]
+    rank, vt = _svd_cut(rows[:, support], tol, full_matrices=False)
+    keep = np.zeros((rank, rows.shape[1]))
+    keep[:, support] = vt[:rank]
     if complex_field:
         keep = keep[:, :n * n] + 1j * keep[:, n * n:]
     return sym(keep.reshape(-1, n, n))
@@ -219,22 +255,18 @@ def span_from_coords(basis: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.tensordot(np.asarray(c), basis, axes=(0, 0))
 
 
-def subspace_of_vectors(vectors, tol: float = 1e-10) -> np.ndarray:
+def subspace_of_vectors(vectors, tol: float = SUBSPACE_TOL) -> np.ndarray:
     """Orthonormal basis, as columns, of the span of the given vectors."""
     v = np.array([np.asarray(x) for x in vectors])
     if v.size == 0:
         return np.zeros((0, 0))
-    _, s, vt = np.linalg.svd(v, full_matrices=False)
-    cut = tol * max(1.0, s[0] if s.size else 0.0)
-    return vt[s > cut].conj().T
+    rank, vt = _svd_cut(v, tol, full_matrices=False)
+    return vt[:rank].T
 
 
-def nullspace(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def nullspace(a: np.ndarray, tol: float = SUBSPACE_TOL) -> np.ndarray:
     """Orthonormal basis, as columns, of the kernel of a (real or complex)."""
-    a = np.atleast_2d(np.asarray(a))
-    _, s, vt = np.linalg.svd(a, full_matrices=True)
-    cut = tol * max(1.0, s[0] if s.size else 0.0)
-    rank = int(np.count_nonzero(s > cut))
+    rank, vt = _svd_cut(np.atleast_2d(np.asarray(a)), tol, full_matrices=True)
     return vt[rank:].conj().T
 
 

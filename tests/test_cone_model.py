@@ -127,6 +127,22 @@ def test_isolated_rays_examples():
     assert abs(k.generators[rays[0]][2]) > 0.99
 
 
+def test_isolated_ray_of_a_complex_congruent_direct_sum():
+    # the 1 x 1 summand's ray has complex entries after the congruence; its
+    # factor of the simplicity partition must be its span, not the span of
+    # its conjugate
+    k = rc.direct_sum(rc.block_toeplitz_cone(2, 1), rc.block_toeplitz_cone(1, 1))
+    a = np.array([[1.0, 0.5j, 0.2], [0.0, 1.0, 0.3j], [0.1j, 0.0, 1.0]])
+    moved = rc.apply_congruence(k, a)
+    rays = rc.isolated_rays(moved)
+    assert len(rays) == 1
+    x = moved.generators[rays[0]]
+    assert np.abs(x.imag).max() > 0.1
+    assert symlin.span_distance(moved.span_basis, symlin.outer(x)) < 1e-10
+    y = a @ np.array([0.0, 0.0, 1.0])
+    assert abs(abs(np.vdot(x, y)) - np.linalg.norm(y)) < 1e-10
+
+
 def test_has_tangent():
     k = rc.full_psd_cone(2)
     assert rc.has_tangent(k, np.array([1.0, 0.0]))

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -272,3 +274,32 @@ def test_compositional_matches_carath(rng):
             d1 = rc.decompose(cone, x)
             d2 = rc.carath_decompose(cone, x)
             assert len(d1.atoms) == len(d2.atoms) == r
+
+
+def test_carath_one_eigendecomposition_per_step(monkeypatch):
+    """After the membership check the peel decomposes the start once and
+    each accepted candidate once; that decomposition gives the rank, the
+    PSD test, the face basis and the pseudo-inverse of the next step."""
+    decompose = importlib.import_module("rogcones.decompose")  # the package re-exports the function
+    cone = rc.hankel_cone(5)
+    x_mat = rank_r_member(cone, np.random.default_rng(3), 3)
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(*args, real=getattr(np.linalg, name), **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    after_membership = []
+    real_membership = decompose.membership
+
+    def membership(*args, **kwargs):
+        out = real_membership(*args, **kwargs)
+        after_membership.append(len(calls))
+        return out
+
+    monkeypatch.setattr(decompose, "membership", membership)
+    dec = decompose.carath_decompose(cone, x_mat)
+    peel_calls = len(calls) - after_membership[0]
+    check_decomposition(cone, x_mat, dec)
+    assert len(dec.atoms) == 3
+    assert peel_calls <= 1 + len(dec.atoms)

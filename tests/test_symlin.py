@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rogcones import symlin
 from rogcones.errors import InvalidInputError
@@ -156,3 +157,54 @@ def test_face_of_complex_direct_sum_keeps_imaginary_parts():
         face = rc.face_of(cone, rc.FaceHandle(h))
     assert face.dim == 1
     assert symlin.span_contains(face.span_basis, symlin.outer(h[:, 0]))
+
+
+# ---------------------------------------------------------------------------
+# the shared singular-value cut
+
+
+def _low_rank(rng, rows, cols, rank, complex_field, scale):
+    """A rows x cols matrix of the given rank (zero when rank is 0)."""
+    def draw(shape):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if complex_field else x
+    return scale * (draw((rows, rank)) @ draw((rank, cols)))
+
+
+def _projector(cols):
+    return cols @ cols.conj().T
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 7), cols=st.integers(1, 7),
+       rank=st.integers(0, 7), complex_field=st.booleans(),
+       scale=st.sampled_from([1e-3, 1.0, 1e4]))
+def test_span_and_kernel_split_the_space(seed, rows, cols, rank, complex_field, scale):
+    rank = min(rank, rows, cols)
+    a = _low_rank(np.random.default_rng(seed), rows, cols, rank, complex_field, scale)
+    span = symlin.subspace_of_vectors(a)
+    ker = symlin.nullspace(a)
+    assert span.shape[1] == rank and span.shape[1] + ker.shape[1] == cols
+    # the rows of a lie in their span; the kernel is orthogonal to their
+    # conjugates, so it complements the span of the conjugated rows
+    assert np.linalg.norm(a.T - _projector(span) @ a.T) <= 1e-12 * (1.0 + np.linalg.norm(a))
+    conj_span = symlin.subspace_of_vectors(a.conj())
+    assert np.abs(_projector(conj_span) + _projector(ker) - np.eye(cols)).max() <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), count=st.integers(1, 8),
+       rank=st.integers(0, 8), complex_field=st.booleans())
+def test_orthonormal_span_matches_a_dense_svd(seed, n, count, rank, complex_field):
+    rng = np.random.default_rng(seed)
+    rank = min(rank, count, n * n if complex_field else n * (n + 1) // 2)
+    # count real combinations of `rank` random symmetric (Hermitian) matrices
+    gens = symlin.sym(_low_rank(rng, rank, n * n, rank, complex_field, 1.0).reshape(-1, n, n))
+    mats = np.tensordot(rng.standard_normal((count, rank)), gens, axes=(1, 0))
+    basis = symlin.orthonormal_span(mats)
+    _, s, vt = np.linalg.svd(symlin._vec_stack(mats), full_matrices=False)
+    dense = vt[s > 1e-10 * max(1.0, s[0])]
+    assert basis.shape[0] == len(dense) == rank
+    rows = symlin._vec_stack(basis)
+    assert np.abs(rows @ rows.T - np.eye(len(rows))).max(initial=0.0) <= 1e-12
+    assert np.abs(rows.T @ rows - dense.T @ dense).max() <= 1e-12
