@@ -10,6 +10,7 @@ consume ``--seed`` so identical inputs give byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -144,7 +145,10 @@ def _cmd_pencil(args) -> int:
     return 0
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The ``rog`` argument parser, built once per process and shared by
+    every :func:`run`; parsing does not modify it."""
     parser = argparse.ArgumentParser(
         prog="rog",
         description="Build, analyze and decompose rank-one-generated "

@@ -174,16 +174,15 @@ def reduce_nondegenerate(cone: SpectrahedralCone, tol: float = DEFAULT_TOL
     The embedding is the n x m coefficient matrix B of the inclusion, so
     elements map back via X = B X' B^T and generators via x = B x'.
     """
-    if len(cone.generators) > 0:
-        hub = interior_element(cone)
-    else:
-        # no certificate: fall back to the projection of the identity,
-        # which is a max-rank element whenever it lands inside the cone
-        hub = symlin.span_project(cone.span_basis, np.eye(cone.n, dtype=cone.span_basis.dtype))
-        if not symlin.psd_check(hub, tol):
-            raise MissingCertificateError(
-                "cone carries no certificate and no obvious interior element")
+    certified = len(cone.generators) > 0
+    # without a certificate, fall back to the projection of the identity,
+    # which is a max-rank element whenever it lands inside the cone
+    hub = (interior_element(cone) if certified else
+           symlin.span_project(cone.span_basis, np.eye(cone.n, dtype=cone.span_basis.dtype)))
     dec = symlin.eig_sym(hub)
+    if not certified and not symlin.psd_values(dec.values, hub, tol):
+        raise MissingCertificateError(
+            "cone carries no certificate and no obvious interior element")
     b = dec.vectors[:, dec.values > symlin.cut(dec.values, tol)]
     m = b.shape[1]
     if m == cone.n:

@@ -176,11 +176,6 @@ def partial_matrix_from_json(data: dict) -> PartialMatrix:
     return PartialMatrix(int(n), int(m), entries)
 
 
-def partial_matrix_to_json(a: PartialMatrix) -> dict:
-    entries = [{"i": i, "j": j, "v": v} for (i, j), v in sorted(a.entries.items())]
-    return {"shape": [a.n_rows, a.n_cols], "entries": entries}
-
-
 def qcqp_from_json(data: dict) -> QcqpProblem:
     return QcqpProblem(cost=matrix_from_json(data["S"]),
                        normalization=matrix_from_json(data["B"]),

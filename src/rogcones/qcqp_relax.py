@@ -77,13 +77,11 @@ def induced_cone(problem: QcqpProblem) -> SpectrahedralCone:
     n = problem.n
     full = symlin.sym_basis(n)
     if not problem.constraints:
-        span = list(full)
+        span = full
     else:
-        mat = np.array([[float(np.tensordot(a, s)) for s in full]
-                        for a in problem.constraints])
-        null = symlin.nullspace(mat)
-        span = [symlin.span_from_coords(full, null[:, j])
-                for j in range(null.shape[1])]
+        forms = np.array(problem.constraints).reshape(-1, n * n)
+        null = symlin.nullspace(forms @ full.reshape(-1, n * n).T)
+        span = np.tensordot(null, full, axes=(0, 0))
     return make_cone(n, span, [], expr=None, check=False)
 
 
@@ -104,37 +102,36 @@ def solve_relaxation(problem: QcqpProblem, tol: float = DEFAULT_TOL,
     such a Z exists and the measured gap objective - y is at most
     tol (1 + |objective|); otherwise it is "max-iter".  "unbounded" means
     a feasible point with objective below -1e12 (1 + max |S coords|).
+
+    A Newton step costs one eigendecomposition of the n x n iterate and
+    one product of the flattened, scaled direction stack with its
+    transpose, which is the Hessian; no size limit applies.
     """
     n = problem.n
-    if n > 16:
-        raise InvalidInputError("solver is sized for n <= 16")
     cone = induced_cone(problem)
-    basis = cone.span_basis
-    d = basis.shape[0]
-    b_vec = np.array([float(np.tensordot(problem.normalization, s)) for s in basis])
-    s_vec = np.array([float(np.tensordot(problem.cost, s)) for s in basis])
+    basis = cone.span_basis.reshape(-1, n * n)
+    b_vec = basis @ problem.normalization.ravel()
+    s_vec = basis @ problem.cost.ravel()
     nrm = np.linalg.norm(b_vec)
     if nrm < 1e-12:
         return SdpSolution(None, np.nan, "infeasible", np.inf)
     c_part = b_vec / (nrm * nrm)
     dirs = symlin.nullspace(b_vec[None, :])
+    flat = dirs.T @ basis             # the slice directions, one per row
+    f0 = (c_part @ basis).reshape(n, n)
     # phase 1: find a strictly feasible point on the slice
-    c_feas = _phase1(basis, c_part, dirs, n)
-    if c_feas is None:
+    z = _phase1(f0, flat)
+    if z is None:
         return SdpSolution(None, np.nan, "infeasible", np.inf)
     scale = 1.0 + float(np.abs(s_vec).max(initial=0.0))
-    mats = np.array([np.tensordot(dirs[:, j], basis, axes=(0, 0))
-                     for j in range(dirs.shape[1])]) if dirs.shape[1] else np.zeros((0, n, n))
-    f0 = np.tensordot(c_part, basis, axes=(0, 0))
-    lin = np.array([float(s_vec @ dirs[:, j]) for j in range(dirs.shape[1])])
-    z = dirs.T @ (c_feas - c_part)
+    lin = s_vec @ dirs
     floor = -1e12 * scale           # an objective this low counts as unbounded
     lin_floor = floor - float(np.tensordot(problem.cost, f0))
     mu = scale
     best = None
     for _ in range(max_outer):
-        z = _newton_logdet_affine(lin, mats, f0, z, mu, lin_floor)
-        x = symlin.sym(f0 + np.tensordot(z, mats, axes=(0, 0)) if len(z) else f0)
+        z = _newton_logdet_affine(lin, flat, f0, z, mu, lin_floor)
+        x = symlin.sym(_affine_point(f0, z, flat))
         objective = float(np.tensordot(problem.cost, x))
         if objective < floor:
             return SdpSolution(None, -np.inf, "unbounded", np.inf)
@@ -174,28 +171,47 @@ def _dual_certificate(problem, x, mu):
     return float(coef[0]), z_mat
 
 
-def _newton_logdet_affine(lin, mats, f0, z0, mu, lin_floor):
-    """Newton for f(z) = lin . z - mu logdet(f0 + sum z_j mats_j).
+def _affine_point(f0, z, flat):
+    """The matrix f0 + sum_j z_j M_j, where row j of `flat` is vec(M_j)."""
+    return (f0.ravel() + z @ flat).reshape(f0.shape)
 
-    f / mu is self-concordant with Newton decrement lam.  A step is the
-    longest of 1, 1/2, 1/4, ... that keeps the iterate in the cone and
-    either passes an Armijo test or is no longer than the damped step
-    1 / (1 + lam) (1 once lam < 1/4), which decreases f by theory.  The
-    loop stops once lam^2 <= 1e-10, so the iterate is central for mu
-    whatever mu is, or once lin . z falls below `lin_floor`.
+
+def _logdet_derivatives(flat, w, v):
+    """Gradient and Hessian of -logdet X along the directions in `flat`.
+
+    X = v diag(w) v^T with w > 0.  The gradient is -<X^-1, M_j> and the
+    Hessian is tr(W_i W_j) with W_j = X^-1/2 M_j X^-1/2.  The M_j are
+    symmetric, hence so are the W_j, and the Hessian is the Gram matrix of
+    their flattened stack: one matrix product.
+    """
+    n = len(w)
+    xi_half = (v / np.sqrt(w)) @ v.T
+    ws = (xi_half @ flat.reshape(-1, n, n) @ xi_half).reshape(len(flat), n * n)
+    xi = (v / w) @ v.T
+    return -(flat @ xi.ravel()), ws @ ws.T
+
+
+def _newton_logdet_affine(lin, flat, f0, z0, mu, lin_floor):
+    """Newton for f(z) = lin . z - mu logdet(f0 + sum z_j M_j).
+
+    Row j of `flat` is vec(M_j).  f / mu is self-concordant with Newton
+    decrement lam.  A step is the longest of 1, 1/2, 1/4, ... that keeps
+    the iterate in the cone and either passes an Armijo test or is no
+    longer than the damped step 1 / (1 + lam) (1 once lam < 1/4), which
+    decreases f by theory.  The loop stops once lam^2 <= 1e-10, so the
+    iterate is central for mu whatever mu is, or once lin . z falls below
+    `lin_floor`.
     """
     if len(z0) == 0:
         return z0
     z = z0.copy()
     for _ in range(60):
-        x = f0 + np.tensordot(z, mats, axes=(0, 0))
-        w, v = np.linalg.eigh(symlin.sym(x))
+        w, v = np.linalg.eigh(symlin.sym(_affine_point(f0, z, flat)))
         if w[0] <= 0:
             raise NumericalError("barrier iterate left the cone")
-        xi_half = (v / np.sqrt(w)) @ v.T
-        ws = xi_half @ mats @ xi_half
-        grad = lin - mu * np.trace(ws, axis1=1, axis2=2)
-        hess = mu * np.einsum("iab,jba->ij", ws, ws)
+        grad, hess = _logdet_derivatives(flat, w, v)
+        grad = lin + mu * grad
+        hess = mu * hess
         # Jacobi scaling, so that the small curvature along a direction in
         # which X grows without bound is not swamped by the 1e-14 shift
         jac = 1.0 / np.sqrt(np.diag(hess))
@@ -212,7 +228,7 @@ def _newton_logdet_affine(lin, mats, f0, z0, mu, lin_floor):
         t = 1.0
         for _ in range(60):
             cand = z + t * step
-            wc = np.linalg.eigvalsh(symlin.sym(f0 + np.tensordot(cand, mats, axes=(0, 0))))
+            wc = np.linalg.eigvalsh(symlin.sym(_affine_point(f0, cand, flat)))
             if wc[0] > 0 and (t <= safe or float(lin @ cand) - mu * float(np.sum(np.log(wc)))
                               <= f_curr - 0.25 * t * mu * lam2):
                 break
@@ -225,50 +241,40 @@ def _newton_logdet_affine(lin, mats, f0, z0, mu, lin_floor):
     return z
 
 
-def _phase1(basis, c_part, dirs, n, tol=1e-9):
-    """A strictly feasible slice point, or None when the slice misses the cone."""
-    x0 = np.tensordot(c_part, basis, axes=(0, 0))
-    if np.linalg.eigvalsh(symlin.sym(x0))[0] > tol:
-        return c_part
-    if dirs.shape[1] == 0:
+def _phase1(f0, flat, tol=1e-9):
+    """Slice coordinates z of a strictly feasible point, or None when the
+    slice misses the cone; z = 0 when f0 itself is strictly feasible."""
+    z = np.zeros(len(flat))
+    if np.linalg.eigvalsh(symlin.sym(f0))[0] > tol:
+        return z
+    if len(flat) == 0:
         return None
-    mats = np.array([np.tensordot(dirs[:, j], basis, axes=(0, 0))
-                     for j in range(dirs.shape[1])])
-    # maximize t with x0 + sum z mats - t I >= 0 via a barrier on (z, t)
-    t0 = float(np.linalg.eigvalsh(symlin.sym(x0))[0]) - 1.0
-    z = np.zeros(dirs.shape[1])
-    t = t0
+    # maximize t with f0 + sum z M - t I >= 0 via a barrier on (z, t)
+    t = float(np.linalg.eigvalsh(symlin.sym(f0))[0]) - 1.0
     for mu in [1.0, 0.1, 0.01, 1e-3, 1e-4, 1e-5, 1e-6]:
-        z, t = _phase1_newton(x0, mats, z, t, mu)
-    x = x0 + np.tensordot(z, mats, axes=(0, 0))
-    lam = float(np.linalg.eigvalsh(symlin.sym(x))[0])
+        z, t = _phase1_newton(f0, flat, z, t, mu)
+    lam = float(np.linalg.eigvalsh(symlin.sym(_affine_point(f0, z, flat)))[0])
     if lam <= tol:
         return None
-    return c_part + dirs @ z
+    return z
 
 
-def _phase1_newton(x0, mats, z, t, mu, iters=40):
+def _phase1_newton(x0, flat, z, t, mu, iters=40):
     n = x0.shape[0]
     eye = np.eye(n)
+    # the variables (z, t) move x0 along the rows of `flat` and along -I
+    flat_t = np.vstack([flat, -eye.ravel()])
     for _ in range(iters):
-        x = x0 + np.tensordot(z, mats, axes=(0, 0)) - t * eye
+        x = _affine_point(x0, z, flat) - t * eye
         w, v = np.linalg.eigh(symlin.sym(x))
         if w[0] <= 0:
             t = t - 2 * abs(w[0]) - 1e-9
             continue
-        xi = (v / w) @ v.T
-        xi_half = (v / np.sqrt(w)) @ v.T
-        ws = np.array([xi_half @ m @ xi_half for m in mats])
-        gz = -mu * np.array([float(np.trace(wi)) for wi in ws])
-        gt = -1.0 + mu * float(np.trace(xi))
-        grad = np.concatenate([gz, [gt]])
+        grad, hess = _logdet_derivatives(flat_t, w, v)
+        grad = mu * grad
+        grad[-1] -= 1.0
+        hess = mu * hess
         k = len(z)
-        hess = np.zeros((k + 1, k + 1))
-        hess[:k, :k] = mu * np.einsum("iab,jba->ij", ws, ws)
-        wt = xi_half @ eye @ xi_half
-        for j in range(k):
-            hess[j, k] = hess[k, j] = -mu * float(np.tensordot(ws[j], wt))
-        hess[k, k] = mu * float(np.tensordot(wt, wt))
         try:
             step = np.linalg.solve(hess + 1e-12 * np.eye(k + 1), -grad)
         except np.linalg.LinAlgError:
@@ -279,7 +285,7 @@ def _phase1_newton(x0, mats, z, t, mu, iters=40):
         ok = False
         for _ in range(50):
             zc, tc = z + stepsize * sz, t + stepsize * st
-            xc = x0 + np.tensordot(zc, mats, axes=(0, 0)) - tc * eye
+            xc = _affine_point(x0, zc, flat) - tc * eye
             wc = np.linalg.eigvalsh(symlin.sym(xc))
             if wc[0] > 0:
                 fc = -tc - mu * float(np.sum(np.log(wc)))
@@ -307,23 +313,22 @@ def purify_to_extreme(problem: QcqpProblem, cone: SpectrahedralCone,
     objective and the image fixed, stepping to the PSD boundary each
     time; every step drops the rank and leaves the objective unchanged.
     """
-    x = symlin.span_project(cone.span_basis, symlin.sym(x_mat))
     basis = cone.span_basis
+    x = symlin.span_project(basis, symlin.sym(x_mat))
+    d = len(basis)
+    flat = basis.reshape(d, -1)
+    fixed = np.vstack([flat @ problem.normalization.ravel(), flat @ problem.cost.ravel()])
     for _ in range(problem.n * (problem.n + 1)):
         dec = symlin.eig_sym(x)
         h = dec.vectors[:, dec.values > symlin.cut(dec.values, tol)]
         if h.shape[1] <= 1:
             break
         p = h @ h.T
-        image_cols = np.array([symlin.vec(s - p @ s @ p) for s in basis]).T
-        row_b = np.array([float(np.tensordot(problem.normalization, s)) for s in basis])
-        row_s = np.array([float(np.tensordot(problem.cost, s)) for s in basis])
-        constraint = np.vstack([image_cols, row_b[None, :], row_s[None, :]])
-        null = symlin.nullspace(constraint)
+        image_cols = (basis - p @ basis @ p).reshape(d, -1).T
+        null = symlin.nullspace(np.vstack([image_cols, fixed]))
         if null.shape[1] == 0:
             break
-        direction = np.tensordot(null[:, 0], basis, axes=(0, 0))
-        direction = symlin.sym(p @ direction @ p)
+        direction = symlin.sym(p @ (null[:, 0] @ flat).reshape(x.shape) @ p)
         if np.linalg.norm(direction) < 1e-12:
             break
         x_new = _step_to_boundary(x, direction, h)
@@ -353,28 +358,45 @@ def _step_to_boundary(x, direction, h):
     return symlin.sym(x + t * direction)
 
 
+# rows of starting points refined together by rank1_feasible_samples
+_SAMPLE_BLOCK = 1024
+
+
 def rank1_feasible_samples(problem: QcqpProblem, count: int,
                            rng: np.random.Generator, iters: int = 50):
-    """Newton-refined samples of {x : x^T A_i x = 0, x^T B x = 1}."""
+    """Newton-refined samples of {x : x^T A_i x = 0, x^T B x = 1}.
+
+    Each of `count` standard normal starts takes up to `iters` minimum-norm
+    Newton steps on the residuals f = (x^T A_i x, x^T B x - 1).  A start is
+    kept once max |f| < 1e-10 and dropped once |x| > 1e8; the converged
+    points come back as a list of vectors, in the order of their starts.
+    Starts are refined in blocks of rows with stacked residuals, Jacobians
+    and pseudo-inverses, and each block is drawn as one (rows, n) array,
+    which gives the same numbers as drawing the starts one at a time.
+    """
     n = problem.n
+    forms = np.array(problem.constraints + [problem.normalization])
+    # the cut numpy's lstsq applies to the singular values of one Jacobian
+    rcond = np.finfo(float).eps * max(len(forms), n)
     out = []
-    for _ in range(count):
-        x = rng.standard_normal(n)
-        ok = False
+    for first in range(0, count, _SAMPLE_BLOCK):
+        x = rng.standard_normal((min(_SAMPLE_BLOCK, count - first), n))
+        converged = np.zeros(len(x), dtype=bool)
+        live = np.arange(len(x))
         for _ in range(iters):
-            f = np.array([x @ a @ x for a in problem.constraints]
-                         + [x @ problem.normalization @ x - 1.0])
-            if np.abs(f).max() < 1e-10:
-                ok = True
+            xs = x[live]
+            ax = np.einsum("kab,sb->ska", forms, xs)
+            f = np.einsum("ska,sa->sk", ax, xs)
+            f[:, -1] -= 1.0
+            done = np.abs(f).max(axis=1) < 1e-10
+            converged[live[done]] = True
+            live, ax, f, xs = live[~done], ax[~done], f[~done], xs[~done]
+            if len(live) == 0:
                 break
-            jac = np.vstack([2.0 * (a @ x) for a in problem.constraints]
-                            + [2.0 * (problem.normalization @ x)])
-            step, *_ = np.linalg.lstsq(jac, -f, rcond=None)
-            x = x + step
-            if np.linalg.norm(x) > 1e8:
-                break
-        if ok:
-            out.append(x)
+            xs = xs - np.einsum("snk,sk->sn", np.linalg.pinv(2.0 * ax, rcond=rcond), f)
+            x[live] = xs
+            live = live[~(np.linalg.norm(xs, axis=1) > 1e8)]
+        out.extend(x[converged])
     return out
 
 

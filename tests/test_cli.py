@@ -63,6 +63,21 @@ def test_cli_analyze_honours_tol(tmp_path):
     assert "simple" not in report
 
 
+def test_cli_parser_reused_across_runs(tmp_path):
+    # the parser is built once per process; a --tol given to one run must
+    # not leak into the next, whose report matches a fresh parser's
+    path = _cone_path(tmp_path, rc.full_psd_cone(2))
+    out = tmp_path / "report.json"
+    cli.make_parser.cache_clear()
+    assert cli.run(["analyze", path, "--out", str(out)]) == 0
+    first = out.read_bytes()
+    assert cli.run(["--tol", "0.6", "analyze", path, "--out", str(out)]) == 0
+    assert out.read_bytes() != first
+    assert cli.run(["analyze", path, "--out", str(out)]) == 0
+    assert out.read_bytes() == first
+    assert cli.make_parser.cache_info().misses == 1
+
+
 def test_cli_decompose(tmp_path):
     cone = rc.tridiagonal_cone(3)
     x_mat = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])

@@ -58,6 +58,24 @@ def test_reduce_block_scaled_cone():
     assert rc.dimension(red) == 1
 
 
+def test_reduce_one_eigendecomposition(monkeypatch):
+    # without a certificate the hub's one decomposition gives both the PSD
+    # test and the embedding
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(*args, real=getattr(np.linalg, name), **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    red, emb = rc.reduce_nondegenerate(rc.make_cone(3, [np.diag([1.0, 1.0, 0.0])], []))
+    assert (red.n, emb.shape) == (2, (3, 2))
+    assert len(calls) == 1
+    with pytest.raises(MissingCertificateError):
+        # the identity projects to diag(-1, 2) / 5, which is not PSD
+        rc.reduce_nondegenerate(rc.make_cone(2, [np.diag([1.0, -2.0])], []))
+    assert len(calls) == 2
+
+
 def test_reduce_rank_one_ray():
     x = np.array([1.0, 2.0, 0.0, -1.0, 3.0])
     k = rc.make_cone(5, [np.outer(x, x)], [x])

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rogcones as rc
-from rogcones import symlin
+from rogcones import qcqp_relax, symlin
 from rogcones.qcqp_relax import (QcqpProblem, certify_exactness, induced_cone,
                                  purify_to_extreme, solve_relaxation)
 
@@ -213,3 +214,98 @@ def test_trichotomy_statuses():
     seen.add(solve_relaxation(QcqpProblem(np.diag([0.0, -1.0]), b, [])).status)
     seen.add(solve_relaxation(QcqpProblem(np.eye(2), np.eye(2), [])).status)
     assert seen == {"infeasible", "unbounded", "optimal"}
+
+
+def random_sym_stack(rng, k, n):
+    a = rng.standard_normal((k, n, n))
+    return a + a.transpose(0, 2, 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 9), k=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_logdet_derivatives_match_trace_forms(n, k, seed):
+    # the Gram-matrix Hessian and the trace gradient against the per-matrix
+    # forms tr(W_i W_j) and tr(W_j), W_j = X^-1/2 M_j X^-1/2
+    rng = np.random.default_rng(seed)
+    mats = random_sym_stack(rng, k, n)
+    g = rng.standard_normal((n, n))
+    w, v = np.linalg.eigh(g @ g.T + 0.1 * np.eye(n))
+    grad, hess = qcqp_relax._logdet_derivatives(mats.reshape(k, n * n), w, v)
+    xi_half = (v / np.sqrt(w)) @ v.T
+    ws = xi_half @ mats @ xi_half
+    ref_grad = -np.trace(ws, axis1=1, axis2=2)
+    ref_hess = np.einsum("iab,jba->ij", ws, ws)
+    assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
+    assert np.abs(hess - ref_hess).max() <= 1e-12 * np.abs(ref_hess).max()
+
+
+def four_cycle_problem():
+    """The problem of test_certify_four_cycle_gap."""
+    s = np.array([
+        [1.5791, 0.733, 0.1551, -0.5412],
+        [0.733, 0.2194, 0.5624, 1.3786],
+        [0.1551, 0.5624, 0.1832, 0.2496],
+        [-0.5412, 1.3786, 0.2496, -0.1795]])
+    a1 = np.zeros((4, 4))
+    a1[0, 2] = a1[2, 0] = 1.0
+    a2 = np.zeros((4, 4))
+    a2[1, 3] = a2[3, 1] = 1.0
+    return QcqpProblem(s, np.eye(4), [a1, a2])
+
+
+def sequential_samples(problem, count, rng, iters=50):
+    """The one-start-at-a-time sampler: the reference for the batched one."""
+    n = problem.n
+    out = []
+    for _ in range(count):
+        x = rng.standard_normal(n)
+        ok = False
+        for _ in range(iters):
+            f = np.array([x @ a @ x for a in problem.constraints]
+                         + [x @ problem.normalization @ x - 1.0])
+            if np.abs(f).max() < 1e-10:
+                ok = True
+                break
+            jac = np.vstack([2.0 * (a @ x) for a in problem.constraints]
+                            + [2.0 * (problem.normalization @ x)])
+            step, *_ = np.linalg.lstsq(jac, -f, rcond=None)
+            x = x + step
+            if np.linalg.norm(x) > 1e8:
+                break
+        if ok:
+            out.append(x)
+    return out
+
+
+@pytest.mark.parametrize("name, problem, count", [
+    ("four-cycle", four_cycle_problem(), 300),
+    ("codim1", QcqpProblem(np.diag([1.0, 2.0, 3.0]), np.eye(3), [np.diag([1.0, -1.0, 0.5])]),
+     qcqp_relax._SAMPLE_BLOCK + 37),
+    ("infeasible", QcqpProblem(four_cycle_problem().cost, np.eye(4), [np.eye(4)]), 40),
+])
+def test_batched_samples_match_sequential(name, problem, count):
+    ref = sequential_samples(problem, count, np.random.default_rng(7))
+    out = qcqp_relax.rank1_feasible_samples(problem, count, np.random.default_rng(7))
+    assert isinstance(out, list)
+    assert len(out) == len(ref)
+    if name == "infeasible":
+        assert len(out) == 0
+    else:
+        assert len(out) > 0
+    for x, y in zip(out, ref):
+        assert np.abs(x - y).max() <= 1e-10
+
+
+def test_solver_beyond_sixteen(rng):
+    n = 20
+    s = rng.standard_normal((n, n))
+    s = 0.5 * (s + s.T)
+    sol = solve_relaxation(QcqpProblem(s, np.eye(n), []))
+    assert sol.status == "optimal"
+    assert abs(sol.objective - np.linalg.eigvalsh(s)[0]) < 1e-6
+    forms = []
+    for a in random_sym_stack(rng, 2, n):
+        forms.append(a - np.trace(a) / n * np.eye(n))  # keep identity feasible
+    sol = solve_relaxation(QcqpProblem(s, np.eye(n), forms))
+    assert sol.status == "optimal"
+    assert symlin.psd_check(sol.z_mat, 1e-7)
