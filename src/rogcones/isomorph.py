@@ -1,12 +1,13 @@
 """Rank-1 matrix completion and congruence reconstruction.
 
-Two linearly isomorphic certified cones are congruent as matrix cones,
-and the congruence can be recovered from matched generator lists: after
-normalizing both lists against a chosen basis, the entrywise ratio matrix
-is rank 1, and completing it fixes the coefficient matrix up to signs.
-This module provides the completion solvers, the reconstruction, the
-cone-level isomorphism test built on top, and the projective cross-ratio
-invariant of the gluing family.
+Linearly isomorphic ROG cones are congruent, and the congruence can be
+recovered from matched generator lists: solved into the coordinates of a
+basis drawn from each list, the two coordinate matrices have a rank-1
+ratio matrix e f^T, and S = Y_b diag(e) X_b^-1 maps x_j to y_j / f_j.
+One private core does this for both entry points: ``reconstruct_isomorphism``
+(given matched lists) and ``cones_isomorphic`` (which searches for the
+matching).  The module also holds the completion solvers and the
+projective cross-ratio invariant of the gluing family.
 """
 
 from __future__ import annotations
@@ -240,14 +241,41 @@ def _greedy_basis(cols: np.ndarray, tol: float = 1e-9) -> list[int]:
     return chosen
 
 
+def _reconstruct_core(xs: np.ndarray, ys: np.ndarray, basis_idx: list[int]):
+    """(S, f) with y_j = f_j S x_j over the matched columns, or a reason.
+
+    Both n x m column arrays are solved into the coordinates of their
+    basis columns ``basis_idx`` (independent in xs).  Matched columns need
+    equal zero patterns, and the ratio matrix of the coordinates must be
+    rank 1, e f^T; then S = Y_b diag(e) X_b^-1.
+    """
+    xb, yb = xs[:, basis_idx], ys[:, basis_idx]
+    if abs(np.linalg.det(yb)) < 1e-12:
+        return "matched basis is singular"
+    m_x = np.linalg.solve(xb, xs)
+    m_y = np.linalg.solve(yb, ys)
+    pattern = np.abs(m_x) > symlin.cut(m_x, 1e-6)
+    if np.any(np.abs(m_y[~pattern]) > symlin.cut(m_y, 1e-5)):
+        return "zero patterns differ"
+    ratios = np.where(pattern, m_y / np.where(pattern, m_x, 1.0), 0.0)
+    comp = rank1_complete(PartialMatrix.from_dense(ratios, pattern), tol=1e-6)
+    if not comp.feasible:
+        return f"ratio completion failed: {comp.violation}"
+    if np.any(np.abs(comp.e) < 1e-10):
+        return "singular coefficient matrix"
+    return yb @ np.diag(comp.e) @ np.linalg.inv(xb), comp.f
+
+
 def reconstruct_isomorphism(x_gens, y_gens, tol: float = 1e-7) -> IsoOutcome:
     """Recover S with y_i = +-S x_i from index-matched generator lists.
 
-    Both lists must span, be matched index-wise, and satisfy determinant
-    compatibility (|det| of every n-column subset agrees up to one common
-    factor).  The lists are reordered so a basis comes first, both are
-    normalized against it, and the entrywise sign pattern of the two
-    normalized matrices is completed to sign vectors, which pin S.
+    The first list must span and both must have the same length.  Both
+    are solved against a basis of the first, and the rank-1 completion
+    of their coordinate ratios gives S with y_i = f_i S x_i.  S is scaled
+    by the median |f_i|, and every generator must then satisfy
+    y_i = +-S x_i within tol; this also enforces determinant
+    compatibility (|det| of matched n-column subsets agree up to one
+    common factor).
     """
     xs = np.array([np.asarray(v, dtype=float) for v in x_gens]).T
     ys = np.array([np.asarray(v, dtype=float) for v in y_gens]).T
@@ -259,61 +287,17 @@ def reconstruct_isomorphism(x_gens, y_gens, tol: float = 1e-7) -> IsoOutcome:
     basis_idx = _greedy_basis(xs)
     if len(basis_idx) < n:
         raise InvalidInputError("first list does not span")
-    order = basis_idx + [j for j in range(mm) if j not in basis_idx]
-    xs = xs[:, order]
-    ys = ys[:, order]
-    xb = xs[:, :n]
-    yb = ys[:, :n]
-    if abs(np.linalg.det(yb)) < 1e-12:
-        return IsoOutcome("incompatible", reason="matched basis is singular")
-    sqrt_c = abs(np.linalg.det(xb) / np.linalg.det(yb))
-    for subset in _sampled_subsets(mm, n):
-        dx = abs(np.linalg.det(xs[:, subset]))
-        dy = abs(np.linalg.det(ys[:, subset]))
-        if abs(dx - sqrt_c * dy) > 1e-6 * (1.0 + dx + sqrt_c * dy):
-            offending = [order[j] for j in subset]
-            return IsoOutcome("incompatible",
-                              reason=f"determinant compatibility fails on {offending}")
-    m_x = np.linalg.solve(xb, xs)
-    m_y = np.linalg.solve(yb, ys)
-    pattern = np.abs(m_x) > symlin.cut(m_x, 1e-6)
-    if np.any(np.abs(m_y[~pattern]) > symlin.cut(m_y, 1e-5)):
-        return IsoOutcome("incompatible", reason="zero patterns differ")
-    ratio = np.abs(m_y[pattern] / m_x[pattern])
-    if ratio.size and (ratio.max() / ratio.min() > 1.0 + 1e-5):
-        return IsoOutcome("incompatible",
-                          reason="determinant compatibility fails entrywise")
-    signs = PartialMatrix.from_dense(np.sign(m_y * m_x), pattern)
-    comp = rank1_complete_signs(signs)
-    if not comp.feasible:
-        return IsoOutcome("incompatible",
-                          reason=f"sign completion failed: {comp.violation}")
-    scale = float(np.median(ratio)) if ratio.size else 1.0
-    s_mat = yb @ np.diag(comp.e * scale) @ np.linalg.inv(xb)
-    sigma = comp.f.copy()
-    for i in range(mm):
-        err_p = np.linalg.norm(ys[:, i] - sigma[i] * s_mat @ xs[:, i])
-        err_m = np.linalg.norm(ys[:, i] + sigma[i] * s_mat @ xs[:, i])
-        if err_m < err_p:
-            sigma[i] = -sigma[i]
-            err_p = err_m
-        if err_p > tol * (1.0 + np.linalg.norm(ys[:, i])):
-            return IsoOutcome("incompatible",
-                              reason=f"generator {order[i]} not reproduced")
-    if abs(np.linalg.det(s_mat)) < 1e-10:
-        return IsoOutcome("incompatible", reason="singular coefficient matrix")
-    inv_order = np.argsort(order)
-    return IsoOutcome("isomorphic",
-                      witness=IsoWitness(s_matrix=s_mat, sigma=sigma[inv_order]))
-
-
-def _sampled_subsets(mm: int, n: int, limit: int = 30):
-    """A few deterministic n-subsets to probe determinant compatibility."""
-    rng = np.random.default_rng(99)
-    out = []
-    for _ in range(limit):
-        out.append(tuple(sorted(rng.permutation(mm)[:n].tolist())))
-    return sorted(set(out))
+    out = _reconstruct_core(xs, ys, basis_idx)
+    if isinstance(out, str):
+        return IsoOutcome("incompatible", reason=out)
+    s_mat, f = out
+    s_mat = s_mat * float(np.median(np.abs(f)))
+    sigma = np.where(f < 0, -1.0, 1.0)
+    err = np.linalg.norm(ys - sigma * (s_mat @ xs), axis=0)
+    bad = np.flatnonzero(err > tol * (1.0 + np.linalg.norm(ys, axis=0)))
+    if bad.size:
+        return IsoOutcome("incompatible", reason=f"generator {bad[0]} not reproduced")
+    return IsoOutcome("isomorphic", witness=IsoWitness(s_matrix=s_mat, sigma=sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -359,10 +343,12 @@ def cones_isomorphic(k1: SpectrahedralCone, k2: SpectrahedralCone,
     Quick invariant rejections (degree, dimension, codimension-1
     signatures, cross-ratio orbits) come first; otherwise generators are
     matched (index-aligned fast path, then a capped randomized search
-    pruned by ratio consistency) and the matched lists are passed through
-    the scaled rank-1 completion.  A witness is accepted only when it
-    maps the first span onto the second.  Exhausting the search returns
-    "inconclusive", never "not_isomorphic".
+    pruned by ratio consistency) against one basis of the first
+    certificate, and each assignment goes through the rank-1 completion
+    of coordinate ratios.  A witness S is accepted only when it maps each
+    span onto the other and sends every generator to its match up to
+    sign.  Exhausting the search after ``max_tuples`` assignments returns
+    "inconclusive" with the count tried, never "not_isomorphic".
     """
     k1r, _ = reduce_nondegenerate(k1)
     k2r, _ = reduce_nondegenerate(k2)
@@ -387,27 +373,27 @@ def cones_isomorphic(k1: SpectrahedralCone, k2: SpectrahedralCone,
 def _match_and_reconstruct(k1, k2, seed, max_tuples, tol):
     xs = k1.generators
     ys = k2.generators
-    n = k1.n
+    basis_idx = _greedy_basis(xs.T)
+    if len(basis_idx) < k1.n:
+        return IsoOutcome("inconclusive", reason="first certificate does not span")
     rng = np.random.default_rng(seed)
     attempts = 0
     if len(xs) == len(ys):
-        out = _try_matching(k1, k2, list(range(len(ys))), tol)
+        out = _try_matching(k1, k2, list(range(len(ys))), basis_idx, tol)
         if out is not None:
             return out
         attempts += 1
-    basis_idx = _greedy_basis(xs.T)
-    if len(basis_idx) < n:
-        return IsoOutcome("inconclusive", reason="first certificate does not span")
     while attempts < max_tuples:
         attempts += 1
         perm = _search_assignment(xs, ys, basis_idx, rng)
         if perm is None:
             continue
-        out = _try_matching(k1, k2, perm, tol)
+        out = _try_matching(k1, k2, perm, basis_idx, tol)
         if out is not None:
             return out
     return IsoOutcome("inconclusive",
-                      reason="matching search exhausted without a witness")
+                      reason=f"matching search exhausted: {attempts} assignments "
+                             "tried without a witness")
 
 
 def _search_assignment(xs, ys, basis_idx, rng, ratio_tol=1e-6):
@@ -467,53 +453,25 @@ def _ratio_consistent(col_x, col_y, matched_cols, tol):
     return True
 
 
-def _try_matching(k1, k2, perm, tol):
+def _try_matching(k1, k2, perm, basis_idx, tol):
     """Attempt a witness from the given generator assignment, or None."""
-    xs = k1.generators
-    ys = k2.generators[np.array(perm)]
-    n = k1.n
-    basis_idx = _greedy_basis(xs.T)
-    if len(basis_idx) < n:
+    xs = k1.generators.T
+    ys = k2.generators[np.array(perm)].T
+    out = _reconstruct_core(xs, ys, basis_idx)
+    if isinstance(out, str):
         return None
-    order = basis_idx + [j for j in range(len(xs)) if j not in basis_idx]
-    xo = xs[np.array(order)].T
-    yo = ys[np.array(order)].T
-    xb, yb = xo[:, :n], yo[:, :n]
-    if abs(np.linalg.det(yb)) < 1e-10:
-        return None
-    m_x = np.linalg.solve(xb, xo)
-    m_y = np.linalg.solve(yb, yo)
-    cut = symlin.cut(m_x, 1e-6)
-    pattern = np.abs(m_x) > cut
-    if np.any(np.abs(m_y[~pattern]) > symlin.cut(m_y, 1e-5)):
-        return None
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(pattern, m_y / np.where(np.abs(m_x) > cut, m_x, 1.0), 0.0)
-    comp = rank1_complete(PartialMatrix.from_dense(ratios, pattern), tol=1e-6)
-    if not comp.feasible or comp.e is None:
-        return None
-    if np.any(np.abs(comp.e) < 1e-10):
-        return None
-    s_mat = yb @ np.diag(comp.e) @ np.linalg.inv(xb)
-    if abs(np.linalg.det(s_mat)) < 1e-10:
-        return None
+    s_mat = out[0]
     if not _span_maps_onto(s_mat, k1.span_basis, k2.span_basis):
         return None
     if not _span_maps_onto(np.linalg.inv(s_mat), k2.span_basis, k1.span_basis):
         return None
-    # projective per-generator verification
-    sigma = []
-    for i in range(xo.shape[1]):
-        img = s_mat @ xo[:, i]
-        img = img / np.linalg.norm(img)
-        dot = float(np.dot(img, yo[:, i]))
-        if np.linalg.norm(np.sign(dot) * img - yo[:, i]) > tol * 10:
-            return None
-        sigma.append(np.sign(dot) if dot != 0 else 1.0)
-    inv_order = np.argsort(order)
-    return IsoOutcome("isomorphic",
-                      witness=IsoWitness(s_matrix=s_mat,
-                                         sigma=np.array(sigma)[inv_order]))
+    # projective per-generator verification (certificate generators are unit)
+    img = s_mat @ xs
+    img = img / np.linalg.norm(img, axis=0)
+    sigma = np.where(np.sum(img * ys, axis=0) < 0, -1.0, 1.0)
+    if np.any(np.linalg.norm(sigma * img - ys, axis=0) > tol * 10):
+        return None
+    return IsoOutcome("isomorphic", witness=IsoWitness(s_matrix=s_mat, sigma=sigma))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ set of real pencil eigenvectors into angle-tagged blocks.  The rank-2
 utilities decide whether a codimension-2 section carries extreme
 elements of rank 2 (via the sign of a bi-quartic polynomial) and, when
 it does not, recover the structured normal form.  ``classify_small``
-names every simple certified cone of degree at most 4.
+names every simple certified cone of degree at most 4 from its
+dimension, the signature of its form in codimension 1, and, in degree 4
+and dimension 7, the census of the planes that carry full rank-2 faces.
 """
 
 from __future__ import annotations
@@ -17,11 +19,10 @@ import numpy as np
 import scipy.linalg
 
 from . import symlin
-from .cone_model import (FaceHandle, SpectrahedralCone, apply_congruence,
-                         degree, face_of, reduce_nondegenerate,
-                         simplicity_partition, tangent_space)
+from .cone_model import (FaceHandle, SpectrahedralCone, degree, face_of,
+                         reduce_nondegenerate, simplicity_partition)
 from .errors import InvalidInputError, NumericalError
-from .isomorph import _greedy_basis, _signature, codim1_form
+from .isomorph import _signature, codim1_form
 from .symlin import DEFAULT_TOL
 
 
@@ -356,10 +357,11 @@ def classify_small(cone: SpectrahedralCone, tol: float = DEFAULT_TOL) -> ClassLa
     """Catalog label for certified cones of degree at most 4.
 
     Non-simple cones factor into a DirectSum label.  Simple cones are
-    named by degree and dimension; for degree 4 and dimension 7 the
-    tangent-matrix branch separates the Hankel class from the three
-    plane-bearing classes, which a census of the rank-2 full faces then
-    distinguishes.
+    named by degree and dimension; codimension-1 cones by the signature of
+    their form.  Degree 4 and dimension 7 holds four classes, told apart
+    by the census of the planes carrying full rank-2 faces: none for the
+    Hankel class Han4, one for IntertwineHan3S2, and three meeting
+    pairwise (FullExtDiag3) or in a chain (Tri).
     """
     cone, _ = reduce_nondegenerate(cone, tol)
     n = degree(cone, tol)
@@ -392,91 +394,12 @@ def classify_small(cone: SpectrahedralCone, tol: float = DEFAULT_TOL) -> ClassLa
     if n == 4 and dim == 8:
         return ClassLabel(tag="Codim2FullExt", n=4)
     if n == 4 and dim == 7:
-        return _classify_deg4_dim7(cone)
+        return _plane_census_label(cone)
     return ClassLabel(tag="Unknown", n=n)
 
 
-def _classify_deg4_dim7(cone):
-    idx = _greedy_basis(cone.generators.T)
-    if len(idx) < cone.n:
-        raise InvalidInputError("certificate does not span the space")
-    xs = cone.generators[np.array(idx)]
-    a_inv = np.linalg.inv(xs.T)
-    work = apply_congruence(cone, a_inv, keep_expr=False)
-    ys = []
-    for i in range(4):
-        e = np.eye(4)[i]
-        sols = tangent_space(work, e)
-        # drop the trivial direction e_i and impose y_i = 0
-        cand = None
-        for j in range(sols.shape[1]):
-            y = sols[:, j] - sols[i, j] * e
-            if np.linalg.norm(y) > 1e-7:
-                cand = y / np.linalg.norm(y)
-                break
-        if cand is None and sols.shape[1] >= 2:
-            mix = sols @ np.ones(sols.shape[1])
-            mix = mix - mix[i] * e
-            if np.linalg.norm(mix) > 1e-7:
-                cand = mix / np.linalg.norm(mix)
-        if cand is None:
-            return ClassLabel(tag="Unknown", n=4)
-        ys.append(cand)
-    y_mat = np.zeros((6, 4))
-    rows = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    for r, (i, j) in enumerate(rows):
-        y_mat[r, i] = ys[i][j]
-        y_mat[r, j] = ys[j][i]
-    col_nonzeros = [int(np.count_nonzero(np.abs(y_mat[:, c]) > 1e-7)) for c in range(4)]
-    if all(np.abs(y_mat[r]).max() > 1e-7 for r in range(6)) and min(col_nonzeros) == 3:
-        if _hankel4_test(y_mat, ys) and not rank2_face_planes(cone):
-            return ClassLabel(tag="Han4", n=4)
-    return _plane_census_label(cone)
-
-
-def _hankel4_test(y_mat, ys):
-    """Minor identity + transversality test for the all-nonzero branch."""
-    _, sv, vt = np.linalg.svd(y_mat)
-    if sv[3] > 1e-6 * sv[0]:
-        return False
-    beta = vt[-1]
-    if np.abs(beta).min() < 1e-8:
-        return False
-    y = {}
-    for i in range(4):
-        yi = ys[i] * beta[i]
-        for j in range(4):
-            if i != j:
-                y[(i, j)] = yi[j]
-    skew = max(abs(y[(i, j)] + y[(j, i)]) for i in range(4) for j in range(4) if i != j)
-    if skew > 1e-6 * max(abs(v) for v in y.values()):
-        return False
-    lhs = 1.0 / (y[(0, 3)] * y[(1, 2)]) - 1.0 / (y[(0, 2)] * y[(1, 3)]) \
-        + 1.0 / (y[(0, 1)] * y[(2, 3)])
-    scale = max(abs(1.0 / (y[(0, 3)] * y[(1, 2)])), abs(1.0 / (y[(0, 2)] * y[(1, 3)])),
-                abs(1.0 / (y[(0, 1)] * y[(2, 3)])))
-    if abs(lhs) > 1e-6 * scale:
-        return False
-    # transversality of the solution plane: all 2x2 minors of the two
-    # solution directions are nonzero
-    g1 = np.array([
-        1.0 / y[(0, 1)] ** 2 + 1.0 / y[(0, 2)] ** 2 + 1.0 / y[(0, 3)] ** 2,
-        1.0 / (y[(0, 2)] * y[(1, 2)]) + 1.0 / (y[(0, 3)] * y[(1, 3)]),
-        1.0 / (y[(0, 3)] * y[(2, 3)]) - 1.0 / (y[(0, 1)] * y[(1, 2)]),
-        -1.0 / (y[(0, 1)] * y[(1, 3)]) - 1.0 / (y[(0, 2)] * y[(2, 3)]),
-    ])
-    g2 = np.array([0.0, 1.0 / y[(0, 1)], 1.0 / y[(0, 2)], 1.0 / y[(0, 3)]])
-    plane = np.column_stack([g1, g2])
-    for i in range(4):
-        for j in range(i + 1, 4):
-            minor = plane[i, 0] * plane[j, 1] - plane[j, 0] * plane[i, 1]
-            if abs(minor) < symlin.cut(plane ** 2, 1e-9):
-                return False
-    return True
-
-
 def _plane_census_label(cone):
-    """Distinguish the three plane-bearing degree-4 dimension-7 classes."""
+    """Label a simple degree-4 dimension-7 cone by its rank-2 face planes."""
     planes = rank2_face_planes(cone)
     if len(planes) == 0:
         return ClassLabel(tag="Han4", n=4)

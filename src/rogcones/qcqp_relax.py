@@ -129,13 +129,15 @@ def solve_relaxation(problem: QcqpProblem, tol: float = DEFAULT_TOL,
     lin_floor = floor - float(np.tensordot(problem.cost, f0))
     mu = scale
     best = None
+    forms = np.array([problem.normalization] + problem.constraints)
+    eye = np.eye(n)
     for _ in range(max_outer):
         z = _newton_logdet_affine(lin, flat, f0, z, mu, lin_floor)
         x = symlin.sym(_affine_point(f0, z, flat))
         objective = float(np.tensordot(problem.cost, x))
         if objective < floor:
             return SdpSolution(None, -np.inf, "unbounded", np.inf)
-        cert = _dual_certificate(problem, x, mu)
+        cert = _dual_certificate(problem.cost, forms, eye, x, mu)
         if cert is not None and (best is None or cert[0] > best[0]):
             best = cert
         if mu * n <= 1e-9 * (1.0 + abs(objective)):
@@ -150,9 +152,10 @@ def solve_relaxation(problem: QcqpProblem, tol: float = DEFAULT_TOL,
     return SdpSolution(x, objective, "optimal", gap, y, z_mat)
 
 
-def _dual_certificate(problem, x, mu):
+def _dual_certificate(cost, forms, eye, x, mu):
     """A dual pair (y, Z) fitted to the barrier iterate x, or None.
 
+    `forms` stacks B and the A_i, and `eye` is the n x n identity.
     Z = S - y B - sum_i w_i A_i, with (y, w) the least-squares fit of
     X^{1/2} Z X^{1/2} to mu I, the centrality condition; it needs no
     inverse of the ill-conditioned X.  None when Z is not PSD.
@@ -161,11 +164,10 @@ def _dual_certificate(problem, x, mu):
     if w[0] <= 0:
         return None
     half = (v * np.sqrt(w)) @ v.T
-    forms = np.array([problem.normalization] + problem.constraints)
     lhs = (half @ forms @ half).reshape(len(forms), -1).T
-    rhs = (half @ problem.cost @ half - mu * np.eye(len(w))).ravel()
+    rhs = (half @ cost @ half - mu * eye).ravel()
     coef, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
-    z_mat = symlin.sym(problem.cost - np.tensordot(coef, forms, axes=(0, 0)))
+    z_mat = symlin.sym(cost - np.tensordot(coef, forms, axes=(0, 0)))
     if np.linalg.eigvalsh(z_mat)[0] < 0:
         return None
     return float(coef[0]), z_mat

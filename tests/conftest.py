@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import rogcones as rc
+from rogcones.pencil_struct import ClassLabel
 
 
 def random_congruence(rng, n, spread=2.0):
@@ -71,6 +72,46 @@ def family_registry():
         "cross_ratio": rc.cross_ratio_cone([0.15, 0.8, 1.65, 2.4]),
         "full_ext_han3": rc.full_extension(rc.hankel_cone(3), 5),
     }
+
+
+def catalog_constructions():
+    """The simple cones of each degree <= 4: counts 1, 1, 3, 10."""
+    s1 = rc.full_psd_cone(1)
+    s2 = rc.full_psd_cone(2)
+    han3 = rc.hankel_cone(3)
+    deg1 = {"FullPsd1": (rc.full_psd_cone(1), ClassLabel("FullPsd", n=1))}
+    deg2 = {"FullPsd2": (rc.full_psd_cone(2), ClassLabel("FullPsd", n=2))}
+    deg3 = {
+        "FullPsd3": (rc.full_psd_cone(3), ClassLabel("FullPsd", n=3)),
+        "Han3": (han3, ClassLabel("Codim1", n=3, signature=(2, 1, 0))),
+        "Tri3": (rc.tridiagonal_cone(3), ClassLabel("Tri", n=3)),
+    }
+    deg4 = {
+        "FullPsd4": (rc.full_psd_cone(4), ClassLabel("FullPsd", n=4)),
+        "FullExtDiag2": (rc.full_extension(rc.diagonal_cone(2), 4),
+                         ClassLabel("FullExtDiag2", n=4)),
+        "FullExtHan3": (rc.full_extension(han3, 4),
+                        ClassLabel("FullExtHan3", n=4)),
+        "Han22": (rc.hankel_cone(2, 2), ClassLabel("Han22", n=4)),
+        "Codim1_3110": (rc.codim1_cone(np.diag([1.0, 1.0, 1.0, -1.0])),
+                        ClassLabel("Codim1", n=4, signature=(3, 1, 0))),
+        "Codim2FullExt": (rc.full_extension(rc.direct_sum(s1, s2), 4),
+                          ClassLabel("Codim2FullExt", n=4)),
+        "Tri4": (rc.tridiagonal_cone(4), ClassLabel("Tri", n=4)),
+        "FullExtDiag3": (rc.full_extension(rc.diagonal_cone(3), 4),
+                         ClassLabel("FullExtDiag3", n=4)),
+        "IntertwineHan3S2": (
+            rc.intertwine(han3, s2, rc.rank1_glue(han3, [1, 1, 1], s2, [1, 0])),
+            ClassLabel("IntertwineHan3S2", n=4)),
+        "Han4": (rc.hankel_cone(4), ClassLabel("Han4", n=4)),
+    }
+    assert (len(deg1), len(deg2), len(deg3), len(deg4)) == (1, 1, 3, 10)
+    out = {}
+    out.update(deg1)
+    out.update(deg2)
+    out.update(deg3)
+    out.update(deg4)
+    return out
 
 
 @pytest.fixture

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 import rogcones as rc
+from rogcones import symlin
 from rogcones.errors import InvalidInputError
 from rogcones.isomorph import (PartialMatrix, cross_ratio, rank1_complete,
                                rank1_complete_signs, reconstruct_isomorphism,
                                s4_orbit, same_s4_orbit)
-from conftest import random_congruence
+from conftest import catalog_constructions, random_congruence
 
 
 def test_complete_diagonal_only():
@@ -147,11 +148,19 @@ def test_reconstruct_roundtrip_random(rng):
             assert err < 1e-7 * (1.0 + np.linalg.norm(np.outer(y, y)))
 
 
-def test_reconstruct_incompatible():
-    xs = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([1.0, 1.0])]
-    ys = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([1.0, 2.0])]
-    out = reconstruct_isomorphism(xs, ys)
-    assert out.status == "incompatible"
+@pytest.mark.parametrize("xs, ys", [
+    # e1 + 2 e2 stands where e1 + e2 should
+    ([[1, 0], [0, 1], [1, 1]], [[1, 0], [0, 1], [1, 2]]),
+    # e1 + e2 is matched with e1 + e2 + e3: the zero patterns differ
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]],
+     [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]),
+    # a duplicated second-list generator makes the matched basis singular
+    ([[1, 0], [0, 1], [1, 1]], [[1, 1], [0, 1], [1, 1]]),
+    # four generators, one of them scaled by 2
+    ([[1, 0], [0, 1], [1, 1], [1, -1]], [[1, 0], [0, 1], [1, 1], [2, -2]]),
+], ids=["unequal-scale", "zero-pattern", "singular-basis", "uneven-scale-4"])
+def test_reconstruct_incompatible(xs, ys):
+    assert reconstruct_isomorphism(xs, ys).status == "incompatible"
 
 
 def test_cones_isomorphic_roundtrip(rng):
@@ -169,6 +178,27 @@ def test_cones_isomorphic_shuffled_generators(rng):
     shuffled = ka.copy_with(generators=ka.generators[rng.permutation(len(ka.generators))])
     out = rc.cones_isomorphic(k, shuffled, seed=5)
     assert out.status == "isomorphic"
+
+
+def test_cones_isomorphic_exhausted_search_reports_count(rng):
+    k = rc.tridiagonal_cone(4)
+    ka = rc.apply_congruence(k, random_congruence(rng, 4), keep_expr=False)
+    shuffled = ka.copy_with(generators=ka.generators[rng.permutation(len(ka.generators))])
+    out = rc.cones_isomorphic(k, shuffled, max_tuples=5)
+    assert out.status == "inconclusive"
+    assert "5 assignments tried" in out.reason
+
+
+def test_cones_isomorphic_catalog_congruent(rng):
+    for name, (cone, _) in catalog_constructions().items():
+        moved = rc.apply_congruence(cone, random_congruence(rng, cone.n), keep_expr=False)
+        out = rc.cones_isomorphic(cone, moved)
+        assert out.status == "isomorphic", (name, out.reason)
+        s = out.witness.s_matrix
+        for mat in cone.span_basis:
+            img = s @ mat @ s.T
+            dist = symlin.span_distance(moved.span_basis, img)
+            assert dist < 1e-7 * (1.0 + np.linalg.norm(img)), name
 
 
 def test_cones_not_isomorphic_signature():
@@ -224,7 +254,6 @@ def test_cross_ratio_cones_isomorphism(rng):
     a = out.witness.s_matrix
     for s in k1.span_basis:
         img = a @ s @ a.T
-        from rogcones import symlin
         assert symlin.span_distance(k2.span_basis, img) < 1e-7
 
     phis_b = [np.arctan2(1.0, c) for c in (0.0, 1.0, 2.0, -4.0)]
