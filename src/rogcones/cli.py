@@ -98,6 +98,8 @@ def _cmd_qcqp(args) -> int:
         "status": cert.status,
         "relaxed_value": cert.relaxed_value,
         "extracted_value": cert.extracted_value,
+        "duality_gap": cert.solution.duality_gap,
+        "iterations": cert.solution.iterations,
     }
     if cert.x_opt is not None:
         report["x_opt"] = jsonio.vector_to_json(cert.x_opt)

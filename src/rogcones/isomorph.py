@@ -383,33 +383,35 @@ def _match_and_reconstruct(k1, k2, seed, max_tuples, tol):
         if out is not None:
             return out
         attempts += 1
-    while attempts < max_tuples:
-        attempts += 1
-        perm = _search_assignment(xs, ys, basis_idx, rng)
-        if perm is None:
-            continue
-        out = _try_matching(k1, k2, perm, basis_idx, tol)
-        if out is not None:
-            return out
+    # the first list in the coordinates of its basis columns, and the zero
+    # pattern of each column, are the same for every attempt
+    xb = xs[np.array(basis_idx)].T
+    if len(ys) >= len(xs) and abs(np.linalg.det(xb)) >= 1e-10:
+        m_x = np.linalg.solve(xb, xs.T)
+        pats = np.array([np.abs(col) > symlin.cut(col, 1e-6) for col in m_x.T]).T
+        while attempts < max_tuples:
+            attempts += 1
+            perm = _search_assignment(m_x, pats, ys, basis_idx, rng)
+            if perm is None:
+                continue
+            out = _try_matching(k1, k2, perm, basis_idx, tol)
+            if out is not None:
+                return out
+    # a search that cannot start counts as max_tuples failed assignments
+    attempts = max(attempts, max_tuples)
     return IsoOutcome("inconclusive",
                       reason=f"matching search exhausted: {attempts} assignments "
                              "tried without a witness")
 
 
-def _search_assignment(xs, ys, basis_idx, rng, ratio_tol=1e-6):
-    """One randomized attempt at a full generator assignment."""
-    n = xs.shape[1]
-    mm, my = len(xs), len(ys)
-    if my < mm:
-        return None
-    xb = xs[np.array(basis_idx)].T
-    if abs(np.linalg.det(xb)) < 1e-10:
-        return None
+def _search_assignment(m_x, pats, ys, basis_idx, rng, ratio_tol=1e-6):
+    """One randomized attempt at a full generator assignment; m_x is the
+    first list in its basis coordinates and pats the columns' zero patterns."""
+    mm, my = m_x.shape[1], len(ys)
     cand = rng.permutation(my)[:len(basis_idx)]
     yb = ys[cand].T
     if abs(np.linalg.det(yb)) < 1e-8:
         return None
-    m_x = np.linalg.solve(xb, xs.T)
     m_y = np.linalg.solve(yb, ys.T)
     perm = [-1] * mm
     for k, i in enumerate(basis_idx):
@@ -420,7 +422,7 @@ def _search_assignment(xs, ys, basis_idx, rng, ratio_tol=1e-6):
         if perm[i] >= 0:
             continue
         col = m_x[:, i]
-        pat = np.abs(col) > symlin.cut(col, 1e-6)
+        pat = pats[:, i]
         found = None
         for j in range(my):
             if j in used:

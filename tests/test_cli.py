@@ -126,6 +126,8 @@ def test_cli_qcqp(tmp_path):
     assert report["status"] == "exact-with-solution"
     assert abs(report["relaxed_value"] - 1.0) < 1e-6
     assert abs(report["extracted_value"] - 1.0) < 1e-6
+    assert report["iterations"] >= 1
+    assert 0.0 <= report["duality_gap"] <= 1e-8 * (1.0 + abs(report["relaxed_value"]))
     x_opt = np.array(report["x_opt"])
     assert abs(abs(x_opt[0]) - 1.0) < 1e-4 and abs(x_opt[1]) < 1e-4
 

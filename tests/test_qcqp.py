@@ -84,8 +84,16 @@ def test_solver_certificate_only_when_optimal():
     assert [sol.status for sol in sols] == ["infeasible", "unbounded", "max-iter"]
     for sol in sols:
         assert sol.y is None and sol.z_mat is None
-    # one barrier step at mu = 2 leaves the measured gap 3 mu = 6
-    assert abs(sols[2].duality_gap - 6.0) < 1e-9
+    # From X = I / sqrt(3), Z = 3 (1 + sqrt(3)) I and y = 0 every iterate
+    # is a multiple of I.  The start's Z = S - 0 B = I is PSD, so y = 0 is
+    # the first dual bound.  The step meets tr X = 1 exactly (X = I / 3,
+    # objective 1), and its dual step is full: with r = 1 / sqrt(3),
+    # Mehrotra's sigma = (r (1 - r))^3 and Z = z I for
+    # z = 3 (1 + sqrt(3)) (sigma + (1 - r)^2) = 1.58, so y = 1 - z < 0 and
+    # the bound stays y = 0.  The measured gap is
+    # max(|1 - 0|, <I / 3, I>) = 1.
+    assert sols[2].iterations == 1
+    assert abs(sols[2].duality_gap - 1.0) < 1e-9
 
 
 def test_solver_matches_eigenvalue():
@@ -223,20 +231,136 @@ def random_sym_stack(rng, k, n):
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 9), k=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
-def test_logdet_derivatives_match_trace_forms(n, k, seed):
-    # the Gram-matrix Hessian and the trace gradient against the per-matrix
-    # forms tr(W_i W_j) and tr(W_j), W_j = X^-1/2 M_j X^-1/2
+def test_schur_complement_matches_trace_forms(n, k, seed):
+    # the stacked assembly against the per-pair forms tr(F_i X F_j Z^-1)
     rng = np.random.default_rng(seed)
     mats = random_sym_stack(rng, k, n)
+    g, h = rng.standard_normal((2, n, n))
+    x = g @ g.T + 0.1 * np.eye(n)
+    z_inv = np.linalg.inv(h @ h.T + 0.1 * np.eye(n))
+    schur = qcqp_relax._schur_complement(mats.reshape(k, n * n), x, z_inv)
+    ref = np.array([[np.trace(a @ x @ b @ z_inv) for b in mats] for a in mats])
+    assert np.abs(schur - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def assert_kkt(p, sol):
+    """The checks of test_solver_kkt_residuals on an optimal solution."""
+    n = p.n
+    x, z, y = sol.x_mat, sol.z_mat, sol.y
+    assert symlin.psd_check(x, 1e-7)
+    for a in p.constraints:
+        assert abs(np.tensordot(a, x)) < 1e-7
+    assert abs(np.tensordot(p.normalization, x) - 1.0) < 1e-7
+    assert sol.duality_gap <= 1e-6 * (1.0 + abs(sol.objective))
+    assert symlin.psd_check(z, 1e-7)
+    basis = induced_cone(p).span_basis.reshape(-1, n * n)
+    stat = np.linalg.norm(basis @ (p.cost - z).ravel() - y * basis @ p.normalization.ravel())
+    assert stat < 1e-6 * (1.0 + np.linalg.norm(p.cost))
+    xz = float(np.tensordot(x, z))
+    assert abs(sol.objective - y - xz) <= 1e-7 * (1.0 + abs(sol.objective))
+    assert sol.duality_gap >= xz
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 6), k=st.integers(1, 3),
+       extra=st.sampled_from(["repeat", "scaled", "combination"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_solver_drops_dependent_forms(n, k, extra, seed):
+    # a dependent constraint form changes neither the status nor the value
+    rng = np.random.default_rng(seed)
+    forms = [a - np.trace(a) / n * np.eye(n) for a in random_sym_stack(rng, k, n)]
+    s = random_sym_stack(rng, 1, n)[0]
+    added = {"repeat": forms[0], "scaled": -3.5 * forms[0],
+             "combination": np.tensordot(rng.standard_normal(k), forms, axes=1)}[extra]
+    ref = solve_relaxation(QcqpProblem(s, np.eye(n), forms))
+    p = QcqpProblem(s, np.eye(n), forms + [added])
+    sol = solve_relaxation(p)
+    assert sol.status == ref.status
+    if sol.status == "optimal":
+        assert abs(sol.objective - ref.objective) <= 1e-8 * (1.0 + abs(ref.objective))
+        assert_kkt(p, sol)
+
+
+def assert_infeasibility_ray(p, ray):
+    """ray is PSD and ray + B lies in the span of the constraint forms."""
+    assert np.linalg.eigvalsh(ray)[0] >= -1e-12 * (1.0 + np.linalg.norm(ray))
+    target = (ray + p.normalization).ravel()
+    if p.constraints:
+        forms = np.array(p.constraints).reshape(len(p.constraints), -1).T
+        coef, *_ = np.linalg.lstsq(forms, target, rcond=None)
+        target = target - forms @ coef
+    assert np.linalg.norm(target) <= 1e-8
+
+
+def assert_recession_ray(p, ray):
+    """ray is a unit PSD direction annihilated by B and the forms along
+    which the cost falls."""
+    assert abs(np.linalg.norm(ray) - 1.0) < 1e-12
+    assert np.linalg.eigvalsh(ray)[0] >= -1e-12
+    for a in [p.normalization] + p.constraints:
+        assert abs(np.tensordot(a, ray)) <= 1e-8 * (1.0 + np.linalg.norm(a))
+    assert np.tensordot(p.cost, ray) < 0
+
+
+def test_solver_rays_pass_independent_checks():
+    b = np.zeros((2, 2))
+    b[0, 0] = 1.0
+    s3 = np.diag([1.0, 2.0, 3.0])
+    for p in (QcqpProblem(np.eye(2), np.zeros((2, 2)), []),
+              QcqpProblem(np.eye(2), -np.eye(2), []),
+              QcqpProblem(s3, np.eye(3), [np.eye(3)])):
+        sol = solve_relaxation(p)
+        assert sol.status == "infeasible"
+        assert_infeasibility_ray(p, sol.ray)
+    p = QcqpProblem(np.diag([0.0, -1.0]), b, [])
+    sol = solve_relaxation(p)
+    assert sol.status == "unbounded"
+    assert_recession_ray(p, sol.ray)
+    assert solve_relaxation(QcqpProblem(s3, np.eye(3), [])).ray is None
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_solver_rays_on_random_problems(seed):
+    # a negative definite B makes the problem infeasible; B = e0 e0^T makes
+    # it unbounded exactly when S restricted to the other coordinates has
+    # a negative eigenvalue, and the recession directions then lie on the
+    # boundary of the PSD cone
+    rng = np.random.default_rng(seed)
+    n = 2 + seed % 5
+    s = random_sym_stack(rng, 1, n)[0]
     g = rng.standard_normal((n, n))
-    w, v = np.linalg.eigh(g @ g.T + 0.1 * np.eye(n))
-    grad, hess = qcqp_relax._logdet_derivatives(mats.reshape(k, n * n), w, v)
-    xi_half = (v / np.sqrt(w)) @ v.T
-    ws = xi_half @ mats @ xi_half
-    ref_grad = -np.trace(ws, axis1=1, axis2=2)
-    ref_hess = np.einsum("iab,jba->ij", ws, ws)
-    assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
-    assert np.abs(hess - ref_hess).max() <= 1e-12 * np.abs(ref_hess).max()
+    forms = list(random_sym_stack(rng, seed % 3, n))
+    p = QcqpProblem(s, -(g @ g.T + 0.1 * np.eye(n)), forms)
+    sol = solve_relaxation(p)
+    assert sol.status == "infeasible"
+    assert_infeasibility_ray(p, sol.ray)
+    b = np.zeros((n, n))
+    b[0, 0] = 1.0
+    p = QcqpProblem(s, b, [])
+    sol = solve_relaxation(p)
+    if np.linalg.eigvalsh(s[1:, 1:])[0] < 0:
+        assert sol.status == "unbounded"
+        assert_recession_ray(p, sol.ray)
+    else:
+        assert sol.status == "optimal" and sol.ray is None
+
+
+def test_certify_builds_induced_cone_once(monkeypatch):
+    calls = []
+    real = qcqp_relax.induced_cone
+
+    def counted(problem):
+        calls.append(problem)
+        return real(problem)
+
+    monkeypatch.setattr(qcqp_relax, "induced_cone", counted)
+    p = QcqpProblem(np.diag([1.0, 2.0, 3.0]), np.eye(3), [np.diag([1.0, -1.0, 0.0])])
+    cert = certify_exactness(p, gap_samples=100)
+    assert len(calls) == 1
+    # the certificate keeps the solve it came from
+    assert cert.solution.status == "optimal"
+    assert cert.relaxed_value == cert.solution.objective
+    assert abs(cert.relaxed_value - 1.5) < 1e-7
 
 
 def four_cycle_problem():
