@@ -58,21 +58,22 @@ class SdpSolution:
     (y, w), passed ``eigvalsh(z_mat)[0] >= 0``, so y bounds the relaxed
     value from below, and ``duality_gap``, the measured
     ``max(|objective - y|, <X, Z>)``, is at most ``tol (1 + |objective|)``.
-    ``infeasible``: ``ray`` is a PSD Y within tol of -(B + sum_i w_i A_i),
-    the difference lying in the induced span, so <Y, X> = -1 + <Y + B, X>
-    rules out every feasible X of norm below 1 / tol (Y = 0 exactly when
-    B lies in the span of the A_i).  ``unbounded``: ``ray`` is a unit PSD
-    D whose inner products with an orthonormal basis of span{B, A_i} have
-    norm at most tol, and ``<S, D> <= -tol (1 + |S|)``.  ``max-iter``: no
-    certificate within the iteration cap; ``duality_gap`` is the best
-    measured gap, or inf.  ``y`` and ``z_mat`` are None unless optimal,
-    ``ray`` is None unless infeasible or unbounded.
+    ``infeasible``: ``ray`` is a PSD Y within tol |B'| of
+    -(B + sum_i w_i A_i), B' the part of B off the span of the A_i, the
+    difference lying in the induced span, so <Y, X> = -1 + <Y + B, X>
+    rules out every feasible X of norm below 1 / (tol |B'|) (Y = 0
+    exactly when B' = 0).  ``unbounded``: some iterate had primal residual
+    at most tol, and ``ray`` is a unit PSD D whose inner products with an
+    orthonormal basis of span{B, A_i} have norm at most tol, and
+    ``<S, D> <= -tol (1 + |S|)``.  ``max-iter``: no certificate within the
+    cap; ``duality_gap`` is the best measured gap, or inf.  ``y`` and
+    ``z_mat`` are None unless optimal, ``ray`` unless infeasible or unbounded.
 
     ``iterations`` counts interior-point steps; ``primal_residual`` is
-    ``|b - A(X)|`` over <B, X> = 1 and <E_k, X> = 0 (E an orthonormal basis
-    of the span of the A_i), and ``dual_residual`` the norm of the part of
-    ``S - y B - Z`` on the induced span, at the returned X and Z (nan when
-    no iterate was formed).
+    ``|b - A(|B'| X)|`` over the rows B' / |B'| and E_k of
+    ``solve_relaxation``, and ``dual_residual`` the norm of the part of
+    ``S - y B - Z`` on the induced span, at the returned or last iterate
+    (nan when no iterate was formed).
     """
     x_mat: Optional[np.ndarray]
     objective: float
@@ -117,30 +118,41 @@ def solve_relaxation(problem: QcqpProblem, tol: float = DEFAULT_TOL,
 
     The constraints are <B, X> = 1 and <E_k, X> = 0 for an orthonormal
     basis E of the span of the A_i (one SVD cut at ``SUBSPACE_TOL``, so
-    dependent forms drop out).  At most ``max_outer`` infeasible-start HKM
-    steps with Mehrotra's predictor and corrector (``_hkm_step``) follow,
-    each side moving 0.95 of the way to the PSD boundary, capped at 1.
+    dependent forms drop out); with B' the part of B off that span, the
+    solve runs on the orthonormal rows B' / |B'|, E_k and on |B'| X, so
+    scaling B changes no iterate.  At most ``max_outer`` infeasible-start
+    HKM steps with Mehrotra's predictor and corrector (``_hkm_step``)
+    follow, each side moving 0.95 of the way to the PSD boundary, capped
+    at 1.
 
-    At every iterate Z is recomputed from (y, w); the largest y whose Z
-    passes ``eigvalsh(Z)[0] >= 0`` is the dual certificate.  It is paired
-    with each iterate X of primal residual at most tol, the X of smallest
-    measured gap is kept, and the loop stops once that gap is at most
-    tol / 10 (1 + |objective|).  While the primal residual exceeds
-    tol and y > 0, ``_infeasibility_ray`` tries (1, w / y); while the dual
-    residual exceeds tol and the objective is negative, ``_recession_ray``
-    tries X.  The first ray that passes ends the solve.
+    At every iterate Z is recomputed from (y, w), or from (y, w) moved
+    along the projection P of I on span{B, A_i} when P is PD and Z misses
+    PSD; the largest y whose Z passes ``eigvalsh(Z)[0] >= 0`` is the dual
+    certificate.  It is paired with each iterate X of primal residual at
+    most tol, the X of smallest measured gap is kept, and the loop stops
+    once that gap is at most tol / 10 (1 + |objective|).  While the primal
+    residual exceeds tol and y > 0, ``_infeasibility_ray`` tries
+    (1, w / y); once some iterate had primal residual at most tol, and
+    while no dual certificate bounds the objective and it is negative,
+    ``_recession_ray`` tries X.  The first ray that passes ends the solve.
     """
     n = problem.n
     s, b = problem.cost, problem.normalization
-    forms = (symlin.orthonormal_span(problem.constraints).reshape(-1, n * n)
-             if problem.constraints else np.zeros((0, n * n)))
+    forms = (symlin.orthonormal_span(problem.constraints)
+             if problem.constraints else np.zeros((0, n, n)))
     outside = _outside_rows(b, forms)
     if outside is None:
         # <B, X> = 1 contradicts <A_i, X> = 0: the ray -(B + sum w_i A_i) = 0
         return SdpSolution(None, np.nan, "infeasible", np.inf, ray=np.zeros((n, n)))
-    flat = np.concatenate([b.reshape(1, -1), forms])
+    scale = float(np.vdot(outside[0], b))    # |B'|
+    flat = outside.reshape(len(outside), n * n)
     rhs = np.zeros(len(flat))
     rhs[0] = 1.0
+
+    def result(x_mat, objective, status, gap, p_res, mismatch, y=None, z_mat=None, ray=None):
+        return SdpSolution(x_mat, objective, status, gap, y, z_mat, ray, it, p_res,
+                           symlin.span_distance(forms, mismatch))
+
     eye = np.eye(n)
     # a dual start well above S lets dual steps reach full length early,
     # after which the recomputed Z is the iterate; from (1 + |S|) I the
@@ -149,34 +161,51 @@ def solve_relaxation(problem: QcqpProblem, tol: float = DEFAULT_TOL,
     x = eye / np.sqrt(n)
     z = eye * 3.0 * (1.0 + np.linalg.norm(s))
     v = np.zeros(len(flat))
+    # lift = the coordinates p of P, the projection of I on the rows.  When
+    # P is PD (possible exactly when the feasible set is bounded), a Z that
+    # misses PSD by lam < 0 lifts to Z + t P = S - A*(v - t p) for t = -2 lam
+    # / lambda_min(P); dual steps of 0.95 shrink the residual only like mu.
+    lift = flat @ eye.ravel()
+    lift_eigs = np.linalg.eigvalsh((lift @ flat).reshape(n, n))
+    lift_min = float(lift_eigs[0]) if lift_eigs[0] > symlin.cut(lift_eigs, tol) else 0.0
     cert = None     # (y, Z) with the largest y whose recomputed Z is PSD
     best = None     # (gap, X, objective, primal residual, cert) of the best certified X
+    feasible = False    # unbounded needs a feasible point as well as a ray
     it = 0
     while True:
+        # x and v[0] are |B'| X and |B'| y; Z is the same in both scalings
         rp = rhs - flat @ x.ravel()
-        objective = float(np.vdot(s, x))
+        x_out = x / scale
+        objective = float(np.vdot(s, x_out))
         p_res = float(np.linalg.norm(rp))
-        y = float(v[0])
+        y = float(v[0]) / scale
         z_rec = s - (v @ flat).reshape(n, n)
-        if (cert is None or y > cert[0]) and np.linalg.eigvalsh(z_rec)[0] >= 0:
-            cert = (y, z_rec)
+        if cert is None or y > cert[0]:
+            lam = float(np.linalg.eigvalsh(z_rec)[0])
+            if lam >= 0:
+                cert = (y, z_rec)
+            elif lift_min > 0 and p_res <= tol:
+                v_lift = v + (2.0 * lam / lift_min) * lift
+                z_lift = s - (v_lift @ flat).reshape(n, n)
+                y_lift = float(v_lift[0]) / scale
+                if (cert is None or y_lift > cert[0]) and np.linalg.eigvalsh(z_lift)[0] >= 0:
+                    cert = (y_lift, z_lift)
+        feasible = feasible or p_res <= tol
         if cert is not None and p_res <= tol:
-            gap = max(abs(objective - cert[0]), float(np.vdot(x, cert[1])))
+            gap = max(abs(objective - cert[0]), float(np.vdot(x_out, cert[1])))
             if best is None or gap < best[0]:
-                best = (gap, x, objective, p_res, cert)
+                best = (gap, x_out, objective, p_res, cert)
             if gap <= 0.1 * tol * (1.0 + abs(objective)):
                 break
         rd = z_rec - z
-        d_res = _span_residual(forms, rd)
-        ray = (_infeasibility_ray((-(v / y) @ flat).reshape(n, n), forms, tol)
+        ray = (_infeasibility_ray((-(v / v[0]) @ flat).reshape(n, n), forms, tol)
                if p_res > tol and y > 0 else None)
         if ray is not None:
-            return SdpSolution(None, np.nan, "infeasible", np.inf, ray=ray, iterations=it,
-                               primal_residual=p_res, dual_residual=d_res)
-        ray = _recession_ray(x, outside, s, tol) if d_res > tol and objective < 0 else None
+            return result(None, np.nan, "infeasible", np.inf, p_res, rd, ray=scale * ray)
+        ray = (_recession_ray(x, outside, s, tol)
+               if feasible and cert is None and objective < 0 else None)
         if ray is not None:
-            return SdpSolution(None, -np.inf, "unbounded", np.inf, ray=ray, iterations=it,
-                               primal_residual=p_res, dual_residual=d_res)
+            return result(None, -np.inf, "unbounded", np.inf, p_res, rd, ray=ray)
         if it == max_outer:
             break
         step = _hkm_step(x, z, rp, rd, flat)
@@ -188,33 +217,22 @@ def solve_relaxation(problem: QcqpProblem, tol: float = DEFAULT_TOL,
         x, v, z = x + ap * dx, v + ad * dv, z + ad * dz
         it += 1
     if best is None:
-        return SdpSolution(x, objective, "max-iter", np.inf, iterations=it,
-                           primal_residual=p_res, dual_residual=d_res)
+        return result(x_out, objective, "max-iter", np.inf, p_res, rd)
     gap, x, objective, p_res, (y, z_mat) = best
-    d_res = _span_residual(forms, s - y * b - z_mat)
     if gap > tol * (1.0 + abs(objective)):
-        return SdpSolution(x, objective, "max-iter", gap, iterations=it,
-                           primal_residual=p_res, dual_residual=d_res)
-    return SdpSolution(x, objective, "optimal", gap, y, z_mat, iterations=it,
-                       primal_residual=p_res, dual_residual=d_res)
+        return result(x, objective, "max-iter", gap, p_res, s - y * b - z_mat)
+    return result(x, objective, "optimal", gap, p_res, s - y * b - z_mat, y, z_mat)
 
 
 def _outside_rows(b, forms):
-    """Orthonormal rows spanning span{B, E}, or None when B lies in the
-    span of the orthonormal rows E (up to the ``SUBSPACE_TOL`` cut).  The
-    orthogonal complement of span{B, E} is the induced span within B^⊥."""
-    b_off = b.ravel() - (forms @ b.ravel()) @ forms
+    """The orthonormal stack B' / |B'|, E spanning span{B, E}, for E the
+    orthonormal stack `forms` and B' = B - proj_E B, or None when B' is
+    below the ``SUBSPACE_TOL`` cut."""
+    b_off = b - symlin.span_project(forms, b)
     off = float(np.linalg.norm(b_off))
     if off <= symlin.cut(np.linalg.norm(b), symlin.SUBSPACE_TOL):
         return None
     return np.concatenate([b_off[None] / off, forms])
-
-
-def _span_residual(forms, r):
-    """Norm of the part of the matrix r on the span of the induced cone,
-    the orthogonal complement of the orthonormal rows of `forms`."""
-    r = r.ravel()
-    return float(np.linalg.norm(r - (forms @ r) @ forms))
 
 
 def _psd_part(a):
@@ -228,20 +246,19 @@ def _infeasibility_ray(cand, forms, tol):
     """The PSD part Y of cand = -(B + sum_k w_k E_k) when Y is within tol
     of cand + span(E); otherwise None."""
     ray = _psd_part(cand)
-    return ray if _span_residual(forms, ray - cand) <= tol else None
+    return ray if symlin.span_distance(forms, ray - cand) <= tol else None
 
 
 def _recession_ray(x, outside, s, tol):
-    """The PSD part D of X projected off the orthonormal rows `outside`,
-    scaled to unit norm, when D stays within tol of their complement and
+    """The PSD part D of X projected off the orthonormal stack `outside`,
+    scaled to unit norm, when D stays within tol of its complement and
     <S, D> <= -tol (1 + |S|); otherwise None."""
-    n = len(x)
-    ray = _psd_part(x - ((outside @ x.ravel()) @ outside).reshape(n, n))
+    ray = _psd_part(x - symlin.span_project(outside, x))
     size = float(np.linalg.norm(ray))
     if size == 0.0:
         return None
     ray = ray / size
-    if (np.linalg.norm(outside @ ray.ravel()) <= tol
+    if (np.linalg.norm(symlin.span_coords(outside, ray)) <= tol
             and float(np.vdot(s, ray)) <= -tol * (1.0 + np.linalg.norm(s))):
         return ray
     return None

@@ -84,16 +84,17 @@ def test_solver_certificate_only_when_optimal():
     assert [sol.status for sol in sols] == ["infeasible", "unbounded", "max-iter"]
     for sol in sols:
         assert sol.y is None and sol.z_mat is None
-    # From X = I / sqrt(3), Z = 3 (1 + sqrt(3)) I and y = 0 every iterate
-    # is a multiple of I.  The start's Z = S - 0 B = I is PSD, so y = 0 is
-    # the first dual bound.  The step meets tr X = 1 exactly (X = I / 3,
-    # objective 1), and its dual step is full: with r = 1 / sqrt(3),
-    # Mehrotra's sigma = (r (1 - r))^3 and Z = z I for
-    # z = 3 (1 + sqrt(3)) (sigma + (1 - r)^2) = 1.58, so y = 1 - z < 0 and
-    # the bound stays y = 0.  The measured gap is
-    # max(|1 - 0|, <I / 3, I>) = 1.
+    # The solve runs on the row B / |B| = I / sqrt(3), so its iterate
+    # |B| X starts at I / sqrt(3): X = I / 3 is feasible with objective 1,
+    # Z = 3 (1 + sqrt(3)) I and y = 0, and the recomputed Z = S = I is PSD,
+    # so y = 0 is the first dual bound, at measured gap max(|1 - 0|,
+    # <I / 3, I>) = 1.  Every iterate is a multiple of I.  X is feasible
+    # and a multiple dX of I has <B, dX> = 0 only at dX = 0, so predictor
+    # and corrector both give dX = 0, dZ = -Z, whose largest dual step is 1;
+    # the step is 0.95, so y = 0.95 and the recomputed Z = 0.05 I is PSD.
+    # The measured gap is max(|1 - 0.95|, <I / 3, 0.05 I>) = 0.05.
     assert sols[2].iterations == 1
-    assert abs(sols[2].duality_gap - 1.0) < 1e-9
+    assert abs(sols[2].duality_gap - 0.05) < 1e-9
 
 
 def test_solver_matches_eigenvalue():
@@ -317,6 +318,35 @@ def test_solver_rays_pass_independent_checks():
     assert sol.status == "unbounded"
     assert_recession_ray(p, sol.ray)
     assert solve_relaxation(QcqpProblem(s3, np.eye(3), [])).ray is None
+
+
+def test_solver_recession_direction_without_feasible_point():
+    # no PSD X has <diag(-1, 0), X> = 1, although e1 e1^T is a PSD
+    # direction with <B, D> = 0 and <S, D> = -1: infeasible, not unbounded
+    p = QcqpProblem(np.diag([0.0, -1.0]), np.diag([-1.0, 0.0]), [])
+    sol = solve_relaxation(p)
+    assert sol.status == "infeasible"
+    assert_infeasibility_ray(p, sol.ray)
+
+
+@pytest.mark.parametrize("c", [1e-9, 1e-3, 1.0, 1e3])
+def test_solver_statuses_invariant_under_scaling_b(c):
+    # min tr X s.t. c tr X = 1 is 1 / c; -c I admits no feasible X; with
+    # B = c e0 e0^T the cost diag(0, -1) falls without bound along e1 e1^T
+    n = 3
+    sol = solve_relaxation(QcqpProblem(np.eye(n), c * np.eye(n), []))
+    assert sol.status == "optimal"
+    assert abs(sol.objective - 1.0 / c) <= 1e-8 * (1.0 + 1.0 / c)
+    p = QcqpProblem(np.eye(n), -c * np.eye(n), [])
+    sol = solve_relaxation(p)
+    assert sol.status == "infeasible"
+    assert_infeasibility_ray(p, sol.ray)
+    b = np.zeros((2, 2))
+    b[0, 0] = c
+    p = QcqpProblem(np.diag([0.0, -1.0]), b, [])
+    sol = solve_relaxation(p)
+    assert sol.status == "unbounded"
+    assert_recession_ray(p, sol.ray)
 
 
 @pytest.mark.parametrize("seed", range(12))
