@@ -2,9 +2,11 @@
 
 Subcommands: build, analyze, decompose, iso, classify, qcqp, complete,
 pencil.  All inputs and outputs are JSON; ``-`` reads stdin / writes
-stdout.  Exit codes: 0 success, 1 domain errors (infeasible completion,
-non-chordal graph, ...), 2 I/O or parse errors.  Randomized routines
-consume ``--seed`` so identical inputs give byte-identical reports.
+stdout.  Reports are compact, one-line JSON (``python -m json.tool``
+pretty-prints them).  Exit codes: 0 success, 1 domain errors (infeasible
+completion, non-chordal graph, ...), 2 I/O or parse errors.  Randomized
+routines consume ``--seed`` so identical inputs give byte-identical
+reports.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ def _read_json(path: str):
 
 
 def _write_json(data, path: str | None):
-    text = json.dumps(data, indent=2, allow_nan=True)
+    text = json.dumps(data, allow_nan=True)
     if path is None or path == "-":
         sys.stdout.write(text + "\n")
     else:
@@ -53,7 +55,7 @@ def _cmd_analyze(args) -> int:
     if len(cone.generators) > 0:
         report["degree"] = cone_model.degree(cone, args.tol)
         report["certificate_complete"] = cone_model.certificate_complete(cone)
-        if cone_model.is_nondegenerate(cone, args.tol):
+        if report["degree"] == cone.n:
             parts = cone_model.simplicity_partition(cone, args.tol)
             report["simple"] = len(parts) == 1
             report["factor_dims"] = [h.dim for h in parts]

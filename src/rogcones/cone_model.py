@@ -95,24 +95,22 @@ def make_cone(n: int, span_mats, generators, expr: Optional[ConeExpr] = None,
 
 
 def _normalize_generators(generators, n: int, complex_field: bool) -> np.ndarray:
-    dtype = complex if complex_field else float
-    vecs = []
-    for x in generators:
-        x = np.asarray(x, dtype=dtype).reshape(n)
-        nrm = np.linalg.norm(x)
-        if nrm < 1e-14:
-            continue
-        x = x / nrm
-        # canonical sign so that certificates are deterministic
-        i = int(np.argmax(np.abs(x)))
-        phase = x[i] / abs(x[i])
-        vecs.append(x / phase)
-    if not vecs:
-        return np.zeros((0, n), dtype=dtype)
+    rays = np.asarray(generators, dtype=complex if complex_field else float)
+    rays = rays.reshape(len(rays), n)
+    if len(rays) == 0:  # span-only cones: skip the fixed cost of the steps below
+        return rays
+    # row by row, these are the bits of np.linalg.norm(x), x / nrm and the
+    # canonical phase x[i] / abs(x[i]): vecdot takes norm's dot products and
+    # hypot the scalar abs (np.abs of a complex array rounds differently)
+    nrm = np.sqrt(np.vecdot(rays.real, rays.real) + np.vecdot(rays.imag, rays.imag))
+    live = ~(nrm < 1e-14)
+    rays = rays[live] / nrm[live, None]
+    # canonical sign so that certificates are deterministic
+    lead = rays[np.arange(len(rays)), np.argmax(np.abs(rays), axis=1)]
+    rays = rays / (lead / np.hypot(lead.real, lead.imag))[:, None]
     # keep the first ray of each near-duplicate group, in input order: a
     # row is dropped when it matches an earlier kept row, so only rows that
     # match some row besides themselves need a look at which were kept
-    rays = np.array(vecs)
     close = np.abs(rays @ rays.conj().T) > RAY_MATCH
     keep = close.sum(axis=1) == 1
     for i in np.flatnonzero(~keep):
@@ -124,8 +122,8 @@ def certificate_complete(cone: SpectrahedralCone) -> bool:
     """True iff the generator outer products span the cone's subspace L."""
     if len(cone.generators) == 0:
         return cone.dim == 0
-    prods = [symlin.outer(x) for x in cone.generators]
-    return symlin.orthonormal_span(prods).shape[0] == cone.dim
+    g = cone.generators
+    return symlin.orthonormal_span(g[:, :, None] * g.conj()[:, None, :]).shape[0] == cone.dim
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +145,7 @@ def interior_element(cone: SpectrahedralCone) -> np.ndarray:
     """Sum of generator outer products; max-rank element for complete certs."""
     if len(cone.generators) == 0:
         raise MissingCertificateError("cone carries no rank-1 certificate")
-    return sum(symlin.outer(x) for x in cone.generators)
+    return cone.generators.T @ cone.generators.conj()
 
 
 def degree(cone: SpectrahedralCone, tol: float = DEFAULT_TOL) -> int:
@@ -210,10 +208,7 @@ def face_span(cone: SpectrahedralCone, h: np.ndarray) -> np.ndarray:
     if h.shape[1] == 0:
         return np.zeros((0, cone.n, cone.n), dtype=cone.span_basis.dtype)
     p = h @ h.conj().T
-    rows = []
-    for s in cone.span_basis:
-        rows.append(symlin.vec(s - p @ s @ p))
-    null = symlin.nullspace(np.array(rows).T)
+    null = symlin.nullspace(symlin._vec_stack(cone.span_basis - p @ cone.span_basis @ p).T)
     if null.shape[1] == 0:
         return np.zeros((0, cone.n, cone.n), dtype=cone.span_basis.dtype)
     mats = [symlin.span_from_coords(cone.span_basis, null[:, j])
@@ -261,11 +256,13 @@ def simplicity_partition(cone: SpectrahedralCone, tol: float = DEFAULT_TOL
                          ) -> list[FaceHandle]:
     """Coarsest decomposition R^n = ⊕ H_k with every generator inside one H_k.
 
-    Union-find over the generators: a generator that is linearly dependent
-    on others gets merged with the groups carrying its (unique) supporting
-    representation.  With a complete certificate the resulting factors are
-    exactly the simple direct summands; the list is a singleton iff the
-    cone is simple.
+    One sweep over the generators in order keeps the first and each one
+    that lies more than 100 tol off the span of those kept before it
+    (Gram–Schmidt with one re-orthogonalisation).  Every other generator
+    is merged, by union-find, with the groups of the kept generators that
+    carry its (unique) representation on the prefix kept before it.  With
+    a complete certificate the resulting factors are exactly the simple
+    direct summands; the list is a singleton iff the cone is simple.
     """
     if len(cone.generators) == 0:
         raise MissingCertificateError("simplicity needs a rank-1 certificate")
@@ -282,31 +279,31 @@ def simplicity_partition(cone: SpectrahedralCone, tol: float = DEFAULT_TOL
             i = parent[i]
         return i
 
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-            return True
-        return False
-
-    changed = True
-    while changed:
-        changed = False
-        indep: list[int] = []
-        for j in range(m):
-            if not indep:
-                indep.append(j)
-                continue
-            a_mat = gens[indep].T
-            coef, res, rank, sv = np.linalg.lstsq(a_mat, gens[j], rcond=None)
-            resid = np.linalg.norm(a_mat @ coef - gens[j])
-            if resid > 100 * tol:
-                indep.append(j)
-                continue
-            cut = symlin.cut(coef, 100 * tol)
-            for k, c in zip(indep, coef):
-                if abs(c) > cut:
-                    changed |= union(j, k)
+    q = np.zeros((cone.n, m), dtype=gens.dtype)  # orthonormal basis of the kept
+    kept, dep, prefix = [], [], []  # prefix[i]: how many were kept before dep[i]
+    for j, g in enumerate(gens):
+        qk = q[:, :len(kept)]
+        res = g - qk @ (qk.conj().T @ g)
+        res -= qk @ (qk.conj().T @ res)
+        nrm = np.linalg.norm(res)
+        if nrm > 100 * tol or not kept:
+            q[:, len(kept)] = res / nrm
+            kept.append(j)
+        else:
+            dep.append(j)
+            prefix.append(len(kept))
+    if dep:
+        qk = q[:, :len(kept)]
+        r_mat = qk.conj().T @ gens[kept].T
+        rhs = qk.conj().T @ gens[dep].T
+        rhs[np.arange(len(kept))[:, None] >= np.array(prefix)] = 0.0
+        # R is upper triangular with a nonzero diagonal, so LU takes no row
+        # swaps and the solve is one back substitution
+        coef = np.linalg.solve(np.triu(r_mat), rhs)
+        kept_idx = np.array(kept)
+        for j, c in zip(dep, coef.T):
+            for k in kept_idx[np.abs(c) > symlin.cut(c, 100 * tol)]:
+                parent[find(k)] = find(j)
     groups: dict[int, list[int]] = {}
     for i in range(m):
         groups.setdefault(find(i), []).append(i)
@@ -358,13 +355,10 @@ def has_tangent(cone: SpectrahedralCone, x: np.ndarray) -> bool:
 def tangent_space(cone: SpectrahedralCone, x: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of {y : x y^T + y x^T ∈ span K}."""
     x = np.asarray(x, dtype=float).reshape(cone.n)
-    basis = cone.span_basis
-    rows = []
-    eye = np.eye(cone.n)
-    for k in range(cone.n):
-        m = symlin.sym(np.outer(x, eye[k])) * 2.0
-        rows.append(symlin.vec(m - symlin.span_project(basis, m)))
-    return symlin.nullspace(np.array(rows).T)
+    span_rows = symlin._vec_stack(cone.span_basis)
+    mats = symlin.sym(x[None, :, None] * np.eye(cone.n)[:, None, :]) * 2.0
+    rows = symlin._vec_stack(mats.astype(cone.span_basis.dtype))
+    return symlin.nullspace((rows - rows @ span_rows.T @ span_rows).T)
 
 
 # ---------------------------------------------------------------------------

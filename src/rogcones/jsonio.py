@@ -64,12 +64,6 @@ def vector_from_json(vals) -> np.ndarray:
     return x
 
 
-def _utri_flatten(a: np.ndarray, complex_field: bool) -> list:
-    n = a.shape[0]
-    return [_num_to_json(a[i, j], complex_field)
-            for i in range(n) for j in range(i, n)]
-
-
 def _utri_unflatten(vals, n: int) -> np.ndarray:
     nums = [_num_from_json(v) for v in vals]
     cf = any(isinstance(v, complex) for v in nums)
@@ -107,11 +101,19 @@ def _params_to_json(params: dict) -> dict:
     return out
 
 
+def _stack_to_json(a: np.ndarray, complex_field: bool) -> list:
+    """Nested lists of floats, or of [re, im] pairs when complex_field."""
+    if complex_field:
+        return np.stack([a.real, a.imag], -1).tolist()
+    return a.tolist()
+
+
 def cone_to_json(cone: SpectrahedralCone) -> dict:
+    iu, ju = np.triu_indices(cone.n)
     out = {
         "n": cone.n,
-        "span_basis": [_utri_flatten(s, cone.complex_field) for s in cone.span_basis],
-        "generators": [vector_to_json(x) for x in cone.generators],
+        "span_basis": _stack_to_json(cone.span_basis[:, iu, ju], cone.complex_field),
+        "generators": _stack_to_json(cone.generators, np.iscomplexobj(cone.generators)),
     }
     if cone.complex_field:
         out["complex"] = True

@@ -38,6 +38,14 @@ def test_cli_build(tmp_path):
     assert len(report["span_basis"]) == cone.dim == 6
     assert report["expr"]["kind"] == "direct_sum"
     assert report == jsonio.cone_to_json(cone)
+    # a complex cone; the file holds one line of compact JSON
+    cone = rc.direct_sum(rc.block_toeplitz_cone(2, 1), rc.block_toeplitz_cone(2, 2))
+    expr = _write(tmp_path, "expr.json", jsonio.expr_to_json(cone.expr))
+    code, report = _run(tmp_path, "build", "--expr", expr)
+    assert code == 0
+    assert report["complex"] is True
+    assert report == jsonio.cone_to_json(cone)
+    assert (tmp_path / "report.json").read_text().count("\n") == 1
 
 
 def test_cli_analyze(tmp_path):

@@ -1,9 +1,11 @@
 """Invariants of span assembly and of the JSON rebuild.
 
 ``make_cone`` dedupes rays with one Gram matrix, ``orthonormal_span`` runs
-its SVD on the nonzero support only, and leaf kinds (chordal, tridiagonal)
-are built from their parameters alone, with no gluing tree: these tests pin
-each shortcut to the result of the direct computation it replaces.
+its SVD on the nonzero support only, leaf kinds (chordal, tridiagonal)
+are built from their parameters alone, with no gluing tree,
+``cone_to_json`` flattens a whole span stack with one gather and
+``simplicity_partition`` sweeps the generators once: these tests pin each
+shortcut to the result of the direct computation it replaces.
 """
 
 import importlib
@@ -236,6 +238,126 @@ def test_no_children_under_leaf_kinds_in_nested_json():
     data = jsonio.cone_to_json(moved)
     assert _leaf_nodes_with_children(data["expr"]) == []
     assert jsonio.cone_to_json(jsonio.cone_from_json(data)) == data
+
+
+# ---------------------------------------------------------------------------
+# cone JSON flatten
+
+
+def _per_entry_cone_json(cone):
+    """The span and generator lists that one ``_num_to_json`` per entry gives."""
+    n = cone.n
+    span = [[jsonio._num_to_json(s[i, j], cone.complex_field)
+             for i in range(n) for j in range(i, n)] for s in cone.span_basis]
+    gens = [[jsonio._num_to_json(v, np.iscomplexobj(x)) for v in x]
+            for x in cone.generators]
+    return span, gens
+
+
+def test_cone_json_flatten_matches_per_entry_loop():
+    cones = (rc.direct_sum(rc.hankel_cone(3), rc.full_psd_cone(2)),
+             rc.block_toeplitz_cone(3, 2),
+             rc.direct_sum(rc.block_toeplitz_cone(2, 1), rc.block_toeplitz_cone(3, 1)))
+    for cone in cones:
+        data = jsonio.cone_to_json(cone)
+        span, gens = _per_entry_cone_json(cone)
+        # float repr round-trips, so equal text means equal bits (and -0.0 shows)
+        assert json.dumps(data["span_basis"]) == json.dumps(span)
+        assert json.dumps(data["generators"]) == json.dumps(gens)
+    assert [c.complex_field for c in cones] == [False, True, True]
+
+
+# ---------------------------------------------------------------------------
+# simplicity partition
+
+
+def _two_sweep_partition(gens, tol=1e-8):
+    """The least-squares loop the one-sweep partition replaces: groups of
+    generator indices, swept until a sweep merges nothing."""
+    m = len(gens)
+    parent = list(range(m))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    changed = True
+    while changed:
+        changed = False
+        indep = []
+        for j in range(m):
+            if not indep:
+                indep.append(j)
+                continue
+            a_mat = gens[indep].T
+            coef = np.linalg.lstsq(a_mat, gens[j], rcond=None)[0]
+            if np.linalg.norm(a_mat @ coef - gens[j]) > 100 * tol:
+                indep.append(j)
+                continue
+            cut = symlin.cut(coef, 100 * tol)
+            for k, c in zip(indep, coef):
+                ri, rk = find(j), find(k)
+                if abs(c) > cut and ri != rk:
+                    parent[rk] = ri
+                    changed = True
+    groups = {}
+    for i in range(m):
+        groups.setdefault(find(i), []).append(i)
+    return sorted(groups.values())
+
+
+def _block_generators(rng, blocks, complex_field, extra):
+    """Generators of a direct sum of random subspaces of the given sizes:
+    a spanning set of each, then dependent, scaled and near-duplicate
+    generators, each inside one block, in random order."""
+    n = sum(blocks)
+    shape = (n, n)
+    u = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if complex_field else 0)
+    u = np.linalg.qr(u)[0]
+    starts = np.cumsum((0,) + blocks)
+
+    def draw(b, k=1):
+        cols = u[:, starts[b]:starts[b + 1]]
+        c = rng.standard_normal((cols.shape[1], k))
+        if complex_field:
+            c = c + 1j * rng.standard_normal(c.shape)
+        return [(b, x) for x in (cols @ c).T]
+
+    gens = [g for b, size in enumerate(blocks) for g in draw(b, size)]
+    for _ in range(extra):
+        kind = rng.integers(4)
+        b, x = gens[rng.integers(len(gens))]
+        if kind == 0:      # combination of the generators of one block
+            gens.extend(draw(b))
+        elif kind == 1:    # scaled (or phase) multiple, dropped by the dedupe
+            gens.append((b, rng.uniform(0.1, 10.0) * (1j if complex_field else -1.0) * x))
+        elif kind == 2:    # near-duplicate outside the dedupe threshold
+            gens.append((b, x + 1e-3 * np.linalg.norm(x) * draw(b)[0][1]))
+        else:              # near-duplicate inside it
+            gens.append((b, x + 1e-10 * np.linalg.norm(x) * draw(b)[0][1]))
+    return [gens[i][1] for i in rng.permutation(len(gens))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       blocks=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+       extra=st.integers(0, 12), complex_field=st.booleans())
+def test_one_sweep_partition_matches_two_sweep_loop(seed, blocks, extra, complex_field):
+    rng = np.random.default_rng(seed)
+    gens = _block_generators(rng, tuple(blocks), complex_field, extra)
+    n = sum(blocks)
+    cone = rc.make_cone(n, [symlin.outer(g) for g in gens], gens,
+                        complex_field=complex_field, check=False)
+    want = _two_sweep_partition(cone.generators)
+    parts = cone_model.simplicity_partition(cone)
+    got = sorted([i for i, x in enumerate(cone.generators)
+                  if np.linalg.norm(h.image_basis.conj().T @ x) > 1 - 1e-8]
+                 for h in parts)
+    assert got == want
+    assert sorted(h.dim for h in parts) == sorted(
+        symlin.subspace_of_vectors(cone.generators[idx]).shape[1] for idx in want)
 
 
 # ---------------------------------------------------------------------------
