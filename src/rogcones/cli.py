@@ -6,7 +6,9 @@ stdout.  Reports are compact, one-line JSON (``python -m json.tool``
 pretty-prints them).  Exit codes: 0 success, 1 domain errors (infeasible
 completion, non-chordal graph, ...), 2 I/O or parse errors.  Randomized
 routines consume ``--seed`` so identical inputs give byte-identical
-reports.
+reports.  The import path of ``rog`` loads numpy and nothing heavier;
+``scipy.linalg`` loads on first use, by the block-Toeplitz decomposition
+and by ``pencil``.
 """
 
 from __future__ import annotations

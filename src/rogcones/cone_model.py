@@ -259,10 +259,12 @@ def simplicity_partition(cone: SpectrahedralCone, tol: float = DEFAULT_TOL
     One sweep over the generators in order keeps the first and each one
     that lies more than 100 tol off the span of those kept before it
     (Gram–Schmidt with one re-orthogonalisation).  Every other generator
-    is merged, by union-find, with the groups of the kept generators that
-    carry its (unique) representation on the prefix kept before it.  With
-    a complete certificate the resulting factors are exactly the simple
-    direct summands; the list is a singleton iff the cone is simple.
+    is merged, by union-find, with the groups of the kept generators whose
+    coefficients in its (unique) representation on the prefix kept before
+    it exceed 100 tol in modulus (an absolute cut: generators are unit
+    vectors).  With a complete certificate the resulting factors are
+    exactly the simple direct summands; the list is a singleton iff the
+    cone is simple.
     """
     if len(cone.generators) == 0:
         raise MissingCertificateError("simplicity needs a rank-1 certificate")
@@ -302,7 +304,7 @@ def simplicity_partition(cone: SpectrahedralCone, tol: float = DEFAULT_TOL
         coef = np.linalg.solve(np.triu(r_mat), rhs)
         kept_idx = np.array(kept)
         for j, c in zip(dep, coef.T):
-            for k in kept_idx[np.abs(c) > symlin.cut(c, 100 * tol)]:
+            for k in kept_idx[np.abs(c) > 100 * tol]:
                 parent[find(k)] = find(j)
     groups: dict[int, list[int]] = {}
     for i in range(m):

@@ -24,7 +24,6 @@ from functools import partial
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from . import constructions, symlin
 from .cone_model import SpectrahedralCone, membership
@@ -512,6 +511,7 @@ def decompose_block_toeplitz(t_mat: np.ndarray, n: int, m: int = 1,
     if shift_err > 1e-6 * (1.0 + np.linalg.norm(w_lo)):
         raise NumericalError(
             f"unitary shift recovery failed (residual {shift_err:.2e})")
+    import scipy.linalg  # local: keeps scipy.linalg off the start-up path of `rog`
     tri, v = scipy.linalg.schur(u, output="complex")
     w_rot = w_full @ v
     return _as_decomposition(np.ones(w_rot.shape[1]), list(w_rot.T), t_mat)

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from . import symlin
 from .cone_model import (FaceHandle, SpectrahedralCone, degree, face_of,
@@ -108,6 +107,7 @@ def pencil_decompose(pencil: Pencil, tol: float = DEFAULT_TOL,
         raise NumericalError("pencil has no invertible combination off its kernel")
     phi2 = rng.uniform(0, np.pi)
     b_mat = np.cos(phi2) * q1c + np.sin(phi2) * q2c
+    import scipy.linalg  # local: keeps scipy.linalg off the start-up path of `rog`
     vals = scipy.linalg.eigvals(b_mat, a_mat)
     if np.abs(vals.imag).max(initial=0.0) > 1e-6 * (1.0 + np.abs(vals.real).max(initial=0.0)):
         raise NumericalError("pencil eigenvalues are not all real")

@@ -46,7 +46,10 @@ def sym_matrix(entries) -> np.ndarray:
     a = np.asarray(entries, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidInputError(f"expected a square matrix, got shape {a.shape}")
-    if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * (1.0 + np.abs(a).max(initial=0.0))):
+    scale = np.abs(a).max(initial=0.0)
+    if not np.isfinite(scale):
+        raise InvalidInputError("matrix has non-finite entries")
+    if np.abs(a - a.T).max(initial=0.0) > 1e-12 * (1.0 + scale):
         raise InvalidInputError("matrix is not symmetric")
     out = np.triu(a)
     return out + np.triu(out, 1).T
@@ -57,7 +60,10 @@ def herm_matrix(entries) -> np.ndarray:
     a = np.asarray(entries, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidInputError(f"expected a square matrix, got shape {a.shape}")
-    if not np.allclose(a, a.conj().T, rtol=0.0, atol=1e-12 * (1.0 + np.abs(a).max(initial=0.0))):
+    scale = np.abs(a).max(initial=0.0)
+    if not np.isfinite(scale):
+        raise InvalidInputError("matrix has non-finite entries")
+    if np.abs(a - a.conj().T).max(initial=0.0) > 1e-12 * (1.0 + scale):
         raise InvalidInputError("matrix is not Hermitian")
     return 0.5 * (a + a.conj().T)
 

@@ -126,6 +126,23 @@ def test_simplicity_partition_block():
     assert dims == [1, 2]
 
 
+def test_simplicity_partition_absolute_coefficient_cut():
+    # the last generator carries 5.9e-4 of e5; its coefficients on the kept
+    # generators reach about 1e3, so a cut relative to the largest one
+    # (about 1e-3) dropped e5 from its group and left the factors spanning
+    # more than R^6
+    e = np.eye(6)
+
+    def unit(v):
+        return v / np.linalg.norm(v)
+
+    gens = [e[0], unit(e[0] + 1e-3 * e[1]), e[5], e[2], e[3], e[4],
+            unit(e[1] + 5.9e-4 * e[5])]
+    k = rc.make_cone(6, symlin.sym_basis(6), gens, expr=None, check=False)
+    dims = [h.dim for h in rc.simplicity_partition(k)]
+    assert dims == [3, 1, 1, 1]
+
+
 def test_simplicity_tridiag_simple():
     assert len(rc.simplicity_partition(rc.tridiagonal_cone(4))) == 1
 

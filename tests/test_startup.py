@@ -1,0 +1,118 @@
+"""Cold start of ``rog``: what a fresh interpreter loads, and the exit
+codes of ``python -m rogcones.cli``.
+
+Every check runs in a new interpreter (``subprocess.run`` with a timeout),
+since the modules an import pulls in only show in a process that has not
+loaded them yet.  ``import rogcones`` and the ``build``, ``analyze`` and
+``qcqp`` subcommands must not load ``scipy.linalg``; it loads on first use
+by the block-Toeplitz decomposition and ``pencil_decompose``.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import numpy as np
+
+import rogcones as rc
+from rogcones import jsonio
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(rc.__file__)))
+HEAVY = ("scipy.linalg", "networkx", "sympy", "hypothesis")
+
+CHILD = """
+import json, sys
+import numpy as np
+import rogcones as rc
+from rogcones import cli
+
+HEAVY = {heavy!r}
+
+def loaded():
+    return sorted(m for m in sys.modules
+                  if any(m == h or m.startswith(h + ".") for h in HEAVY))
+
+report = {{"after_import": loaded()}}
+report["codes"] = [
+    cli.run(["build", "--expr", {expr!r}, "--out", {cone!r}]),
+    cli.run(["analyze", {cone!r}, "--out", {analysis!r}]),
+    cli.run(["qcqp", {problem!r}, "--gap-samples", "10", "--out", {solution!r}]),
+]
+report["after_cli"] = loaded()
+
+# a rank-2 member of the 3 x 3 Toeplitz cone: w w^* with w = (1, q, q^2)
+t_mat = sum(np.outer(w, w.conj()) for w in
+            (q ** np.arange(3) for q in (np.exp(0.4j), np.exp(2.1j))))
+dec = rc.decompose(rc.block_toeplitz_cone(3, 1), t_mat)
+report["toeplitz_atoms"] = len(dec.atoms)
+report["toeplitz_residual"] = dec.residual
+pen = rc.pencil_decompose(rc.Pencil(np.diag([1.0, 0.0, 2.0]), np.diag([0.0, 1.0, 1.0])))
+report["pencil_blocks"] = len(pen.blocks)
+report["scipy_linalg_loaded"] = "scipy.linalg" in sys.modules
+print(json.dumps(report))
+"""
+
+
+def _env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return env
+
+
+def _python(*args, cwd):
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=_env(),
+                          capture_output=True, text=True, timeout=120)
+
+
+def _write(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _problem(tmp_path, name, s_mat):
+    return _write(tmp_path, name, {"S": s_mat, "B": np.eye(2).tolist(), "A": []})
+
+
+def test_cold_start_keeps_heavy_modules_off_the_cli_path(tmp_path):
+    cone = rc.direct_sum(rc.hankel_cone(3), rc.diagonal_cone(1))
+    script = CHILD.format(
+        heavy=HEAVY,
+        expr=_write(tmp_path, "expr.json", jsonio.expr_to_json(cone.expr)),
+        cone=str(tmp_path / "cone.json"),
+        analysis=str(tmp_path / "analysis.json"),
+        problem=_problem(tmp_path, "p.json", np.diag([1.0, 2.0]).tolist()),
+        solution=str(tmp_path / "solution.json"))
+    proc = _python("-c", script, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["after_import"] == []
+    assert report["codes"] == [0, 0, 0]
+    assert report["after_cli"] == []
+    assert json.loads((tmp_path / "analysis.json").read_text())["degree"] == 4
+    assert json.loads((tmp_path / "solution.json").read_text())["status"] \
+        == "exact-with-solution"
+    # the two routines that need scipy.linalg load it themselves
+    assert report["toeplitz_atoms"] == 2
+    assert report["toeplitz_residual"] < 1e-10
+    assert report["pencil_blocks"] == 3  # angles 0, pi/2 and atan(1/2)
+    assert report["scipy_linalg_loaded"] is True
+
+
+def test_module_main_exit_codes(tmp_path):
+    good = _problem(tmp_path, "good.json", [[1.0, 0.3], [0.3, 2.0]])
+    proc = _python("-m", "rogcones.cli", "qcqp", good, "--gap-samples", "10", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["status"] == "exact-with-solution"
+    # json reads Infinity; the matrix check rejects it before any solve
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"S": [[1, 0], [0, Infinity]], "B": [[1, 0], [0, 1]]}')
+    proc = _python("-m", "rogcones.cli", "qcqp", str(bad), cwd=tmp_path)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: matrix has non-finite entries\n"
+    proc = _python("-m", "rogcones.cli", "qcqp", str(tmp_path / "missing.json"),
+                   cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")

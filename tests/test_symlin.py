@@ -127,6 +127,28 @@ def test_sym_matrix_validation():
     assert (a == a.T).all()
 
 
+@pytest.mark.parametrize("make", [symlin.sym_matrix, symlin.herm_matrix])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_matrix_validation_rejects_non_finite(make, bad):
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        make([[1.0, 0.0], [0.0, bad]])
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        make([[1.0, bad], [0.0, 1.0]])
+
+
+def test_matrix_validation_symmetry_threshold():
+    # asymmetry up to 1e-12 (1 + max|a|) is accepted and symmetrized away
+    a = symlin.sym_matrix([[2.0, 1.0], [1.0 + 2e-12, 0.0]])
+    assert (a == a.T).all()
+    with pytest.raises(InvalidInputError, match="not symmetric"):
+        symlin.sym_matrix([[2.0, 1.0], [1.0 + 4e-12, 0.0]])
+    h = symlin.herm_matrix([[2.0, 1j], [-1j + 2e-12, 0.0]])
+    assert (h == h.conj().T).all()
+    with pytest.raises(InvalidInputError, match="not Hermitian"):
+        symlin.herm_matrix([[2.0, 1j], [1j, 0.0]])
+    assert symlin.sym_matrix(np.zeros((0, 0))).shape == (0, 0)
+
+
 def test_complex_hermitian_path():
     a = np.array([[2.0, 1j], [-1j, 2.0]])
     dec = symlin.eig_sym(a)
