@@ -11,10 +11,9 @@ for SDP relaxations of homogeneous QCQPs.
 
 from .cone_model import (ConeExpr, FaceHandle, MldSet, SpectrahedralCone,
                          apply_congruence, certificate_complete, degree,
-                         diagonalizing_basis, dimension, face_of,
-                         find_mld_sets, has_tangent, interior_element,
-                         is_nondegenerate, isolated_rays, make_cone,
-                         membership, reduce_nondegenerate,
+                         dimension, find_mld_sets, has_tangent,
+                         interior_element, is_nondegenerate, isolated_rays,
+                         make_cone, membership, reduce_nondegenerate,
                          simplicity_partition)
 from .constructions import (ChordalGraph, GlueSpec, block_toeplitz_cone,
                             build, chordal_cone, codim1_cone,
@@ -25,8 +24,8 @@ from .constructions import (ChordalGraph, GlueSpec, block_toeplitz_cone,
 from .decompose import (Decomposition, RankOneAtom, carath_decompose,
                         decompose, decompose_block_toeplitz,
                         decompose_full_extension, decompose_hankel,
-                        decompose_intertwining, extreme_ray_oracle,
-                        random_extreme_ray)
+                        decompose_intertwining, diagonalizing_basis,
+                        extreme_ray_oracle, face_of, random_extreme_ray)
 from .errors import (InvalidInputError, MissingCertificateError,
                      NumericalError, OracleUnavailableError)
 from .isomorph import (IsoOutcome, IsoWitness, PartialMatrix,

@@ -3,9 +3,11 @@
 A cone is stored as an orthonormal basis of its span L together with a
 list of unit vectors x whose outer products lie in L (the rank-1
 certificate).  The structural analyses live here: degree and dimension,
-reduction to a non-degenerate representation, faces, the direct-sum
-(simplicity) factorization, isolated extreme rays, minimally linearly
-dependent generator sets, and diagonalizing bases.
+reduction to a non-degenerate representation, the spans of faces, the
+direct-sum (simplicity) factorization, isolated extreme rays and
+minimally linearly dependent generator sets.  What needs the rank-1 rule
+of a cone's kind (face certificates, diagonalizing bases) lives in
+:mod:`rogcones.decompose`.
 """
 
 from __future__ import annotations
@@ -216,38 +218,6 @@ def face_span(cone: SpectrahedralCone, h: np.ndarray) -> np.ndarray:
     return symlin.orthonormal_span(mats)
 
 
-def face_of(cone: SpectrahedralCone, handle: FaceHandle,
-            tol: float = DEFAULT_TOL) -> SpectrahedralCone:
-    """The face K ∩ L_n(H): intersect the span, keep generators inside H."""
-    h = np.asarray(handle.image_basis, dtype=cone.span_basis.dtype)
-    basis = face_span(cone, h)
-    p = h @ h.conj().T
-    gens = [x for x in cone.generators
-            if np.linalg.norm(x - p @ x) <= 10 * tol * np.linalg.norm(x)]
-    gens.extend(_enrich_face_generators(cone, h, basis, gens))
-    if basis.shape[0] == 0:
-        return SpectrahedralCone(n=cone.n, span_basis=basis,
-                                 generators=np.zeros((0, cone.n), dtype=cone.generators.dtype),
-                                 expr=None, complex_field=cone.complex_field)
-    return make_cone(cone.n, basis, gens, expr=None,
-                     complex_field=cone.complex_field, check=False)
-
-
-def _enrich_face_generators(cone, h, face_basis, found):
-    """Top up a face certificate using the cone's rank-1 structure.
-
-    Delegates to ``decompose.rays_spanning_face`` (the face rule of the
-    cone's kind); returns an empty list when no rule applies.
-    """
-    if face_basis.shape[0] == 0:
-        return []
-    have = symlin.orthonormal_span([symlin.outer(x) for x in found]).shape[0] if found else 0
-    if have >= face_basis.shape[0]:
-        return []
-    from .decompose import rays_spanning_face
-    return rays_spanning_face(cone, h)
-
-
 # ---------------------------------------------------------------------------
 # simplicity / direct-sum factorization
 
@@ -356,6 +326,8 @@ def has_tangent(cone: SpectrahedralCone, x: np.ndarray) -> bool:
 
 def tangent_space(cone: SpectrahedralCone, x: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of {y : x y^T + y x^T ∈ span K}."""
+    if cone.complex_field:
+        raise InvalidInputError("tangent spaces are implemented over the reals")
     x = np.asarray(x, dtype=float).reshape(cone.n)
     span_rows = symlin._vec_stack(cone.span_basis)
     mats = symlin.sym(x[None, :, None] * np.eye(cone.n)[:, None, :]) * 2.0
@@ -392,32 +364,6 @@ def find_mld_sets(cone: SpectrahedralCone, max_size: int = 6,
 
 
 # ---------------------------------------------------------------------------
-# diagonalization
-
-
-def diagonalizing_basis(cone: SpectrahedralCone, x_mat: np.ndarray,
-                        tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Basis of R^n (columns) in which X reads diag(1,..,1,0,..,0).
-
-    The leading k columns b_i carry rank-1 elements b_i b_i^T of K, so all
-    diag(d_1..d_k, 0..0) with d_i >= 0 stay inside the cone in these
-    coordinates.  Built from the rank-1 decomposition of X.
-    """
-    from .decompose import decompose as _decompose
-    result = _decompose(cone, x_mat, tol=tol)
-    cols = [atom.vector * np.sqrt(atom.weight) for atom in result.atoms]
-    k = len(cols)
-    if k < cone.n:
-        partial = symlin.subspace_of_vectors(cols) if cols else np.zeros((cone.n, 0))
-        comp = symlin.complement_basis(partial, cone.n)
-        cols.extend(comp.T)
-    basis = np.array(cols).T
-    if abs(np.linalg.det(basis)) < 1e-12:
-        raise InvalidInputError("decomposition vectors do not extend to a basis")
-    return basis
-
-
-# ---------------------------------------------------------------------------
 # congruence transforms
 
 
@@ -425,10 +371,13 @@ def apply_congruence(cone: SpectrahedralCone, a: np.ndarray,
                      keep_expr: bool = True) -> SpectrahedralCone:
     """Image cone { A X A^T : X in K } for invertible A."""
     a = np.asarray(a, dtype=cone.span_basis.dtype)
-    if abs(np.linalg.det(a)) < 1e-12:
+    if not symlin.invertible(a):
         raise InvalidInputError("congruence matrix must be invertible")
-    span = a @ cone.span_basis @ a.conj().T
-    gens = [a @ x for x in cone.generators]
+    # all positive multiples of a give one image; scaling by a power of two is
+    # exact and keeps a small a clear of the absolute floors of make_cone
+    scaled = a * 2.0 ** -np.frexp(np.abs(a).max())[1]
+    span = scaled @ cone.span_basis @ scaled.conj().T
+    gens = [scaled @ x for x in cone.generators]
     expr = None
     if keep_expr:
         expr = ConeExpr("transform", params={"matrix": _tolist(a)},

@@ -12,9 +12,12 @@ equals the matrix rank:
 * a shift-invariance (Prony-type) node solver for block-Hankel matrices,
 * a unitary spectral factorization for complex block-Toeplitz matrices.
 
-What the engines know about each cone kind (its route, its extreme-ray
-rule, its face rays and its sampler) is one :class:`Family` record in
-``_FAMILIES`` at the end of this module.
+What the engines know about each cone kind (its route, its rank-1 rule
+and its sampler) is one :class:`Family` record in ``_FAMILIES`` at the
+end of this module.  The rank-1 rule lists vectors x in a subspace H
+with x x^T in the span: the peeling loop takes its extreme rays from
+it, and :func:`face_of` the certificates of faces, since every face of
+a rank-one-generated cone is again generated by its rank-1 elements.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ from typing import Callable
 import numpy as np
 
 from . import constructions, symlin
-from .cone_model import SpectrahedralCone, membership
+from .cone_model import (FaceHandle, SpectrahedralCone, face_span, make_cone,
+                         membership)
 from .errors import (InvalidInputError, NumericalError,
                      OracleUnavailableError)
 from .symlin import DEFAULT_TOL
@@ -142,54 +146,162 @@ def carath_decompose(cone: SpectrahedralCone, x_mat: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# extreme-ray oracle
+# rank-1 rules: the extreme-ray oracle and face certificates
 
 
 def extreme_ray_oracle(cone: SpectrahedralCone, h: np.ndarray,
                        x_current: np.ndarray | None = None, attempt: int = 0,
                        tol: float = DEFAULT_TOL) -> np.ndarray | None:
-    """A nonzero x in col(h) with x x^T in the cone's span, or None.
+    """The ``attempt``-th candidate x in col(h) with x x^T in the cone's
+    span, or None when there are no more.
 
-    ``h`` is an orthonormal column basis of the face image.  ``attempt``
-    selects among candidates when several rays are available.  Combinator
-    cones delegate to the compositional decomposition of the current
-    iterate.
+    ``h`` is an orthonormal column basis of the face image.  The
+    candidates are those of :func:`rays_spanning_face`, in the same
+    order, except for the kinds whose one ray is read off the current
+    iterate: the chordal kinds take a pivot column of ``x_current`` and
+    the composite kinds (``full_ext``, ``intertwine``) the atoms of its
+    compositional decomposition.  Without ``x_current`` these have no
+    candidate and the oracle returns None.  OracleUnavailableError: the
+    kind, or a summand or wrapped cone reached first, has no rule.
     """
     if cone.expr is None:
         raise OracleUnavailableError("cone carries no construction expression")
     if h.shape[1] == 0:
         raise InvalidInputError("face is zero")
-    ray = _rule(cone, "ray")
-    if ray is None:
-        raise OracleUnavailableError(
-            f"no extreme-ray rule for cone kind {cone.expr.kind!r}")
-    return ray(cone, h, x_current, attempt, tol)
-
-
-def _pick(cands, attempt):
-    return cands[attempt % len(cands)] if cands else None
-
-
-def _codim1_ray(cone, h, x_current, attempt, tol):
-    q = _data(cone, "Q")
-    u_dirs, v_dirs, ker = symlin.inertia_split(symlin.sym(h.T @ q @ h), tol)
-    npos, nneg = u_dirs.shape[1], v_dirs.shape[1]
-    if npos and nneg:
-        sign = -1.0 if (attempt % 2 == 1 and npos == 1 and nneg == 1) else 1.0
-        return h @ (u_dirs[:, attempt % npos]
-                    + sign * v_dirs[:, (attempt // npos) % nneg])
-    if ker.shape[1]:
-        return h @ ker[:, attempt % ker.shape[1]]
+    for i, x in enumerate(_rays(cone, h, x_current, tol)):
+        if isinstance(x, OracleUnavailableError):
+            raise x
+        if i == attempt:
+            return x
     return None
 
 
-def _cross_ratio_ray(cone, h, x_current, attempt, tol):
-    found = []
-    for plane in _data(cone, "planes"):
+def rays_spanning_face(cone: SpectrahedralCone, h: np.ndarray,
+                       tol: float = DEFAULT_TOL) -> list[np.ndarray]:
+    """Every candidate x in col(h) with x x^T in the cone's span, by the
+    rule of the cone's kind (none for kinds, summands or wrapped cones
+    without one)."""
+    return [x for x in _rays(cone, h, None, tol)
+            if not isinstance(x, OracleUnavailableError)]
+
+
+def _rays(cone, h, x_current, tol):
+    """The candidates of the cone's rule.  A cone without one yields the
+    error that says so: the oracle raises it, the face listing skips it."""
+    rays = _rule(cone, "rays")
+    if rays is not None:
+        return rays(cone, h, x_current, tol)
+    kind = None if cone.expr is None else cone.expr.kind
+    return iter((OracleUnavailableError(f"no extreme-ray rule for cone kind {kind!r}"),))
+
+
+def _child_rays(child, h, x_current, tol, lift):
+    """A summand's or wrapped cone's candidates, mapped into the parent's
+    coordinates by ``lift``; the error of a child without a rule passes."""
+    for x in _rays(child, h, x_current, tol):
+        yield x if isinstance(x, OracleUnavailableError) else lift(x)
+
+
+def face_of(cone: SpectrahedralCone, handle: FaceHandle,
+            tol: float = DEFAULT_TOL) -> SpectrahedralCone:
+    """The face K ∩ L_n(H): intersect the span, keep generators inside H.
+
+    When the kept generators do not span the face, the candidates of
+    :func:`rays_spanning_face` top up the certificate.  On the ranges of
+    members it comes out complete for the kinds ``full_psd``,
+    ``diagonal``, ``codim1`` and ``cross_ratio`` and for congruence
+    transforms of them; on ``hankel``, the chordal kinds and the
+    composite kinds it can fall short of the face.
+    """
+    h = np.asarray(handle.image_basis, dtype=cone.span_basis.dtype)
+    basis = face_span(cone, h)
+    p = h @ h.conj().T
+    gens = [x for x in cone.generators
+            if np.linalg.norm(x - p @ x) <= 10 * tol * np.linalg.norm(x)]
+    if basis.shape[0] == 0:
+        return SpectrahedralCone(n=cone.n, span_basis=basis,
+                                 generators=np.zeros((0, cone.n), dtype=cone.generators.dtype),
+                                 expr=None, complex_field=cone.complex_field)
+    have = symlin.orthonormal_span([symlin.outer(x) for x in gens]).shape[0] if gens else 0
+    if have < basis.shape[0]:
+        gens.extend(rays_spanning_face(cone, h, tol))
+    return make_cone(cone.n, basis, gens, expr=None,
+                     complex_field=cone.complex_field, check=False)
+
+
+def diagonalizing_basis(cone: SpectrahedralCone, x_mat: np.ndarray,
+                        tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Basis of R^n or C^n (columns) in which X reads diag(1,..,1,0,..,0).
+
+    The leading k columns b_i carry rank-1 elements b_i b_i^T of K, so all
+    diag(d_1..d_k, 0..0) with d_i >= 0 stay inside the cone in these
+    coordinates.  Built from the rank-1 decomposition of X.
+    """
+    result = decompose(cone, x_mat, tol=tol)
+    cols = [atom.vector * np.sqrt(atom.weight) for atom in result.atoms]
+    if len(cols) < cone.n:
+        head = symlin.subspace_of_vectors(cols) if cols else np.zeros((cone.n, 0))
+        cols.extend(symlin.complement_basis(head, cone.n).T)
+    basis = np.array(cols).T
+    if not symlin.invertible(basis / np.linalg.norm(basis, axis=0)):
+        raise InvalidInputError("decomposition vectors do not extend to a basis")
+    return basis
+
+
+def _full_psd_rays(cone, h, x_current, tol):
+    """The columns of h, then their pairwise sums."""
+    k = h.shape[1]
+    yield from h.T
+    yield from (h[:, i] + h[:, j] for i in range(k) for j in range(i + 1, k))
+
+
+def _diagonal_rays(cone, h, x_current, tol):
+    p = h @ h.conj().T
+    eye = np.eye(cone.n)
+    return [eye[i] for i in range(cone.n) if abs(p[i, i] - 1.0) <= 1e2 * tol]
+
+
+def _hankel_rays(cone, h, x_current, tol):
+    finite, inf_dirs = _hankel_candidates(h, *_block_size(cone))
+    p = h @ h.T
+    return [v for v in [v for _, v in finite] + inf_dirs
+            if np.linalg.norm(v - p @ v) <= 1e-6 * np.linalg.norm(v)]
+
+
+def _codim1_rays(cone, h, x_current, tol):
+    """With u_a, v_b the directions where the form of Q on col(h) is +1
+    and -1: each u_a + v_b and u_a - v_b, then the kernel of the form,
+    then seeded random null vectors of it."""
+    u_dirs, v_dirs, ker = symlin.inertia_split(
+        symlin.sym(h.T @ cone.expr.aux["Q"] @ h), tol)
+    for a in range(u_dirs.shape[1]):
+        for b in range(v_dirs.shape[1]):
+            yield h @ (u_dirs[:, a] + v_dirs[:, b])
+            yield h @ (u_dirs[:, a] - v_dirs[:, b])
+    yield from (h @ ker[:, i] for i in range(ker.shape[1]))
+    if not (u_dirs.shape[1] and v_dirs.shape[1]):
+        return
+    rng = np.random.default_rng(777)
+    for _ in range(4 * h.shape[1] * h.shape[1]):
+        s = rng.standard_normal(u_dirs.shape[1])
+        r = rng.standard_normal(v_dirs.shape[1])
+        x = u_dirs @ (s / np.linalg.norm(s)) + v_dirs @ (r / np.linalg.norm(r))
+        if ker.shape[1]:
+            x = x + ker @ rng.standard_normal(ker.shape[1]) * 0.5
+        yield h @ x
+
+
+def _cross_ratio_rays(cone, h, x_current, tol):
+    """Per plane of the cone: its basis vectors and their sum when col(h)
+    holds the whole plane, else a vector where the two meet."""
+    p = h @ h.T
+    for plane in cone.expr.aux["planes"]:
+        if np.linalg.norm(plane - p @ plane) <= 1e-7 * np.linalg.norm(plane):
+            yield from (plane[:, 0], plane[:, 1], plane[:, 0] + plane[:, 1])
+            continue
         v = _subspace_intersection_vector(h, plane)
         if v is not None:
-            found.append(v)
-    return _pick(found, attempt)
+            yield v
 
 
 def _subspace_intersection_vector(h, plane):
@@ -203,39 +315,37 @@ def _subspace_intersection_vector(h, plane):
     return v / np.linalg.norm(v)
 
 
-def _direct_sum_ray(cone, h, x_current, attempt, tol):
-    pieces = _direct_sum_faces(cone, h)
-    for shift in range(len(pieces)):
-        lo, hi, child, sub = pieces[(attempt + shift) % len(pieces)]
-        x_child = None if x_current is None else x_current[lo:hi, lo:hi]
-        ray = extreme_ray_oracle(child, sub, x_child, attempt // len(pieces), tol)
-        if ray is not None:
-            return _place(cone.n, lo, ray)
-    return None
+def _direct_sum_rays(cone, h, x_current, tol):
+    """Each summand's rays on the part of col(h) inside its block."""
+    n1, n = cone.expr.params["sizes"][0], cone.n
+    for lo, hi, child, other in ((0, n1, cone.expr.children[0], slice(n1, n)),
+                                 (n1, n, cone.expr.children[1], slice(0, n1))):
+        sub = symlin.subspace_of_vectors((h @ symlin.nullspace(h[other, :]))[lo:hi].T)
+        if sub.shape[1]:
+            x_child = None if x_current is None else x_current[lo:hi, lo:hi]
+            yield from _child_rays(child, sub, x_child, tol, partial(_place, n, lo))
 
 
-def _chordal_ray(cone, h, x_current, attempt, tol):
+def _chordal_rays(cone, h, x_current, tol):
     """The iterate's column at the last vertex in MCS order whose column is
     nonzero, zeroed outside that vertex's clique.  Earlier peels cleared the
     columns of the later vertices, so the column already lies on the clique
     and peeling it is one step of zero-fill elimination."""
     if x_current is None:
-        raise InvalidInputError("chordal oracle needs the current iterate")
+        return
     cut = symlin.cut(x_current, tol)
     aux = cone.expr.aux
     for v, clique in zip(reversed(aux["order"]), reversed(aux["cliques"])):
         if np.linalg.norm(x_current[:, v]) > cut:
             x = np.zeros(cone.n)
             x[clique] = x_current[clique, v]
-            return x
-    return None
+            yield x
+            return
 
 
-def _composite_ray(cone, h, x_current, attempt, tol):
-    if x_current is None:
-        raise InvalidInputError("composite oracle needs the current iterate")
-    dec = decompose(cone, x_current, tol)
-    return _pick([a.vector for a in dec.atoms], attempt)
+def _composite_rays(cone, h, x_current, tol):
+    if x_current is not None:
+        yield from (a.vector for a in decompose(cone, x_current, tol).atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -407,13 +517,6 @@ def _hankel_candidates(u, n, m):
     return finite, inf_dirs
 
 
-def _hankel_face_rays(cone, h, tol):
-    finite, inf_dirs = _hankel_candidates(h, *_block_size(cone))
-    p = h @ h.T
-    return [v for v in [v for _, v in finite] + inf_dirs
-            if np.linalg.norm(v - p @ v) <= 1e-6 * np.linalg.norm(v)]
-
-
 def decompose_hankel(x_mat: np.ndarray, n: int, m: int = 1,
                      tol: float = DEFAULT_TOL,
                      cone: SpectrahedralCone | None = None) -> Decomposition:
@@ -518,65 +621,7 @@ def decompose_block_toeplitz(t_mat: np.ndarray, n: int, m: int = 1,
 
 
 # ---------------------------------------------------------------------------
-# face certificate enrichment and random extreme rays (shared support)
-
-
-def rays_spanning_face(cone: SpectrahedralCone, h: np.ndarray,
-                       tol: float = DEFAULT_TOL):
-    """Extra rank-1 directions of the face K ∩ L_n(H), kind permitting."""
-    face_rays = _rule(cone, "face_rays")
-    return [] if face_rays is None else face_rays(cone, h, tol)
-
-
-def _full_psd_face_rays(cone, h, tol):
-    cols = [h[:, i] for i in range(h.shape[1])]
-    cols += [h[:, i] + h[:, j] for i in range(h.shape[1])
-             for j in range(i + 1, h.shape[1])]
-    return cols
-
-
-def _diagonal_face_rays(cone, h, tol):
-    p = h @ h.conj().T
-    eye = np.eye(cone.n)
-    return [eye[i] for i in range(cone.n) if abs(p[i, i] - 1.0) <= 1e2 * tol]
-
-
-def _direct_sum_face_rays(cone, h, tol):
-    return [_place(cone.n, lo, r) for lo, _, child, sub in _direct_sum_faces(cone, h)
-            for r in rays_spanning_face(child, sub, tol)]
-
-
-def _codim1_face_rays(cone, h, tol):
-    q = _data(cone, "Q")
-    u_dirs, v_dirs, ker = symlin.inertia_split(symlin.sym(h.T @ q @ h), tol)
-    rays = [h @ ker[:, i] for i in range(ker.shape[1])]
-    if u_dirs.shape[1] and v_dirs.shape[1]:
-        rng = np.random.default_rng(777)
-        for a in range(u_dirs.shape[1]):
-            for b in range(v_dirs.shape[1]):
-                rays.append(h @ (u_dirs[:, a] + v_dirs[:, b]))
-                rays.append(h @ (u_dirs[:, a] - v_dirs[:, b]))
-        for _ in range(4 * h.shape[1] * h.shape[1]):
-            s = rng.standard_normal(u_dirs.shape[1])
-            r = rng.standard_normal(v_dirs.shape[1])
-            x = u_dirs @ (s / np.linalg.norm(s)) + v_dirs @ (r / np.linalg.norm(r))
-            if ker.shape[1]:
-                x = x + ker @ rng.standard_normal(ker.shape[1]) * 0.5
-            rays.append(h @ x)
-    return rays
-
-
-def _cross_ratio_face_rays(cone, h, tol):
-    rays = []
-    p = h @ h.T
-    for plane in _data(cone, "planes"):
-        if np.linalg.norm(plane - p @ plane) <= 1e-7 * np.linalg.norm(plane):
-            rays.extend([plane[:, 0], plane[:, 1], plane[:, 0] + plane[:, 1]])
-            continue
-        v = _subspace_intersection_vector(h, plane)
-        if v is not None:
-            rays.append(v)
-    return rays
+# random extreme rays (test support)
 
 
 def random_extreme_ray(cone: SpectrahedralCone, rng: np.random.Generator
@@ -603,7 +648,7 @@ def _hankel_sample(cone, rng):
 
 
 def _codim1_sample(cone, rng):
-    u_dirs, v_dirs, ker = symlin.inertia_split(_data(cone, "Q"))
+    u_dirs, v_dirs, ker = symlin.inertia_split(cone.expr.aux["Q"])
     s = rng.standard_normal(u_dirs.shape[1])
     r = rng.standard_normal(v_dirs.shape[1])
     x = u_dirs @ (s / np.linalg.norm(s)) + v_dirs @ (r / np.linalg.norm(r))
@@ -613,7 +658,7 @@ def _codim1_sample(cone, rng):
 
 
 def _cross_ratio_sample(cone, rng):
-    planes = _data(cone, "planes")
+    planes = cone.expr.aux["planes"]
     return planes[rng.integers(len(planes))] @ rng.standard_normal(2)
 
 
@@ -659,17 +704,6 @@ def _intertwine_sample(cone, rng):
 # shared pieces of the kind rules
 
 
-def _data(cone, key):
-    """Numeric data of the cone's expression: the copy its builder left in
-    ``aux``, else decoded from the JSON params."""
-    val = cone.expr.aux.get(key)
-    if val is not None:
-        return val
-    if key == "planes":
-        return constructions.cross_ratio_planes(cone.expr.params["angles"])
-    return constructions._array_param(cone.expr.params[key])
-
-
 def _block_size(cone):
     return cone.expr.params["n"], cone.expr.params.get("m", 1)
 
@@ -681,34 +715,18 @@ def _place(n, lo, x):
     return out
 
 
-def _direct_sum_faces(cone, h):
-    """(lo, hi, child, face basis) for each summand whose block col(h) meets."""
-    n1, n2 = cone.expr.params["sizes"]
-    k1, k2 = cone.expr.children
-    pieces = []
-    for lo, hi, child, other in ((0, n1, k1, slice(n1, n1 + n2)),
-                                 (n1, n1 + n2, k2, slice(0, n1))):
-        null = symlin.nullspace(h[other, :])
-        if null.shape[1] == 0:
-            continue
-        sub = symlin.subspace_of_vectors((h @ null)[lo:hi, :].T)
-        if sub.shape[1]:
-            pieces.append((lo, hi, child, sub))
-    return pieces
-
-
 # A wrapper cone holds one child in other coordinates: X = G X_child G^*
 # and x = G x_child, with F = G^{-1} (or the pull-back B for a reduction)
 # carrying matrices and faces into the child.
 
 
 def _congruence_coords(cone):
-    a = _data(cone, "matrix")
+    a = cone.expr.aux["matrix"]
     return np.linalg.inv(a), a
 
 
 def _reduce_coords(cone):
-    b = _data(cone, "embedding")
+    b = cone.expr.aux["embedding"]
     return b, b.conj().T
 
 
@@ -727,18 +745,11 @@ def _decompose_wrapped(coords, cone, x_mat, tol):
                              [back @ a.vector for a in inner.atoms], x_mat)
 
 
-def _wrapped_ray(coords, cone, h, x_current, attempt, tol):
+def _wrapped_rays(coords, cone, h, x_current, tol):
     fwd, back = coords(cone)
     x_child = None if x_current is None else _into(fwd, x_current)
-    ray = extreme_ray_oracle(cone.expr.children[0], _face_into(fwd, h), x_child,
-                             attempt, tol)
-    return None if ray is None else back @ ray
-
-
-def _wrapped_face_rays(coords, cone, h, tol):
-    fwd, back = coords(cone)
-    return [back @ r
-            for r in rays_spanning_face(cone.expr.children[0], _face_into(fwd, h), tol)]
+    yield from _child_rays(cone.expr.children[0], _face_into(fwd, h), x_child, tol,
+                           back.__matmul__)
 
 
 def _wrapped_sample(coords, cone, rng):
@@ -754,50 +765,40 @@ class Family:
     """What the engines know about one cone kind.
 
     ``sample(cone, rng)`` draws a point of the rank-1 variety.
-    ``ray(cone, h, x_current, attempt, tol)`` is the extreme-ray rule of
-    :func:`extreme_ray_oracle`, ``face_rays(cone, h, tol)`` the rule of
-    :func:`rays_spanning_face`, and ``route(cone, x_mat, tol)`` a direct
+    ``rays(cone, h, x_current, tol)`` is the kind's one rank-1 rule: it
+    yields candidate vectors x in col(h) with x x^T in the span, the best
+    one for a peel first; :func:`extreme_ray_oracle` takes the candidate
+    of its attempt and :func:`rays_spanning_face` lists them all
+    (``x_current=None``).  ``route(cone, x_mat, tol)`` is a direct
     decomposition; without a route, :func:`decompose` peels.  Rules call
     the public engines by their module names, never through captured
     function objects, so a patched module attribute sees every call.
     """
 
     sample: Callable
-    ray: Callable | None = None
-    face_rays: Callable | None = None
+    rays: Callable | None = None
     route: Callable | None = None
 
 
 def _wrapper(coords) -> Family:
     return Family(sample=partial(_wrapped_sample, coords),
-                  ray=partial(_wrapped_ray, coords),
-                  face_rays=partial(_wrapped_face_rays, coords),
+                  rays=partial(_wrapped_rays, coords),
                   route=partial(_decompose_wrapped, coords))
 
 
-_CHORDAL = Family(sample=_chordal_sample, ray=_chordal_ray)
+_CHORDAL = Family(sample=_chordal_sample, rays=_chordal_rays)
 
 _FAMILIES = {
-    "full_psd": Family(
-        sample=lambda cone, rng: rng.standard_normal(cone.n),
-        ray=lambda cone, h, x, attempt, tol: h[:, attempt % h.shape[1]],
-        face_rays=_full_psd_face_rays),
-    "diagonal": Family(
-        sample=lambda cone, rng: np.eye(cone.n)[rng.integers(cone.n)],
-        ray=lambda cone, h, x, attempt, tol: _pick(
-            _diagonal_face_rays(cone, h, tol), attempt),
-        face_rays=_diagonal_face_rays),
+    "full_psd": Family(sample=lambda cone, rng: rng.standard_normal(cone.n),
+                       rays=_full_psd_rays),
+    "diagonal": Family(sample=lambda cone, rng: np.eye(cone.n)[rng.integers(cone.n)],
+                       rays=_diagonal_rays),
     "hankel": Family(
-        sample=_hankel_sample,
-        ray=lambda cone, h, x, attempt, tol: _pick(
-            _hankel_face_rays(cone, h, tol), attempt),
-        face_rays=_hankel_face_rays,
+        sample=_hankel_sample, rays=_hankel_rays,
         route=lambda cone, x, tol: decompose_hankel(x, *_block_size(cone), tol,
                                                     cone=cone)),
-    "codim1": Family(sample=_codim1_sample, ray=_codim1_ray,
-                     face_rays=_codim1_face_rays),
-    "cross_ratio": Family(sample=_cross_ratio_sample, ray=_cross_ratio_ray,
-                          face_rays=_cross_ratio_face_rays),
+    "codim1": Family(sample=_codim1_sample, rays=_codim1_rays),
+    "cross_ratio": Family(sample=_cross_ratio_sample, rays=_cross_ratio_rays),
     "ternary_quartic": Family(
         sample=lambda cone, rng: constructions._quadric_vector(rng.standard_normal(3))),
     "moment": Family(
@@ -806,14 +807,13 @@ _FAMILIES = {
         sample=_block_toeplitz_sample,
         route=lambda cone, x, tol: decompose_block_toeplitz(x, *_block_size(cone),
                                                             tol)),
-    "direct_sum": Family(sample=_direct_sum_sample, ray=_direct_sum_ray,
-                         face_rays=_direct_sum_face_rays,
+    "direct_sum": Family(sample=_direct_sum_sample, rays=_direct_sum_rays,
                          route=_decompose_direct_sum),
     "full_ext": Family(
-        sample=_full_ext_sample, ray=_composite_ray,
+        sample=_full_ext_sample, rays=_composite_rays,
         route=lambda cone, x, tol: decompose_full_extension(cone, x, tol)),
     "intertwine": Family(
-        sample=_intertwine_sample, ray=_composite_ray,
+        sample=_intertwine_sample, rays=_composite_rays,
         route=lambda cone, x, tol: decompose_intertwining(cone, x, tol)),
     "transform": _wrapper(_congruence_coords),
     "reduce": _wrapper(_reduce_coords),

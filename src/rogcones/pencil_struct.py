@@ -18,8 +18,9 @@ from typing import Optional
 import numpy as np
 
 from . import symlin
-from .cone_model import (FaceHandle, SpectrahedralCone, degree, face_of,
+from .cone_model import (FaceHandle, SpectrahedralCone, degree,
                          reduce_nondegenerate, simplicity_partition)
+from .decompose import face_of
 from .errors import InvalidInputError, NumericalError
 from .isomorph import _signature, codim1_form
 from .symlin import DEFAULT_TOL

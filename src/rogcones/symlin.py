@@ -277,14 +277,14 @@ def nullspace(a: np.ndarray, tol: float = SUBSPACE_TOL) -> np.ndarray:
 
 
 def complement_basis(cols: np.ndarray, n: int) -> np.ndarray:
-    """Orthonormal basis (columns) of the orthogonal complement in R^n.
+    """Orthonormal basis (columns) of the orthogonal complement in R^n or C^n.
 
     When the given columns are signed canonical basis vectors, the
     complement is returned as canonical basis vectors in index order so
     that coordinate structure survives an intertwining along coordinate
     faces.
     """
-    cols = np.asarray(cols, dtype=float)
+    cols = np.asarray(cols, dtype=complex if np.iscomplexobj(cols) else float)
     if cols.size == 0:
         return np.eye(n)
     used = set()
@@ -303,7 +303,16 @@ def complement_basis(cols: np.ndarray, n: int) -> np.ndarray:
         for k, i in enumerate(free):
             out[i, k] = 1.0
         return out
-    return nullspace(cols.T)
+    return nullspace(cols.conj().T)
+
+
+def invertible(a: np.ndarray) -> bool:
+    """True iff a is square and its smallest singular value exceeds
+    SUBSPACE_TOL times its largest, a test that no rescaling of a moves."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        return False
+    s = np.linalg.svd(a, compute_uv=False)
+    return bool(s[-1] > SUBSPACE_TOL * s[0])
 
 
 def sym_basis(n: int) -> np.ndarray:

@@ -1,0 +1,163 @@
+"""One rank-1 rule per cone kind, and the checks that lean on it.
+
+Peeling a member and certifying a face ask a kind the same question:
+which x in a subspace H have x x^T in the span?  ``Family.rays`` answers
+it once, so the extreme-ray oracle's candidates are the face rays, in the
+same order.
+"""
+
+import ast
+import pathlib
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import rogcones as rc
+from rogcones import symlin
+from rogcones.decompose import extreme_ray_oracle, rays_spanning_face
+
+from conftest import random_congruence, rank_r_member
+
+_CODIM = rc.codim1_cone(np.diag([1.0, 2.0, 1.5, -1.0, -0.5]))
+RULE_CONES = {
+    "full_psd": rc.full_psd_cone(4),
+    "diagonal": rc.diagonal_cone(5),
+    "codim1": _CODIM,
+    "cross_ratio": rc.cross_ratio_cone([0.1, 0.7, 1.5, 2.4]),
+    "transform": rc.apply_congruence(_CODIM, random_congruence(np.random.default_rng(4), 5)),
+}
+
+
+def _range(x_mat):
+    dec = symlin.eig_sym(x_mat)
+    return dec.vectors[:, dec.values > symlin.cut(dec.values, 1e-8)]
+
+
+@pytest.mark.parametrize("name", sorted(RULE_CONES))
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_oracle_takes_the_face_rays_in_order(name, seed):
+    cone = RULE_CONES[name]
+    rng = np.random.default_rng(seed)
+    h = _range(rank_r_member(cone, rng, int(rng.integers(1, cone.n))))
+    rays = rays_spanning_face(cone, h)
+    assert rays
+    for attempt, ray in enumerate(rays):
+        assert np.array_equal(extreme_ray_oracle(cone, h, attempt=attempt), ray)
+        assert np.linalg.norm(ray - h @ (h.conj().T @ ray)) <= 1e-8 * np.linalg.norm(ray)
+        assert symlin.span_contains(cone.span_basis, symlin.outer(ray))
+    assert extreme_ray_oracle(cone, h, attempt=len(rays)) is None
+    assert rc.certificate_complete(rc.face_of(cone, rc.FaceHandle(h)))
+
+
+def test_first_codim1_candidate_is_a_plus_pair():
+    q = np.diag([1.0, 4.0, -1.0])
+    cone = rc.codim1_cone(q)
+    u, v, _ = symlin.inertia_split(q)
+    assert np.array_equal(extreme_ray_oracle(cone, np.eye(3)), u[:, 0] + v[:, 0])
+
+
+def test_iterate_kinds_have_no_candidate_without_the_iterate():
+    for cone in (rc.tridiagonal_cone(4), rc.full_extension(rc.hankel_cone(3), 5)):
+        h = np.eye(cone.n)
+        assert rays_spanning_face(cone, h) == []
+        assert extreme_ray_oracle(cone, h) is None
+        x = rank_r_member(cone, np.random.default_rng(1), 2)
+        assert extreme_ray_oracle(cone, _range(x), x_current=x) is not None
+
+
+def test_summand_without_a_rule_is_named_by_the_peel_and_skipped_by_the_face():
+    moment = rc.moment_cone_from_samples(None, [[-2.0], [-1.0], [0.0], [1.0], [2.0]],
+                                         powers=[(0,), (1,), (2,)])
+    cone = rc.direct_sum(rc.full_psd_cone(2), moment)
+    with pytest.raises(rc.OracleUnavailableError, match="'moment'"):
+        rc.carath_decompose(cone, sum(symlin.outer(g) for g in cone.generators))
+    assert len(rays_spanning_face(cone, np.eye(5))) == 3   # the full_psd block's
+
+
+def test_cone_model_imports_no_engine():
+    tree = ast.parse(pathlib.Path(rc.cone_model.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not {name for name in imported
+                if name.split(".")[-1] in ("decompose", "constructions")}
+
+
+# ---------------------------------------------------------------------------
+# invertibility by singular values, relative to the largest
+
+
+@pytest.mark.parametrize("cone, a", [
+    (rc.tridiagonal_cone(10), 0.05 * np.eye(10)),   # det 9.8e-14
+    (rc.full_psd_cone(6), 1e-3 * np.eye(6)),         # det 1e-18
+])
+def test_congruence_by_a_small_multiple_of_the_identity(cone, a):
+    image = rc.apply_congruence(cone, a)
+    assert image.dim == cone.dim
+
+
+@pytest.mark.parametrize("scale", [1e-11, 1e-30, 1e30])
+@pytest.mark.parametrize("cone", [rc.codim1_cone(np.diag([1.0, 2.0, -1.0])),
+                                  rc.block_toeplitz_cone(2, 1)])
+def test_congruence_image_does_not_depend_on_the_scale(cone, scale):
+    image = rc.apply_congruence(cone, scale * np.eye(cone.n))
+    assert image.dim == cone.dim
+    assert len(image.generators) == len(cone.generators)
+
+
+@pytest.mark.parametrize("a", [np.diag([1e6, 1e6, 1e-10]),   # condition number 1e16
+                               np.ones((3, 2))])
+def test_congruence_rejects_a_singular_or_non_square_matrix(a):
+    with pytest.raises(rc.InvalidInputError, match="invertible"):
+        rc.apply_congruence(rc.full_psd_cone(3), a)
+
+
+def test_diagonalizing_basis_of_a_small_member():
+    x = 1e-6 * np.eye(5)
+    b = rc.diagonalizing_basis(rc.full_psd_cone(5), x)
+    b_inv = np.linalg.inv(b)
+    assert np.allclose(b_inv @ x @ b_inv.T, np.eye(5), atol=1e-9)
+
+
+def test_diagonalizing_basis_of_a_large_rank_one_member():
+    # one column of norm 4e12 next to three unit columns
+    x = 1e25 * symlin.outer(np.array([1.0, 0.5, 0.25, 0.125]))
+    b = rc.diagonalizing_basis(rc.hankel_cone(4), x)
+    head, rest = b[:, 0], b[:, 1:]
+    assert np.linalg.norm(symlin.outer(head) - x) <= 1e-9 * np.linalg.norm(x)
+    assert np.allclose(rest.T @ rest, np.eye(3))
+    assert np.linalg.norm(rest.T @ head) <= 1e-9 * np.linalg.norm(head)
+
+
+# ---------------------------------------------------------------------------
+# complex cones
+
+
+def test_tangent_space_refuses_complex_cones():
+    cone = rc.block_toeplitz_cone(2, 1)
+    with pytest.raises(rc.InvalidInputError):
+        rc.has_tangent(cone, cone.generators[0])
+
+
+def test_complement_basis_keeps_complex_entries():
+    cols = np.array([[1.0], [1j], [0.0]]) / np.sqrt(2)
+    comp = symlin.complement_basis(cols, 3)
+    assert comp.shape == (3, 2)
+    assert np.linalg.norm(comp.conj().T @ cols) < 1e-12
+    assert np.allclose(comp.conj().T @ comp, np.eye(2))
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_diagonalizing_basis_of_block_toeplitz_members(rank):
+    cone = rc.block_toeplitz_cone(3, 1)
+    x = rank_r_member(cone, np.random.default_rng(rank), rank)
+    b = rc.diagonalizing_basis(cone, x)
+    b_inv = np.linalg.inv(b)
+    expected = np.diag([1.0] * rank + [0.0] * (3 - rank))
+    assert np.linalg.norm(b_inv @ x @ b_inv.conj().T - expected) < 1e-9
