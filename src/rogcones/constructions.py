@@ -479,13 +479,20 @@ def mcs_order(n: int, adj: list[set[int]]) -> list[int]:
 
 
 def chordless_cycle(n: int, edges) -> list[int] | None:
-    """A chordless cycle of length >= 4, or None when the graph is chordal."""
+    """A chordless cycle of length >= 4, or None when the graph is chordal.
+
+    When the earlier neighbours of every vertex in maximum-cardinality-
+    search order are pairwise adjacent, the reversed order is a perfect
+    elimination order, so the graph is chordal (Tarjan-Yannakakis 1984)
+    and no search runs.
+    """
     adj = [set() for _ in range(n)]
     for i, j in edges:
         adj[i].add(j)
         adj[j].add(i)
     order = mcs_order(n, adj)
     pos = {v: idx for idx, v in enumerate(order)}
+    violated = False
     for idx, v in enumerate(order):
         earlier = [u for u in adj[v] if pos[u] < idx]
         for x in range(len(earlier)):
@@ -493,9 +500,12 @@ def chordless_cycle(n: int, edges) -> list[int] | None:
                 a, b = earlier[x], earlier[y]
                 if b in adj[a]:
                     continue
+                violated = True
                 cycle = _avoiding_path_cycle(n, adj, v, a, b)
                 if cycle is not None:
                     return cycle
+    if not violated:
+        return None
     # no MCS violation produced a certificate: scan all triples as backup
     for v in range(n):
         nb = sorted(adj[v])

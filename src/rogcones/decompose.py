@@ -123,14 +123,16 @@ def carath_decompose(cone: SpectrahedralCone, x_mat: np.ndarray,
                 continue
             x = x / np.linalg.norm(x)
             denom = float(np.real(np.vdot(x, pinv @ x)))
-            if denom <= tol:
+            # denom >= 1 / lambda_max for a unit x in the face, at every scale
+            if denom * dec.values[0] <= tol:
                 continue
             mu = 1.0 / denom
             candidate = symlin.sym(current - mu * symlin.outer(x))
             cand_dec = symlin.eig_sym(candidate)
-            new_rank = cand_dec.rank(tol)
+            # rank and sign are judged at the scale of the iterate peeled
+            new_rank = int(np.count_nonzero(np.abs(cand_dec.values) > symlin.cut(dec.values, tol)))
             if (new_rank >= rank
-                    or not symlin.psd_values(cand_dec.values, candidate, 10 * tol)):
+                    or not symlin.psd_values(cand_dec.values, current, 10 * tol)):
                 mu_trace.append(mu)
                 continue
             weights.append(mu)

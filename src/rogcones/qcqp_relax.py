@@ -370,6 +370,10 @@ def _step_to_boundary(x, direction, h):
 
 # rows of starting points refined together by rank1_feasible_samples
 _SAMPLE_BLOCK = 1024
+# ``_min_norm_steps`` keeps a step through J J^T whose relative residual is
+# at most _GRAM_RESIDUAL (its relative error is at most cond(J) times that,
+# 1e-8 at cond(J) = 1e6) and redoes every other step by pinv
+_GRAM_RESIDUAL = 1e-14
 
 
 def rank1_feasible_samples(problem: QcqpProblem, count: int,
@@ -377,17 +381,30 @@ def rank1_feasible_samples(problem: QcqpProblem, count: int,
     """Newton-refined samples of {x : x^T A_i x = 0, x^T B x = 1}.
 
     Each of `count` standard normal starts takes up to `iters` minimum-norm
-    Newton steps on the residuals f = (x^T A_i x, x^T B x - 1).  A start is
-    kept once max |f| < 1e-10 and dropped once |x| > 1e8; the converged
-    points come back as a list of vectors, in the order of their starts.
-    Starts are refined in blocks of rows with stacked residuals, Jacobians
-    and pseudo-inverses, and each block is drawn as one (rows, n) array,
-    which gives the same numbers as drawing the starts one at a time.
+    Newton steps J^+ f on the residuals f = (x^T A_i x, x^T B x - 1), J
+    their Jacobian.  The steps come from ``_min_norm_steps`` when J has
+    full row rank at a generic x; otherwise (dependent forms, more forms
+    than n, or A_i x confined to a smaller common span) J J^T is singular
+    at every x and each step is ``_pinv_steps``.  A start is kept once
+    max |f| < 1e-10 and dropped once |x| > 1e8; the converged points come
+    back as a list of vectors, in the order of their starts.  Starts are
+    refined in blocks of rows with stacked residuals, Jacobians and steps,
+    and each block is drawn as one (rows, n) array, which gives the same
+    numbers as drawing the starts one at a time.
     """
     n = problem.n
     forms = np.array(problem.constraints + [problem.normalization])
+    k = len(forms)
+    # row (i, a) of the stack is row a of form i: xs @ rows_t stacks the A_i x
+    rows_t = forms.reshape(k * n, n).T
     # the cut numpy's lstsq applies to the singular values of one Jacobian
-    rcond = np.finfo(float).eps * max(len(forms), n)
+    rcond = np.finfo(float).eps * max(k, n)
+    # J has full row rank at almost every x or at none; a fixed probe point
+    # tells which, so that problems whose J J^T is singular everywhere never
+    # try the Gram solve
+    sv = np.linalg.svd(forms @ np.random.default_rng(0).standard_normal(n), compute_uv=False)
+    steps = (_min_norm_steps if k <= n and sv[-1] > symlin.cut(sv, symlin.SUBSPACE_TOL)
+             else _pinv_steps)
     out = []
     for first in range(0, count, _SAMPLE_BLOCK):
         x = rng.standard_normal((min(_SAMPLE_BLOCK, count - first), n))
@@ -395,19 +412,48 @@ def rank1_feasible_samples(problem: QcqpProblem, count: int,
         live = np.arange(len(x))
         for _ in range(iters):
             xs = x[live]
-            ax = np.einsum("kab,sb->ska", forms, xs)
+            ax = (xs @ rows_t).reshape(len(xs), k, n)
             f = np.einsum("ska,sa->sk", ax, xs)
             f[:, -1] -= 1.0
-            done = np.abs(f).max(axis=1) < 1e-10
+            done = (np.abs(f) < 1e-10).all(axis=1)
             converged[live[done]] = True
             live, ax, f, xs = live[~done], ax[~done], f[~done], xs[~done]
             if len(live) == 0:
                 break
-            xs = xs - np.einsum("snk,sk->sn", np.linalg.pinv(2.0 * ax, rcond=rcond), f)
+            xs = xs - steps(2.0 * ax, f, rcond)
             x[live] = xs
             live = live[~(np.linalg.norm(xs, axis=1) > 1e8)]
         out.extend(x[converged])
     return out
+
+
+def _min_norm_steps(jac, f, rcond):
+    """J^+ f for each Jacobian J of the (starts, rows, cols) stack `jac`,
+    rows <= cols: J^T (J J^T)^-1 f with one batched ``solve``.
+
+    The Gram matrix squares the condition number of J, so a row keeps its
+    step s only when the residual |f - J s| / |f| is at most
+    ``_GRAM_RESIDUAL``.  Every other row, and every row when some Gram
+    matrix is exactly singular (``LinAlgError``), takes ``_pinv_steps``.
+    """
+    # a contiguous transpose keeps the stacked product on BLAS's fast path
+    jac_t = np.ascontiguousarray(jac.transpose(0, 2, 1))
+    try:
+        y = np.linalg.solve(jac @ jac_t, f[:, :, None])[:, :, 0]
+        step = np.einsum("ski,sk->si", jac, y)
+        res = f - np.einsum("ski,si->sk", jac, step)
+        redo = ~(np.einsum("sk,sk->s", res, res)
+                 <= _GRAM_RESIDUAL ** 2 * np.einsum("sk,sk->s", f, f))
+    except np.linalg.LinAlgError:
+        step, redo = np.empty((len(jac), jac.shape[2])), np.ones(len(jac), dtype=bool)
+    if redo.any():
+        step[redo] = _pinv_steps(jac[redo], f[redo], rcond)
+    return step
+
+
+def _pinv_steps(jac, f, rcond):
+    """pinv(J, rcond) f for each Jacobian J of the stack: numpy's lstsq step."""
+    return np.einsum("snk,sk->sn", np.linalg.pinv(jac, rcond=rcond), f)
 
 
 def certify_exactness(problem: QcqpProblem,
@@ -420,9 +466,11 @@ def certify_exactness(problem: QcqpProblem,
     rank-1 extreme point yields the solution vector directly.  When the
     induced cone carries a complete rank-1 certificate, exactness holds
     structurally and the status says so.  A higher-rank extreme point
-    triggers sampling of the rank-1 feasible set: "gap-detected" is a
-    sampled claim, never a proof, and "inconclusive" is returned when
-    sampling cannot tell.
+    triggers sampling of the rank-1 feasible set with
+    ``rank1_feasible_samples``, whose values x^T S x come from one
+    ``einsum`` over the stacked samples: "gap-detected" is a sampled
+    claim, never a proof, and "inconclusive" is returned when sampling
+    cannot tell.
     """
     sol = solve_relaxation(problem, tol)
 
@@ -456,8 +504,9 @@ def certify_exactness(problem: QcqpProblem,
     samples = rank1_feasible_samples(problem, gap_samples, rng)
     if not samples:
         return result("inconclusive")
-    values = [float(x @ problem.cost @ x) for x in samples]
-    best = min(values)
+    stacked = np.array(samples)
+    values = np.einsum("si,ij,sj->s", stacked, problem.cost, stacked)
+    best = float(values.min())
     if best > sol.objective + 1e-6 * (1.0 + abs(sol.objective)):
         return result("gap-detected", extracted=best)
     if best <= sol.objective + 1e-5 * (1.0 + abs(sol.objective)):

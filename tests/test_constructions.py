@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rogcones as rc
 from rogcones import jsonio, symlin
+from rogcones.constructions import _avoiding_path_cycle, chordless_cycle, mcs_order
 from rogcones.errors import InvalidInputError
+
+from conftest import random_chordal_graph
 
 
 def span_equal(k1, k2, tol=1e-8):
@@ -140,6 +144,58 @@ def test_chordal_rejects_cycle():
     msg = str(err.value)
     assert "chordless cycle" in msg
     assert all(str(v) in msg for v in (1, 2, 3, 4))
+
+
+def scan_chordless_cycle(n, edges):
+    """``chordless_cycle`` as it was before its early return: the backup
+    scan over every vertex runs whenever the MCS pairs give no cycle."""
+    adj = [set() for _ in range(n)]
+    for i, j in edges:
+        adj[i].add(j)
+        adj[j].add(i)
+    order = mcs_order(n, adj)
+    pos = {v: idx for idx, v in enumerate(order)}
+    pairs = [(v, a, b) for idx, v in enumerate(order)
+             for a in adj[v] for b in adj[v]
+             if pos[a] < idx and pos[b] < idx and a < b and b not in adj[a]]
+    pairs += [(v, a, b) for v in range(n) for a in sorted(adj[v]) for b in sorted(adj[v])
+              if a < b and b not in adj[a]]
+    for v, a, b in pairs:
+        cycle = _avoiding_path_cycle(n, adj, v, a, b)
+        if cycle is not None:
+            return cycle
+    return None
+
+
+def is_chordless_cycle(edges, cycle):
+    edge_set = {(min(i, j), max(i, j)) for i, j in edges}
+    k = len(cycle)
+    if k < 4 or len(set(cycle)) != k:
+        return False
+    for i in range(k):
+        for j in range(i + 1, k):
+            consecutive = j == i + 1 or (i == 0 and j == k - 1)
+            if ((min(cycle[i], cycle[j]), max(cycle[i], cycle[j])) in edge_set) != consecutive:
+                return False
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 12), extra=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+def test_chordless_cycle_matches_the_full_scan(n, extra, seed):
+    # chordal graphs, then the same graphs with random edges added, which
+    # may or may not break chordality
+    rng = np.random.default_rng(seed)
+    edges = set(random_chordal_graph(rng, n).edges)
+    base = sorted(edges)
+    for _ in range(extra if n > 1 else 0):
+        i, j = sorted(rng.choice(n, 2, replace=False).tolist())
+        edges.add((i, j))
+    for graph in (base, sorted(edges)):
+        cycle = chordless_cycle(n, graph)
+        assert (cycle is None) == (scan_chordless_cycle(n, graph) is None)
+        if cycle is not None:
+            assert is_chordless_cycle(graph, cycle)
 
 
 def test_codim1_examples():

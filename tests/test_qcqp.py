@@ -436,6 +436,8 @@ def sequential_samples(problem, count, rng, iters=50):
     ("codim1", QcqpProblem(np.diag([1.0, 2.0, 3.0]), np.eye(3), [np.diag([1.0, -1.0, 0.5])]),
      qcqp_relax._SAMPLE_BLOCK + 37),
     ("infeasible", QcqpProblem(four_cycle_problem().cost, np.eye(4), [np.eye(4)]), 40),
+    ("dependent", QcqpProblem(np.diag([1.0, 2.0, 3.0]), np.eye(3),
+                              [np.diag([1.0, -1.0, 0.5]), np.diag([3.0, -3.0, 1.5])]), 300),
 ])
 def test_batched_samples_match_sequential(name, problem, count):
     ref = sequential_samples(problem, count, np.random.default_rng(7))
@@ -448,6 +450,81 @@ def test_batched_samples_match_sequential(name, problem, count):
         assert len(out) > 0
     for x, y in zip(out, ref):
         assert np.abs(x - y).max() <= 1e-10
+
+
+def pinv_steps(jac, f):
+    """The sampler's step before the Gram kernel: pinv with numpy's lstsq cut."""
+    rcond = np.finfo(float).eps * max(jac.shape[1:])
+    return np.einsum("snk,sk->sn", np.linalg.pinv(jac, rcond=rcond), f), rcond
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(1, 6), extra=st.integers(0, 5), log_cond=st.floats(0.0, 6.0),
+       log_scale=st.floats(-4.0, 4.0), direction=st.sampled_from(["random", "top", "bottom"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_min_norm_steps_match_pinv(rows, extra, log_cond, log_scale, direction, seed):
+    # J = U diag(s) V^T with cond(J) = 10^log_cond; f random or along the
+    # left singular vector of the largest or the smallest singular value
+    # (plus a little noise), wide and square stacks of 8
+    rng = np.random.default_rng(seed)
+    k, cols = rows, rows + extra
+    jac, f = [], []
+    for _ in range(8):
+        u = np.linalg.qr(rng.standard_normal((rows, rows)))[0]
+        v = np.linalg.qr(rng.standard_normal((cols, cols)))[0]
+        sv = 10.0 ** (log_scale - np.sort(rng.uniform(0.0, log_cond, k))[::-1])
+        sv[0], sv[-1] = 10.0 ** log_scale, 10.0 ** (log_scale - log_cond)
+        jac.append((u[:, :k] * sv) @ v[:, :k].T)
+        noise = 10.0 ** -rng.uniform(1, 8) * rng.standard_normal(rows)
+        f.append({"random": rng.standard_normal(rows), "top": u[:, 0] + noise,
+                  "bottom": u[:, k - 1] + noise}[direction] * 10.0 ** rng.uniform(-4, 4))
+    jac, f = np.array(jac), np.array(f)
+    ref, rcond = pinv_steps(jac, f)
+    step = qcqp_relax._min_norm_steps(jac, f, rcond)
+    err = np.linalg.norm(step - ref, axis=1) / np.linalg.norm(ref, axis=1)
+    assert err.max() <= 1e-8
+
+
+@pytest.mark.parametrize("case", ["duplicate", "times-three", "zero"])
+@pytest.mark.parametrize("shape", [(3, 5), (3, 3)])
+def test_min_norm_steps_of_rank_deficient_jacobians_are_pinv_steps(case, shape):
+    # a row copied, tripled (3 is no power of two, so 3 r is rounded) or
+    # zeroed, as forms whose A_i x are dependent at some x give; each stack
+    # also holds a generic J, which may take the Gram step
+    rng = np.random.default_rng(3)
+    rows, cols = shape
+    jac = rng.standard_normal((4, rows, cols))
+    f = rng.standard_normal((4, rows))
+    for j in jac[1:]:
+        j[1] = {"duplicate": 1.0, "times-three": 3.0, "zero": 0.0}[case] * j[0]
+    ref, rcond = pinv_steps(jac, f)
+    step = qcqp_relax._min_norm_steps(jac, f, rcond)
+    assert np.array_equal(step[1:], ref[1:])
+    assert np.linalg.norm(step[0] - ref[0]) <= 1e-10 * np.linalg.norm(ref[0])
+
+
+@pytest.mark.parametrize("name, constraints, gram", [
+    ("independent", four_cycle_problem().constraints, True),
+    ("duplicate", [np.diag([1.0, -1.0, 0.5, 0.0])] * 2, False),
+    ("times-three", [np.diag([1.0, -1.0, 0.5, 0.0]), np.diag([3.0, -3.0, 1.5, 0.0])], False),
+    ("zero", [np.diag([1.0, -1.0, 0.5, 0.0]), np.zeros((4, 4))], False),
+    ("normalization", [np.eye(4)], False),
+    ("more-forms-than-n", [np.diag(e) for e in np.eye(4)], False),
+    # independent forms whose A_i x all lie in span(e0, e1)
+    ("common-block", [np.diag([1.0, 0.0, 0.0, 0.0]), np.eye(4)[[1, 0, 2, 3]] - np.diag([0, 0, 1, 1]),
+                      np.diag([-0.5, 1.0, 0.0, 0.0])], False),
+])
+def test_sampler_takes_gram_steps_only_for_independent_forms(monkeypatch, name, constraints,
+                                                             gram):
+    # these forms make J J^T singular at every x, so the path is chosen once
+    # per call and such problems never try the Gram solve
+    calls = []
+    gram_steps = qcqp_relax._min_norm_steps
+    monkeypatch.setattr(qcqp_relax, "_min_norm_steps",
+                        lambda *args: calls.append(1) or gram_steps(*args))
+    problem = QcqpProblem(np.diag([1.0, 2.0, 3.0, 4.0]), np.eye(4), constraints)
+    qcqp_relax.rank1_feasible_samples(problem, 20, np.random.default_rng(0))
+    assert bool(calls) == gram
 
 
 def test_solver_beyond_sixteen(rng):

@@ -135,6 +135,24 @@ def test_diagonalizing_basis_of_a_large_rank_one_member():
     assert np.linalg.norm(rest.T @ head) <= 1e-9 * np.linalg.norm(head)
 
 
+@pytest.mark.parametrize("c", [1.0, 1e12, 1e20, 1e25])
+@pytest.mark.parametrize("kind", ["full_psd", "diagonal"])
+def test_peeling_is_scale_free(kind, c):
+    # the peel compares x^T X^+ x and the candidate's rank and sign with
+    # the scale of the iterate, so heavy atoms are not skipped
+    v = np.array([1.0, 2.0, 0.0, 1.0])
+    cone, x = ((rc.full_psd_cone(4), symlin.outer(v)) if kind == "full_psd"
+               else (rc.diagonal_cone(4), np.diag(v)))
+    rank = 1 if kind == "full_psd" else 3
+    b = rc.diagonalizing_basis(cone, c * x)
+    head = b[:, :rank]
+    assert np.linalg.norm(head @ head.T - c * x) <= 1e-9 * c * np.linalg.norm(x)
+    assert symlin.invertible(b / np.linalg.norm(b, axis=0))
+    dec = rc.decompose(cone, c * x)
+    assert len(dec.atoms) == rank
+    assert dec.residual <= 1e-12 * c
+
+
 # ---------------------------------------------------------------------------
 # complex cones
 

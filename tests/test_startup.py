@@ -4,8 +4,9 @@ codes of ``python -m rogcones.cli``.
 Every check runs in a new interpreter (``subprocess.run`` with a timeout),
 since the modules an import pulls in only show in a process that has not
 loaded them yet.  ``import rogcones`` and the ``build``, ``analyze`` and
-``qcqp`` subcommands must not load ``scipy.linalg``; it loads on first use
-by the block-Toeplitz decomposition and ``pencil_decompose``.
+``qcqp`` subcommands must not load ``scipy.linalg``, not even when ``qcqp``
+reaches the rank-1 sampler; it loads on first use by the block-Toeplitz
+decomposition and ``pencil_decompose``.
 """
 
 import json
@@ -38,6 +39,7 @@ report["codes"] = [
     cli.run(["build", "--expr", {expr!r}, "--out", {cone!r}]),
     cli.run(["analyze", {cone!r}, "--out", {analysis!r}]),
     cli.run(["qcqp", {problem!r}, "--gap-samples", "10", "--out", {solution!r}]),
+    cli.run(["qcqp", {cycle!r}, "--gap-samples", "100", "--out", {cycle_solution!r}]),
 ]
 report["after_cli"] = loaded()
 
@@ -75,6 +77,20 @@ def _problem(tmp_path, name, s_mat):
     return _write(tmp_path, name, {"S": s_mat, "B": np.eye(2).tolist(), "A": []})
 
 
+def _four_cycle():
+    """The 4-cycle problem of ``test_qcqp.test_certify_four_cycle_gap``."""
+    s_mat = [[1.5791, 0.733, 0.1551, -0.5412],
+             [0.733, 0.2194, 0.5624, 1.3786],
+             [0.1551, 0.5624, 0.1832, 0.2496],
+             [-0.5412, 1.3786, 0.2496, -0.1795]]
+    forms = []
+    for i, j in ((0, 2), (1, 3)):
+        a = np.zeros((4, 4))
+        a[i, j] = a[j, i] = 1.0
+        forms.append(a.tolist())
+    return {"S": s_mat, "B": np.eye(4).tolist(), "A": forms}
+
+
 def test_cold_start_keeps_heavy_modules_off_the_cli_path(tmp_path):
     cone = rc.direct_sum(rc.hankel_cone(3), rc.diagonal_cone(1))
     script = CHILD.format(
@@ -83,16 +99,22 @@ def test_cold_start_keeps_heavy_modules_off_the_cli_path(tmp_path):
         cone=str(tmp_path / "cone.json"),
         analysis=str(tmp_path / "analysis.json"),
         problem=_problem(tmp_path, "p.json", np.diag([1.0, 2.0]).tolist()),
-        solution=str(tmp_path / "solution.json"))
+        solution=str(tmp_path / "solution.json"),
+        cycle=_write(tmp_path, "cycle.json", _four_cycle()),
+        cycle_solution=str(tmp_path / "cycle_solution.json"))
     proc = _python("-c", script, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["after_import"] == []
-    assert report["codes"] == [0, 0, 0]
+    assert report["codes"] == [0, 0, 0, 0]
     assert report["after_cli"] == []
     assert json.loads((tmp_path / "analysis.json").read_text())["degree"] == 4
     assert json.loads((tmp_path / "solution.json").read_text())["status"] \
         == "exact-with-solution"
+    # the 4-cycle relaxation is not exact: purification stalls at rank 2
+    # and the sampler runs
+    assert json.loads((tmp_path / "cycle_solution.json").read_text())["status"] \
+        == "gap-detected"
     # the two routines that need scipy.linalg load it themselves
     assert report["toeplitz_atoms"] == 2
     assert report["toeplitz_residual"] < 1e-10
