@@ -23,6 +23,7 @@ import numpy as np
 from . import cone_model, isomorph, jsonio, pencil_struct, qcqp_relax
 from .decompose import decompose
 from .errors import InvalidInputError, MissingCertificateError, NumericalError
+from .symlin import from_json_array, to_json_array
 
 
 def _read_json(path: str):
@@ -106,13 +107,13 @@ def _cmd_qcqp(args) -> int:
         "iterations": cert.solution.iterations,
     }
     if cert.x_opt is not None:
-        report["x_opt"] = jsonio.vector_to_json(cert.x_opt)
+        report["x_opt"] = to_json_array(cert.x_opt)
     _write_json(report, args.out)
     return 0
 
 
 def _cmd_complete(args) -> int:
-    pm = jsonio.partial_matrix_from_json(_read_json(args.partial))
+    pm = jsonio.partial_from_json(_read_json(args.partial))
     if args.signs:
         result = isomorph.rank1_complete_signs(pm)
     else:
@@ -125,9 +126,9 @@ def _cmd_complete(args) -> int:
         return 1
     report = {
         "feasible": True,
-        "e": jsonio.vector_to_json(result.e),
-        "f": jsonio.vector_to_json(result.f),
-        "completion": jsonio.matrix_to_json(result.matrix()),
+        "e": to_json_array(result.e),
+        "f": to_json_array(result.f),
+        "completion": to_json_array(result.matrix()),
     }
     _write_json(report, args.out)
     return 0
@@ -135,15 +136,15 @@ def _cmd_complete(args) -> int:
 
 def _cmd_pencil(args) -> int:
     data = _read_json(args.pencil)
-    pencil = pencil_struct.Pencil(jsonio.matrix_from_json(data["Q1"]),
-                                  jsonio.matrix_from_json(data["Q2"]))
+    pencil = pencil_struct.Pencil(from_json_array(data["Q1"], 2),
+                                  from_json_array(data["Q2"], 2))
     dec = pencil_struct.pencil_decompose(pencil, seed=args.seed)
     report = {
-        "kernel": jsonio.matrix_to_json(dec.kernel.image_basis),
+        "kernel": to_json_array(dec.kernel.image_basis),
         "blocks": [
             {"angle": blk.angle,
-             "basis": jsonio.matrix_to_json(blk.handle.image_basis),
-             "form": jsonio.matrix_to_json(blk.form)}
+             "basis": to_json_array(blk.handle.image_basis),
+             "form": to_json_array(blk.form)}
             for blk in dec.blocks
         ],
     }

@@ -29,10 +29,11 @@ class ConeExpr:
     """Construction-tree node attached to a built cone.
 
     ``kind`` is a key of the builder table ``constructions._BUILDERS``,
-    which the family table ``decompose._FAMILIES`` mirrors.  ``params`` is
-    JSON-serializable; ``children`` holds the already-built child cones of
-    combinators and ``aux`` derived runtime data (numpy arrays) that the
-    decomposition engines use.
+    which the family table ``decompose._FAMILIES`` mirrors.  ``params``
+    holds the builder's own arguments, numpy arrays included, which
+    :mod:`rogcones.jsonio` encodes; ``children`` holds the already-built
+    child cones of combinators and ``aux`` only data derived from the
+    params that the decomposition engines use.
     """
 
     kind: str
@@ -186,18 +187,14 @@ def reduce_nondegenerate(cone: SpectrahedralCone, tol: float = DEFAULT_TOL
     b = dec.vectors[:, dec.values > symlin.cut(dec.values, tol)]
     m = b.shape[1]
     if m == cone.n:
-        reduced = cone.copy_with(expr=_reduce_expr(cone, np.eye(cone.n)))
-        return reduced, np.eye(cone.n)
+        expr = ConeExpr("reduce", {"embedding": np.eye(cone.n)}, children=(cone,))
+        return cone.copy_with(expr=expr), np.eye(cone.n)
     span = b.conj().T @ cone.span_basis @ b
     gens = [b.conj().T @ x for x in cone.generators]
-    reduced = make_cone(m, span, gens, expr=_reduce_expr(cone, b),
+    expr = ConeExpr("reduce", {"embedding": b}, children=(cone,))
+    reduced = make_cone(m, span, gens, expr=expr,
                         complex_field=cone.complex_field, check=False)
     return reduced, b
-
-
-def _reduce_expr(cone: SpectrahedralCone, b: np.ndarray) -> ConeExpr:
-    return ConeExpr("reduce", params={"embedding": b.tolist()},
-                    children=(cone,), aux={"embedding": b})
 
 
 # ---------------------------------------------------------------------------
@@ -380,13 +377,7 @@ def apply_congruence(cone: SpectrahedralCone, a: np.ndarray,
     gens = [scaled @ x for x in cone.generators]
     expr = None
     if keep_expr:
-        expr = ConeExpr("transform", params={"matrix": _tolist(a)},
-                        children=(cone,), aux={"matrix": a})
+        expr = ConeExpr("transform", params={"matrix": a}, children=(cone,))
     return make_cone(cone.n, span, gens, expr=expr,
                      complex_field=cone.complex_field, check=False)
 
-
-def _tolist(a: np.ndarray):
-    if np.iscomplexobj(a):
-        return [[[float(v.real), float(v.imag)] for v in row] for row in a]
-    return a.tolist()

@@ -18,7 +18,7 @@ from .cone_model import (ConeExpr, SpectrahedralCone, apply_congruence,
                          certificate_complete, make_cone,
                          reduce_nondegenerate)
 from .errors import InvalidInputError
-from .symlin import DEFAULT_TOL
+from .symlin import DEFAULT_TOL, from_json_array
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +128,7 @@ def codim1_cone(q: np.ndarray, tol: float = DEFAULT_TOL) -> SpectrahedralCone:
     q_hat = q / np.linalg.norm(q)
     span = [s - np.tensordot(s, q_hat) * q_hat for s in symlin.sym_basis(n)]
     cone = make_cone(n, span, gens,
-                     expr=ConeExpr("codim1", {"Q": q.tolist()}, aux={"Q": q}),
+                     expr=ConeExpr("codim1", {"Q": q}),
                      check=False)
     assert cone.dim == target
     if not certificate_complete(cone):
@@ -344,8 +344,7 @@ def full_extension(k1: SpectrahedralCone, n: int) -> SpectrahedralCone:
             z2 = z.copy()
             z2[n1 + l] = 1.0
             gens.append(z2)
-    expr = ConeExpr("full_ext", {"n": n, "head": n1}, children=(k1,),
-                    aux={"head": n1, "tail": k})
+    expr = ConeExpr("full_ext", {"n": n, "head": n1}, children=(k1,))
     cone = make_cone(n, span, gens, expr=expr, check=False)
     return cone
 
@@ -419,8 +418,7 @@ def intertwine(k1: SpectrahedralCone, k2: SpectrahedralCone, glue: GlueSpec,
     gens = [f1 @ x for x in k1.generators]
     gens += [f2 @ y for y in k2.generators]
     expr = ConeExpr("intertwine",
-                    {"rank": k, "iota1": glue.iota1.tolist(),
-                     "iota2": glue.iota2.tolist()},
+                    {"rank": k, "iota1": glue.iota1, "iota2": glue.iota2},
                     children=(k1, k2),
                     aux={"blocks": (a, k, b), "c1": c1, "c2": c2,
                          "f1": f1, "f2": f2})
@@ -592,12 +590,6 @@ def tridiagonal_cone(n: int) -> SpectrahedralCone:
 # expression builders
 
 
-def _array_param(value) -> np.ndarray:
-    """A matrix param; complex entries arrive as ``[re, im]`` pairs."""
-    a = np.asarray(value, dtype=float)
-    return a[..., 0] + 1j * a[..., 1] if a.ndim == 3 else a
-
-
 # kind -> (number of children, or None for a leaf; builder(params, children)).
 # The builders look the constructors up by name when called, so patching a
 # module attribute (as the benchmark tracer does) reaches these calls too.
@@ -608,7 +600,7 @@ _BUILDERS = {
     "tridiag": (None, lambda p, c: tridiagonal_cone(int(p["n"]))),
     "chordal": (None, lambda p, c: chordal_cone(
         ChordalGraph(int(p["n"]), [tuple(e) for e in p["edges"]]))),
-    "codim1": (None, lambda p, c: codim1_cone(_array_param(p["Q"]))),
+    "codim1": (None, lambda p, c: codim1_cone(from_json_array(p["Q"], 2))),
     "ternary_quartic": (None, lambda p, c: ternary_quartic_cone()),
     "cross_ratio": (None, lambda p, c: cross_ratio_cone(p["angles"])),
     "moment": (None, lambda p, c: _moment_from_params(p)),
@@ -617,9 +609,9 @@ _BUILDERS = {
     "direct_sum": (2, lambda p, c: direct_sum(c[0], c[1])),
     "full_ext": (1, lambda p, c: full_extension(c[0], int(p["n"]))),
     "intertwine": (2, lambda p, c: intertwine(
-        c[0], c[1], GlueSpec(int(p["rank"]), _array_param(p["iota1"]),
-                             _array_param(p["iota2"])))),
-    "transform": (1, lambda p, c: apply_congruence(c[0], _array_param(p["matrix"]))),
+        c[0], c[1], GlueSpec(int(p["rank"]), from_json_array(p["iota1"], 2),
+                             from_json_array(p["iota2"], 2)))),
+    "transform": (1, lambda p, c: apply_congruence(c[0], from_json_array(p["matrix"], 2))),
     "reduce": (1, lambda p, c: reduce_nondegenerate(c[0])[0]),
 }
 

@@ -275,7 +275,7 @@ def _codim1_rays(cone, h, x_current, tol):
     and -1: each u_a + v_b and u_a - v_b, then the kernel of the form,
     then seeded random null vectors of it."""
     u_dirs, v_dirs, ker = symlin.inertia_split(
-        symlin.sym(h.T @ cone.expr.aux["Q"] @ h), tol)
+        symlin.sym(h.T @ cone.expr.params["Q"] @ h), tol)
     for a in range(u_dirs.shape[1]):
         for b in range(v_dirs.shape[1]):
             yield h @ (u_dirs[:, a] + v_dirs[:, b])
@@ -376,32 +376,31 @@ def decompose_full_extension(cone: SpectrahedralCone, x_mat: np.ndarray,
     The leading block is decomposed by the child cone; the off-diagonal
     strip is matched by a least-squares lift of the child atoms; what the
     lift leaves in the trailing block is the PSD Schur complement, which
-    splits by eigendecomposition into tail atoms.
+    splits by eigendecomposition into tail atoms.  A strip outside the
+    range of the head, or a Schur complement that is not PSD, shows that
+    X is not a member: InvalidInputError.
     """
     if cone.expr is None or cone.expr.kind != "full_ext":
         raise InvalidInputError("cone was not built by full_extension")
-    n1 = cone.expr.aux["head"]
-    x_mat = symlin.sym(np.asarray(x_mat, dtype=float))
     child = cone.expr.children[0]
+    n1 = child.n
+    x_mat = symlin.sym(np.asarray(x_mat, dtype=float))
     x11 = x_mat[:n1, :n1]
     x12 = x_mat[:n1, n1:]
     x22 = x_mat[n1:, n1:]
     child_dec = decompose(child, x11, tol)
-    vectors = []
-    weights = []
-    if child_dec.atoms:
-        v_cols = np.array([a.vector * np.sqrt(a.weight) for a in child_dec.atoms]).T
-        w_cols = (np.linalg.pinv(v_cols) @ x12).T
-        for i in range(v_cols.shape[1]):
-            u = np.concatenate([v_cols[:, i], w_cols[:, i]])
-            vectors.append(u)
-            weights.append(1.0)
-        schur = symlin.sym(x22 - w_cols @ w_cols.T)
-    else:
-        if np.linalg.norm(x12) > 1e3 * tol * (1.0 + np.linalg.norm(x_mat)):
-            raise InvalidInputError("strip block inconsistent with zero head")
-        schur = symlin.sym(x22)
+    v_cols = np.array([a.vector * np.sqrt(a.weight)
+                       for a in child_dec.atoms]).reshape(-1, n1).T
+    w_cols = (np.linalg.pinv(v_cols) @ x12).T
+    # the strip must lie in the range of the head, where the lift matches it
+    if np.linalg.norm(v_cols @ w_cols.T - x12) > 1e3 * tol * (1.0 + np.linalg.norm(x_mat)):
+        raise InvalidInputError("strip block is outside the range of the head")
+    vectors = [np.concatenate([v_cols[:, i], w_cols[:, i]]) for i in range(v_cols.shape[1])]
+    weights = [1.0] * len(vectors)
+    schur = symlin.sym(x22 - w_cols @ w_cols.T)
     dec = symlin.eig_sym(schur)
+    if not symlin.psd_values(dec.values, schur, max(tol, 1e-7)):
+        raise InvalidInputError("Schur complement of the head is not positive semidefinite")
     cut = symlin.cut(dec.values, tol)
     for lam, z in zip(dec.values, dec.vectors.T):
         if lam > cut:
@@ -458,20 +457,26 @@ def decompose_intertwining(cone: SpectrahedralCone, x_mat: np.ndarray,
 # block-Hankel nodes (Prony / shift invariance)
 
 
-def _hankel_pattern_ok(x_mat, n, m, tol):
-    x_mat = np.asarray(x_mat)
-    scale = 1.0 + float(np.linalg.norm(x_mat))
-    for i in range(n):
-        for j in range(n):
-            blk = x_mat[i * m:(i + 1) * m, j * m:(j + 1) * m]
-            ref_i = min(i + j, n - 1)
-            ref_j = i + j - ref_i
-            ref = x_mat[ref_i * m:(ref_i + 1) * m, ref_j * m:(ref_j + 1) * m]
-            if np.linalg.norm(blk - ref) > 1e3 * tol * scale:
-                return False
-            if np.linalg.norm(blk - blk.T) > 1e3 * tol * scale:
-                return False
-    return True
+def _block_pattern_ok(x_mat, n, m, tol, hankel):
+    """True iff every m x m block of X is within 1e3 tol (1 + |X|_F) of its
+    reference block and the blocks are symmetric (Hankel) or X is Hermitian
+    (Toeplitz).  The reference of block (i, j) is the block of its
+    anti-diagonal in the first block column or the last block row (Hankel),
+    or the block of its diagonal in the first block column or row (Toeplitz).
+    """
+    bound = 1e3 * tol * (1.0 + float(np.linalg.norm(x_mat)))
+    blocks = x_mat.reshape(n, m, n, m).swapaxes(1, 2)
+    i, j = np.indices((n, n))
+    if hankel:
+        ref_i = np.minimum(i + j, n - 1)
+        ref_j = i + j - ref_i
+    else:
+        ref_i, ref_j = np.maximum(i - j, 0), np.maximum(j - i, 0)
+    if np.linalg.norm(blocks - blocks[ref_i, ref_j], axis=(2, 3)).max() > bound:
+        return False
+    if hankel:
+        return np.linalg.norm(blocks - blocks.swapaxes(2, 3), axis=(2, 3)).max() <= bound
+    return np.linalg.norm(x_mat - x_mat.conj().T) <= bound
 
 
 def _snap_moment_vector(v, n, m, t):
@@ -533,7 +538,7 @@ def decompose_hankel(x_mat: np.ndarray, n: int, m: int = 1,
     x_mat = symlin.sym(np.asarray(x_mat, dtype=float))
     if x_mat.shape != (n * m, n * m):
         raise InvalidInputError("matrix size does not match (n, m)")
-    if not _hankel_pattern_ok(x_mat, n, m, tol):
+    if not _block_pattern_ok(x_mat, n, m, tol, hankel=True):
         raise InvalidInputError("matrix is not block-Hankel")
     dec = symlin.eig_sym(x_mat)
     if not symlin.psd_values(dec.values, x_mat, max(tol, 1e-7)):
@@ -570,19 +575,6 @@ def _solve_weights(dirs, x_mat):
 # complex block-Toeplitz spectral factorization
 
 
-def _toeplitz_pattern_ok(t_mat, n, m, tol):
-    scale = 1.0 + float(np.linalg.norm(t_mat))
-    for i in range(n):
-        for j in range(n):
-            blk = t_mat[i * m:(i + 1) * m, j * m:(j + 1) * m]
-            d = i - j
-            ri, rj = (d, 0) if d >= 0 else (0, -d)
-            ref = t_mat[ri * m:(ri + 1) * m, rj * m:(rj + 1) * m]
-            if np.linalg.norm(blk - ref) > 1e3 * tol * scale:
-                return False
-    return np.linalg.norm(t_mat - t_mat.conj().T) <= 1e3 * tol * scale
-
-
 def decompose_block_toeplitz(t_mat: np.ndarray, n: int, m: int = 1,
                              tol: float = DEFAULT_TOL) -> Decomposition:
     """Split a PSD Hermitian block-Toeplitz matrix into phase atoms.
@@ -595,7 +587,7 @@ def decompose_block_toeplitz(t_mat: np.ndarray, n: int, m: int = 1,
     t_mat = np.asarray(t_mat, dtype=complex)
     if t_mat.shape != (n * m, n * m):
         raise InvalidInputError("matrix size does not match (n, m)")
-    if not _toeplitz_pattern_ok(t_mat, n, m, tol):
+    if not _block_pattern_ok(t_mat, n, m, tol, hankel=False):
         raise InvalidInputError("matrix is not Hermitian block-Toeplitz")
     t_mat = symlin.sym(t_mat)
     dec = symlin.eig_sym(t_mat)
@@ -650,7 +642,7 @@ def _hankel_sample(cone, rng):
 
 
 def _codim1_sample(cone, rng):
-    u_dirs, v_dirs, ker = symlin.inertia_split(cone.expr.aux["Q"])
+    u_dirs, v_dirs, ker = symlin.inertia_split(cone.expr.params["Q"])
     s = rng.standard_normal(u_dirs.shape[1])
     r = rng.standard_normal(v_dirs.shape[1])
     x = u_dirs @ (s / np.linalg.norm(s)) + v_dirs @ (r / np.linalg.norm(r))
@@ -689,7 +681,7 @@ def _direct_sum_sample(cone, rng):
 
 def _full_ext_sample(cone, rng):
     child = cone.expr.children[0]
-    k = cone.expr.aux["tail"]
+    k = cone.n - child.n
     if rng.random() < 0.2:
         return np.concatenate([np.zeros(child.n), rng.standard_normal(k)])
     return np.concatenate([random_extreme_ray(child, rng), rng.standard_normal(k)])
@@ -723,12 +715,12 @@ def _place(n, lo, x):
 
 
 def _congruence_coords(cone):
-    a = cone.expr.aux["matrix"]
+    a = cone.expr.params["matrix"]
     return np.linalg.inv(a), a
 
 
 def _reduce_coords(cone):
-    b = cone.expr.aux["embedding"]
+    b = cone.expr.params["embedding"]
     return b, b.conj().T
 
 

@@ -1,80 +1,31 @@
 """JSON schemas for cones, decompositions, witnesses and problems.
 
-Cones serialize as ``{"n", "span_basis", "generators", "expr"}`` with
-each span element flattened to its upper triangle (row-major, i <= j).
-Complex data uses ``[re, im]`` pairs and a ``"complex": true`` flag.
-Cones carrying a construction expression are rebuilt from it on load,
-which reproduces the original bit-for-bit because the builders are
-deterministic.  Only combinator and wrapper expressions carry children;
-leaf kinds (``constructions.LEAF_KINDS``) are rebuilt from their
-parameters alone, and children that older files list under a leaf are
-skipped on load.
+Every array crosses the boundary in one format, written by
+``symlin.to_json_array`` and read by ``symlin.from_json_array``: nested
+lists of floats, with each complex entry an ``[re, im]`` pair.  Cones
+serialize as ``{"n", "span_basis", "generators", "expr"}`` with each span
+element flattened to its upper triangle (row-major, i <= j) and a
+``"complex": true`` flag over the complex field; the array params of an
+expression are encoded here.  Cones carrying a construction expression
+are rebuilt from it on load, which reproduces the original bit-for-bit
+because the builders are deterministic.  Only combinator and wrapper
+expressions carry children; leaf kinds (``constructions.LEAF_KINDS``) are
+rebuilt from their parameters alone, and children that older files list
+under a leaf are skipped on load.  Raw cones, without an expression, are
+input from outside: their generators are checked against their span.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import constructions, symlin
+from . import constructions
 from .cone_model import ConeExpr, SpectrahedralCone, make_cone
 from .decompose import Decomposition, RankOneAtom
 from .errors import InvalidInputError
 from .isomorph import IsoWitness, PartialMatrix
 from .qcqp_relax import QcqpProblem
-
-
-# ---------------------------------------------------------------------------
-# scalars / matrices
-
-
-def _num_to_json(v, complex_field: bool):
-    if complex_field:
-        return [float(np.real(v)), float(np.imag(v))]
-    return float(v)
-
-
-def _num_from_json(v):
-    if isinstance(v, (list, tuple)):
-        return complex(v[0], v[1])
-    return float(v)
-
-
-def matrix_to_json(a: np.ndarray) -> list:
-    cf = np.iscomplexobj(a)
-    return [[_num_to_json(v, cf) for v in row] for row in np.asarray(a)]
-
-
-def matrix_from_json(rows) -> np.ndarray:
-    data = [[_num_from_json(v) for v in row] for row in rows]
-    a = np.array(data)
-    if np.iscomplexobj(a) and np.abs(a.imag).max(initial=0.0) == 0.0:
-        a = a.real
-    return a
-
-
-def vector_to_json(x: np.ndarray) -> list:
-    cf = np.iscomplexobj(x)
-    return [_num_to_json(v, cf) for v in np.asarray(x)]
-
-
-def vector_from_json(vals) -> np.ndarray:
-    x = np.array([_num_from_json(v) for v in vals])
-    if np.iscomplexobj(x) and np.abs(x.imag).max(initial=0.0) == 0.0:
-        x = x.real
-    return x
-
-
-def _utri_unflatten(vals, n: int) -> np.ndarray:
-    nums = [_num_from_json(v) for v in vals]
-    cf = any(isinstance(v, complex) for v in nums)
-    a = np.zeros((n, n), dtype=complex if cf else float)
-    it = iter(nums)
-    for i in range(n):
-        for j in range(i, n):
-            v = next(it)
-            a[i, j] = v
-            a[j, i] = np.conj(v) if cf else v
-    return a
+from .symlin import from_json_array, to_json_array
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +33,9 @@ def _utri_unflatten(vals, n: int) -> np.ndarray:
 
 
 def expr_to_json(expr: ConeExpr) -> dict:
-    out = {"kind": expr.kind, "params": _params_to_json(expr.params)}
+    out = {"kind": expr.kind,
+           "params": {key: to_json_array(val) if isinstance(val, np.ndarray) else val
+                      for key, val in expr.params.items()}}
     if expr.children:
         out["children"] = [
             expr_to_json(child.expr) if child.expr is not None
@@ -91,29 +44,15 @@ def expr_to_json(expr: ConeExpr) -> dict:
     return out
 
 
-def _params_to_json(params: dict) -> dict:
-    out = {}
-    for key, val in params.items():
-        if isinstance(val, np.ndarray):
-            out[key] = val.tolist()
-        else:
-            out[key] = val
-    return out
-
-
-def _stack_to_json(a: np.ndarray, complex_field: bool) -> list:
-    """Nested lists of floats, or of [re, im] pairs when complex_field."""
-    if complex_field:
-        return np.stack([a.real, a.imag], -1).tolist()
-    return a.tolist()
-
-
 def cone_to_json(cone: SpectrahedralCone) -> dict:
     iu, ju = np.triu_indices(cone.n)
+    span = cone.span_basis[:, iu, ju]
+    if cone.complex_field:
+        span = span.astype(complex, copy=False)
     out = {
         "n": cone.n,
-        "span_basis": _stack_to_json(cone.span_basis[:, iu, ju], cone.complex_field),
-        "generators": _stack_to_json(cone.generators, np.iscomplexobj(cone.generators)),
+        "span_basis": to_json_array(span),
+        "generators": to_json_array(cone.generators),
     }
     if cone.complex_field:
         out["complex"] = True
@@ -129,13 +68,19 @@ def cone_from_json(data: dict) -> SpectrahedralCone:
             raise InvalidInputError("expression size disagrees with the stored cone")
         return cone
     n = int(data["n"])
-    span = [_utri_unflatten(row, n) for row in data.get("span_basis", [])]
-    gens = [vector_from_json(row) for row in data.get("generators", [])]
     complex_field = bool(data.get("complex", False))
-    if not span:
+    rows = from_json_array(data.get("span_basis", []), 2)
+    if len(rows) == 0:
         raise InvalidInputError("cone JSON carries no span")
-    return make_cone(n, span, gens, expr=None, complex_field=complex_field,
-                     check=False)
+    iu, ju = np.triu_indices(n)
+    if rows.ndim != 2 or rows.shape[1] != len(iu):
+        raise InvalidInputError(f"span rows must hold the {len(iu)} upper-triangle entries")
+    span = np.zeros((len(rows), n, n), dtype=complex if complex_field else rows.dtype)
+    span[:, iu, ju] = rows
+    span[:, ju, iu] = span[:, iu, ju].conj()  # second: the diagonal holds the conjugate
+    gens = from_json_array(data.get("generators", []), 2)
+    # input from outside: make_cone checks each generator against the span
+    return make_cone(n, span, gens, expr=None, complex_field=complex_field)
 
 
 def build_expr(expr_json: dict) -> SpectrahedralCone:
@@ -153,7 +98,7 @@ def build_expr(expr_json: dict) -> SpectrahedralCone:
 
 def decomposition_to_json(dec: Decomposition) -> dict:
     return {
-        "atoms": [{"weight": a.weight, "vector": vector_to_json(a.vector)}
+        "atoms": [{"weight": a.weight, "vector": to_json_array(a.vector)}
                   for a in dec.atoms],
         "residual": dec.residual,
     }
@@ -161,17 +106,17 @@ def decomposition_to_json(dec: Decomposition) -> dict:
 
 def decomposition_from_json(data: dict) -> Decomposition:
     atoms = [RankOneAtom(weight=float(a["weight"]),
-                         vector=vector_from_json(a["vector"]))
+                         vector=from_json_array(a["vector"], 1))
              for a in data.get("atoms", [])]
     return Decomposition(atoms=atoms, residual=float(data.get("residual", 0.0)))
 
 
 def witness_to_json(w: IsoWitness) -> dict:
-    return {"S": matrix_to_json(w.s_matrix),
+    return {"S": to_json_array(w.s_matrix),
             "sigma": [int(s) for s in np.sign(w.sigma)]}
 
 
-def partial_matrix_from_json(data: dict) -> PartialMatrix:
+def partial_from_json(data: dict) -> PartialMatrix:
     n, m = data["shape"]
     entries = {(int(e["i"]), int(e["j"])): float(e["v"])
                for e in data.get("entries", [])}
@@ -179,9 +124,9 @@ def partial_matrix_from_json(data: dict) -> PartialMatrix:
 
 
 def qcqp_from_json(data: dict) -> QcqpProblem:
-    return QcqpProblem(cost=matrix_from_json(data["S"]),
-                       normalization=matrix_from_json(data["B"]),
-                       constraints=[matrix_from_json(a) for a in data.get("A", [])])
+    return QcqpProblem(cost=from_json_array(data["S"], 2),
+                       normalization=from_json_array(data["B"], 2),
+                       constraints=[from_json_array(a, 2) for a in data.get("A", [])])
 
 
 def matrix_argument(data) -> np.ndarray:
@@ -190,4 +135,4 @@ def matrix_argument(data) -> np.ndarray:
         data = data.get("matrix", data.get("X"))
         if data is None:
             raise InvalidInputError("no matrix found in input")
-    return matrix_from_json(data)
+    return from_json_array(data, 2)

@@ -200,6 +200,32 @@ def vec(a: np.ndarray) -> np.ndarray:
     return a.ravel()
 
 
+def to_json_array(a: np.ndarray) -> list:
+    """Nested lists of floats; a complex array nests [re, im] pairs."""
+    if np.iscomplexobj(a):
+        return np.stack([a.real, a.imag], -1).tolist()
+    return a.tolist()
+
+
+def from_json_array(data, ndim: int) -> np.ndarray:
+    """Inverse of :func:`to_json_array` for an array of ``ndim`` axes.
+
+    One extra trailing axis of length 2 holds [re, im] pairs; the result
+    is real when every imaginary part is zero.  An ndarray passes through.
+    """
+    if isinstance(data, np.ndarray):
+        return data
+    try:
+        a = np.asarray(data, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidInputError("array entries are ragged or not numbers") from None
+    if a.ndim != ndim + 1 or a.shape[-1] != 2:
+        return a
+    if not a[..., 1].any():
+        return a[..., 0]
+    return a.view(complex)[..., 0]
+
+
 def _vec_stack(a: np.ndarray) -> np.ndarray:
     """Rows vec(a[k]) of a stack of matrices."""
     flat = a.reshape(a.shape[0], int(np.prod(a.shape[1:])))

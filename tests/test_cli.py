@@ -7,6 +7,7 @@ subcommand, and checks its exit code and the JSON it writes.
 import json
 
 import numpy as np
+import pytest
 
 import rogcones as rc
 from rogcones import cli, jsonio, symlin
@@ -46,6 +47,32 @@ def test_cli_build(tmp_path):
     assert report["complex"] is True
     assert report == jsonio.cone_to_json(cone)
     assert (tmp_path / "report.json").read_text().count("\n") == 1
+
+
+def test_cli_build_reduce_over_a_degenerate_complex_raw_cone(tmp_path):
+    gens = np.array([[1, 1j, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]])
+    raw = rc.make_cone(3, [symlin.outer(g) for g in gens], gens, complex_field=True)
+    expr = _write(tmp_path, "expr.json", {"kind": "reduce", "params": {}, "children": [
+        {"kind": "raw", "params": {"cone": jsonio.cone_to_json(raw)}}]})
+    code, report = _run(tmp_path, "build", "--expr", expr)
+    assert code == 0
+    back, reduced = jsonio.cone_from_json(report), rc.reduce_nondegenerate(raw)[0]
+    assert back.n == reduced.n == 2 and back.complex_field
+
+    def projector(cone):
+        rows = symlin._vec_stack(cone.span_basis)
+        return rows.T @ rows
+    assert np.abs(projector(back) - projector(reduced)).max() <= 1e-10
+    overlaps = np.abs(back.generators @ reduced.generators.conj().T)
+    assert overlaps.shape == (4, 4)
+    assert np.all(overlaps.max(axis=0) > 1 - 1e-8) and np.all(overlaps.max(axis=1) > 1 - 1e-8)
+
+
+def test_cli_analyze_checks_raw_generators(tmp_path, capsys):
+    cone = _write(tmp_path, "raw.json",
+                  {"n": 2, "span_basis": [[1, 0, 0]], "generators": [[1, 1]]})
+    assert cli.run(["analyze", cone]) == 1
+    assert capsys.readouterr().err == "error: generator outer product is not in the span\n"
 
 
 def test_cli_analyze(tmp_path):
@@ -110,7 +137,7 @@ def test_cli_iso(tmp_path):
                         _cone_path(tmp_path, k2, "k2.json"))
     assert code == 0
     assert report["status"] == "isomorphic"
-    s_mat = jsonio.matrix_from_json(report["witness"]["S"])
+    s_mat = np.array(report["witness"]["S"])
     for m in k1.span_basis:
         img = s_mat @ m @ s_mat.T
         assert symlin.span_distance(k2.span_basis, img) < 1e-6 * (1 + np.linalg.norm(img))
@@ -138,6 +165,15 @@ def test_cli_qcqp(tmp_path):
     assert 0.0 <= report["duality_gap"] <= 1e-8 * (1.0 + abs(report["relaxed_value"]))
     x_opt = np.array(report["x_opt"])
     assert abs(abs(x_opt[0]) - 1.0) < 1e-4 and abs(x_opt[1]) < 1e-4
+
+
+@pytest.mark.parametrize("s_mat", [[[1.0, 0.0], [0.0]], [["one", 0.0], [0.0, 1.0]]],
+                         ids=["ragged", "non-numeric"])
+def test_cli_qcqp_malformed_matrix(tmp_path, capsys, s_mat):
+    problem = _write(tmp_path, "p.json", {"S": s_mat, "B": np.eye(2).tolist()})
+    assert cli.run(["qcqp", problem]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_cli_complete(tmp_path):

@@ -2,10 +2,11 @@ import importlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rogcones as rc
 from rogcones import symlin
-from rogcones.decompose import (decompose_block_toeplitz,
+from rogcones.decompose import (_block_pattern_ok, decompose_block_toeplitz,
                                 decompose_full_extension, decompose_hankel,
                                 decompose_intertwining, extreme_ray_oracle)
 from rogcones.errors import InvalidInputError, OracleUnavailableError
@@ -98,6 +99,18 @@ def test_decompose_full_extension_identity_diag3():
         assert np.abs(a.vector).max() > 1 - 1e-9  # coordinate directions
 
 
+@pytest.mark.parametrize("x", [np.diag([1.0, 1.0, -1.0]),
+                               np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 1.0]])],
+                         ids=["negative-tail", "strip-off-range"])
+def test_decompose_full_extension_rejects_non_members(x):
+    k = rc.full_extension(rc.full_psd_cone(2), 3)
+    assert not rc.membership(k, x)
+    with pytest.raises(InvalidInputError):
+        rc.decompose(k, x)
+    with pytest.raises(InvalidInputError):
+        rc.carath_decompose(k, x)
+
+
 def test_decompose_intertwining_counts(rng):
     s2 = rc.full_psd_cone(2)
     arrow = rc.intertwine(s2, s2, rc.rank1_glue(s2, [0, 1], s2, [1, 0]))
@@ -165,6 +178,51 @@ def test_decompose_hankel_rejects():
     bad = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
     with pytest.raises(InvalidInputError):
         decompose_hankel(bad, 3)  # anti-diagonals disagree
+
+
+def _block_loops(x_mat, n, m, tol, hankel):
+    """The per-block loops that ``_block_pattern_ok`` replaces."""
+    scale = 1.0 + float(np.linalg.norm(x_mat))
+    for i in range(n):
+        for j in range(n):
+            blk = x_mat[i * m:(i + 1) * m, j * m:(j + 1) * m]
+            if hankel:
+                ri = min(i + j, n - 1)
+                rj = i + j - ri
+            else:
+                d = i - j
+                ri, rj = (d, 0) if d >= 0 else (0, -d)
+            ref = x_mat[ri * m:(ri + 1) * m, rj * m:(rj + 1) * m]
+            if np.linalg.norm(blk - ref) > 1e3 * tol * scale:
+                return False
+            if hankel and np.linalg.norm(blk - blk.T) > 1e3 * tol * scale:
+                return False
+    return hankel or np.linalg.norm(x_mat - x_mat.conj().T) <= 1e3 * tol * scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 6), m=st.integers(1, 3), hankel=st.booleans(),
+       perturb=st.sampled_from([0.0, 1e-9, 1e-2, 1.0]), seed=st.integers(0, 2**32 - 1))
+def test_block_pattern_matches_the_block_loops(n, m, hankel, perturb, seed):
+    rng = np.random.default_rng(seed)
+    x = np.zeros((n * m, n * m), dtype=float if hankel else complex)
+    if hankel:  # a symmetric block per anti-diagonal
+        for s, b in enumerate(rng.standard_normal((2 * n - 1, m, m))):
+            for i in range(max(0, s - n + 1), min(s, n - 1) + 1):
+                x[i * m:(i + 1) * m, (s - i) * m:(s - i + 1) * m] = b + b.T
+    else:  # a block per diagonal, the block of -d the adjoint of that of d
+        blocks = rng.standard_normal((n, m, m)) + 1j * rng.standard_normal((n, m, m))
+        blocks[0] += blocks[0].conj().T
+        for i in range(n):
+            for j in range(n):
+                b = blocks[i - j] if i >= j else blocks[j - i].conj().T
+                x[i * m:(i + 1) * m, j * m:(j + 1) * m] = b
+    i, j = rng.integers(n, size=2)
+    x[i * m:(i + 1) * m, j * m:(j + 1) * m] += perturb * (1.0 + np.linalg.norm(x)) * \
+        rng.standard_normal((m, m))
+    assert _block_pattern_ok(x, n, m, 1e-8, hankel) == _block_loops(x, n, m, 1e-8, hankel)
+    if perturb == 0.0:
+        assert _block_pattern_ok(x, n, m, 1e-8, hankel)
 
 
 def test_decompose_toeplitz_single_atom():

@@ -244,12 +244,19 @@ def test_no_children_under_leaf_kinds_in_nested_json():
 # cone JSON flatten
 
 
+def _num_to_json(v, complex_field):
+    """One entry: a float, or an [re, im] pair when complex_field."""
+    if complex_field:
+        return [float(np.real(v)), float(np.imag(v))]
+    return float(v)
+
+
 def _per_entry_cone_json(cone):
     """The span and generator lists that one ``_num_to_json`` per entry gives."""
     n = cone.n
-    span = [[jsonio._num_to_json(s[i, j], cone.complex_field)
+    span = [[_num_to_json(s[i, j], cone.complex_field)
              for i in range(n) for j in range(i, n)] for s in cone.span_basis]
-    gens = [[jsonio._num_to_json(v, np.iscomplexobj(x)) for v in x]
+    gens = [[_num_to_json(v, np.iscomplexobj(x)) for v in x]
             for x in cone.generators]
     return span, gens
 

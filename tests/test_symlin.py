@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -230,3 +232,28 @@ def test_orthonormal_span_matches_a_dense_svd(seed, n, count, rank, complex_fiel
     rows = symlin._vec_stack(basis)
     assert np.abs(rows @ rows.T - np.eye(len(rows))).max(initial=0.0) <= 1e-12
     assert np.abs(rows.T @ rows - dense.T @ dense).max() <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the JSON array format
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+       complex_field=st.booleans(), data=st.data())
+def test_json_array_round_trip_is_bit_exact(shape, complex_field, data):
+    entries = st.floats(allow_nan=False)
+    count = int(np.prod(shape)) * (2 if complex_field else 1)
+    a = np.array(data.draw(st.lists(entries, min_size=count, max_size=count)))
+    a = a.view(complex).reshape(shape) if complex_field else a.reshape(shape)
+    back = symlin.from_json_array(json.loads(json.dumps(symlin.to_json_array(a))), a.ndim)
+    # an all-zero imaginary part reads back as a real array
+    expected = a.real if complex_field and not a.imag.any() else a
+    assert back.dtype == expected.dtype and back.shape == expected.shape
+    assert np.ascontiguousarray(back).tobytes() == np.ascontiguousarray(expected).tobytes()
+
+
+@pytest.mark.parametrize("data", [[[1.0, 2.0], [3.0]], [["x", 1.0]], [[{}, 1.0]]])
+def test_json_array_rejects_ragged_or_non_numeric_input(data):
+    with pytest.raises(InvalidInputError):
+        symlin.from_json_array(data, 2)
