@@ -171,7 +171,12 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.set_defaults(func=_cmd_build)
 
-    p = sub.add_parser("analyze", help="degree/dimension/simplicity report")
+    p = sub.add_parser(
+        "analyze", help="degree/dimension/simplicity report",
+        description="Degree, dimension and simplicity report of a cone. "
+                    "certificate_complete says that the generators' outer "
+                    "products span L: necessary for the cone to be rank-one "
+                    "generated, not a proof of it.")
     p.add_argument("cone", help="cone JSON path")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_analyze)

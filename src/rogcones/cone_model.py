@@ -122,11 +122,17 @@ def _normalize_generators(generators, n: int, complex_field: bool) -> np.ndarray
 
 
 def certificate_complete(cone: SpectrahedralCone) -> bool:
-    """True iff the generator outer products span the cone's subspace L."""
+    """True iff the generator outer products span the cone's subspace L.
+
+    Spanning rank-1 generators are necessary for K to be rank-one
+    generated, not a proof of it: the pattern cone of the 4-cycle,
+    L = {X : X_02 = X_13 = 0}, is spanned by the outer products of its
+    edge vectors e_i +- e_j, e_i, e_j and is not ROG.
+    """
     if len(cone.generators) == 0:
         return cone.dim == 0
     g = cone.generators
-    return symlin.orthonormal_span(g[:, :, None] * g.conj()[:, None, :]).shape[0] == cone.dim
+    return symlin.span_dim(g[:, :, None] * g.conj()[:, None, :]) == cone.dim
 
 
 # ---------------------------------------------------------------------------

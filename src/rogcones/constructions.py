@@ -121,7 +121,7 @@ def codim1_cone(q: np.ndarray, tol: float = DEFAULT_TOL) -> SpectrahedralCone:
         gens.append(x)
         guard += 1
         prods = [symlin.outer(g) for g in gens]
-        if symlin.orthonormal_span(prods).shape[0] == target:
+        if symlin.span_dim(prods) == target:
             break
         if guard > 40 * target:
             raise InvalidInputError("could not certify the codimension-1 cone")

@@ -224,7 +224,7 @@ def face_of(cone: SpectrahedralCone, handle: FaceHandle,
         return SpectrahedralCone(n=cone.n, span_basis=basis,
                                  generators=np.zeros((0, cone.n), dtype=cone.generators.dtype),
                                  expr=None, complex_field=cone.complex_field)
-    have = symlin.orthonormal_span([symlin.outer(x) for x in gens]).shape[0] if gens else 0
+    have = symlin.span_dim([symlin.outer(x) for x in gens]) if gens else 0
     if have < basis.shape[0]:
         gens.extend(rays_spanning_face(cone, h, tol))
     return make_cone(cone.n, basis, gens, expr=None,

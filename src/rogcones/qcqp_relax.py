@@ -387,10 +387,10 @@ def rank1_feasible_samples(problem: QcqpProblem, count: int,
     than n, or A_i x confined to a smaller common span) J J^T is singular
     at every x and each step is ``_pinv_steps``.  A start is kept once
     max |f| < 1e-10 and dropped once |x| > 1e8; the converged points come
-    back as a list of vectors, in the order of their starts.  Starts are
-    refined in blocks of rows with stacked residuals, Jacobians and steps,
-    and each block is drawn as one (rows, n) array, which gives the same
-    numbers as drawing the starts one at a time.
+    back as the rows of one (converged, n) array, in the order of their
+    starts.  Starts are refined in blocks of rows with stacked residuals,
+    Jacobians and steps, and each block is drawn as one (rows, n) array,
+    which gives the same numbers as drawing the starts one at a time.
     """
     n = problem.n
     forms = np.array(problem.constraints + [problem.normalization])
@@ -405,7 +405,7 @@ def rank1_feasible_samples(problem: QcqpProblem, count: int,
     sv = np.linalg.svd(forms @ np.random.default_rng(0).standard_normal(n), compute_uv=False)
     steps = (_min_norm_steps if k <= n and sv[-1] > symlin.cut(sv, symlin.SUBSPACE_TOL)
              else _pinv_steps)
-    out = []
+    out = [np.zeros((0, n))]
     for first in range(0, count, _SAMPLE_BLOCK):
         x = rng.standard_normal((min(_SAMPLE_BLOCK, count - first), n))
         converged = np.zeros(len(x), dtype=bool)
@@ -423,8 +423,8 @@ def rank1_feasible_samples(problem: QcqpProblem, count: int,
             xs = xs - steps(2.0 * ax, f, rcond)
             x[live] = xs
             live = live[~(np.linalg.norm(xs, axis=1) > 1e8)]
-        out.extend(x[converged])
-    return out
+        out.append(x[converged])
+    return np.concatenate(out)
 
 
 def _min_norm_steps(jac, f, rcond):
@@ -502,10 +502,9 @@ def certify_exactness(problem: QcqpProblem,
         return result("exact-by-rog")
     rng = np.random.default_rng(seed)
     samples = rank1_feasible_samples(problem, gap_samples, rng)
-    if not samples:
+    if len(samples) == 0:
         return result("inconclusive")
-    stacked = np.array(samples)
-    values = np.einsum("si,ij,sj->s", stacked, problem.cost, stacked)
+    values = np.einsum("si,ij,sj->s", samples, problem.cost, samples)
     best = float(values.min())
     if best > sol.objective + 1e-6 * (1.0 + abs(sol.objective)):
         return result("gap-detected", extracted=best)

@@ -14,9 +14,16 @@ Rank, range, kernel and inertia decisions share one rule, computed only
 by :func:`cut`: v_i counts as nonzero when |v_i| > tol * max(1, max|v|),
 v being the eigenvalues, singular values or entries decided on.  The
 defaults, overridable per call, are ``DEFAULT_TOL`` = 1e-8 and, for the
-singular-value cut that ``orthonormal_span``, ``subspace_of_vectors`` and
-``nullspace`` share, ``SUBSPACE_TOL`` = 1e-10.  PSD decisions use the
-rule of :func:`psd_check`.
+singular-value cut that ``orthonormal_span``, ``span_dim``,
+``subspace_of_vectors`` and ``nullspace`` share, ``SUBSPACE_TOL`` = 1e-10.
+PSD decisions use the rule of :func:`psd_check`.
+
+Each subspace kernel computes only what its callers read: ``span_dim``
+answers a rank question from the singular values alone;
+``orthonormal_span`` skips the SVD when the generating rows are already
+pairwise orthogonal (their norms are then the singular values and the
+normalized rows the right singular vectors); ``nullspace`` builds the
+full set of right singular vectors only for a wide input.
 """
 
 from __future__ import annotations
@@ -241,24 +248,63 @@ def _svd_cut(a: np.ndarray, tol: float, full_matrices: bool):
     return int(np.count_nonzero(s > cut(s, tol))), vt
 
 
-def orthonormal_span(mats, tol: float = SUBSPACE_TOL) -> np.ndarray:
-    """Orthonormal basis (stack) of the real span of the given matrices.
+# rows whose pairwise inner products are at most this times the product of
+# their norms are orthogonal up to rounding: their SVD is known in closed form
+_ORTHOGONAL = 1e-14
 
-    The SVD runs only on the coordinates that are nonzero in some input
-    matrix and its right singular vectors are scattered back into place.
-    A coordinate that is zero in every input carries no part of any right
-    singular vector, so the span is the one a dense SVD gives; a chordal
-    pattern on 40 vertices, for instance, uses 268 of the 1,600 entries.
+
+def _span_rows(mats):
+    """The real rows vec(mats[k]) restricted to their support, the support
+    (column indices into the full rows), the full row width, n and whether
+    the field is complex: the input of every span kernel below.
+
+    A coordinate that is zero in every input matrix carries no part of any
+    right singular vector, so restricting to the support changes no
+    singular value and no span; a chordal pattern on 40 vertices, for
+    instance, uses 268 of the 1,600 entries.
     """
     stack = np.asarray(mats)
     if len(stack) == 0:
         raise InvalidInputError("empty generating set")
-    n = stack.shape[1]
     complex_field = np.iscomplexobj(stack)
     rows = _vec_stack(stack.astype(complex if complex_field else float, copy=False))
     support = np.flatnonzero(rows.any(axis=0))
-    rank, vt = _svd_cut(rows[:, support], tol, full_matrices=False)
-    keep = np.zeros((rank, rows.shape[1]))
+    return rows[:, support], support, rows.shape[1], stack.shape[1], complex_field
+
+
+def span_dim(mats, tol: float = SUBSPACE_TOL) -> int:
+    """Dimension of the real span of the given matrices: the number of
+    singular values above cut(s, tol), the rank rule of
+    :func:`orthonormal_span`, from the singular values alone."""
+    s = np.linalg.svd(_span_rows(mats)[0], compute_uv=False)
+    return int(np.count_nonzero(s > cut(s, tol)))
+
+
+def orthonormal_span(mats, tol: float = SUBSPACE_TOL) -> np.ndarray:
+    """Orthonormal basis (stack) of the real span of the given matrices.
+
+    The rows vec(mats[k]), restricted to their support, decide the span by
+    their singular values above cut(s, tol).  When the rows are pairwise
+    orthogonal up to rounding (coordinate patterns, Hankel anti-diagonals,
+    Toeplitz diagonals, direct sums, an orthonormal basis read back), the
+    SVD is known in closed form: the singular values are the row norms and
+    the right singular vectors the normalized rows.  Those rows then come
+    back in input order, normalized, the ones at or below the cut dropped;
+    any other input takes the SVD, whose rows come in descending order of
+    singular value.
+    """
+    rows, support, width, n, complex_field = _span_rows(mats)
+    gram = rows @ rows.T
+    norms = np.sqrt(gram.diagonal())
+    np.fill_diagonal(gram, 0.0)
+    if (np.abs(gram) <= _ORTHOGONAL * norms[:, None] * norms).all():
+        live = norms > cut(norms, tol)
+        vt = rows if live.all() else rows[live]
+        vt /= norms[live, None]
+        rank = len(vt)
+    else:
+        rank, vt = _svd_cut(rows, tol, full_matrices=False)
+    keep = np.zeros((rank, width))
     keep[:, support] = vt[:rank]
     if complex_field:
         keep = keep[:, :n * n] + 1j * keep[:, n * n:]
@@ -298,7 +344,10 @@ def subspace_of_vectors(vectors, tol: float = SUBSPACE_TOL) -> np.ndarray:
 
 def nullspace(a: np.ndarray, tol: float = SUBSPACE_TOL) -> np.ndarray:
     """Orthonormal basis, as columns, of the kernel of a (real or complex)."""
-    rank, vt = _svd_cut(np.atleast_2d(np.asarray(a)), tol, full_matrices=True)
+    a = np.atleast_2d(np.asarray(a))
+    # a tall or square a has a square reduced vt; only a wide one needs
+    # the full one for its kernel rows
+    rank, vt = _svd_cut(a, tol, full_matrices=a.shape[0] < a.shape[1])
     return vt[rank:].conj().T
 
 

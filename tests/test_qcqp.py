@@ -442,7 +442,7 @@ def sequential_samples(problem, count, rng, iters=50):
 def test_batched_samples_match_sequential(name, problem, count):
     ref = sequential_samples(problem, count, np.random.default_rng(7))
     out = qcqp_relax.rank1_feasible_samples(problem, count, np.random.default_rng(7))
-    assert isinstance(out, list)
+    assert isinstance(out, np.ndarray) and out.shape == (len(ref), problem.n)
     assert len(out) == len(ref)
     if name == "infeasible":
         assert len(out) == 0

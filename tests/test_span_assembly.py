@@ -1,7 +1,8 @@
 """Invariants of span assembly and of the JSON rebuild.
 
 ``make_cone`` dedupes rays with one Gram matrix, ``orthonormal_span`` runs
-its SVD on the nonzero support only, leaf kinds (chordal, tridiagonal)
+its SVD on the nonzero support only and skips it for orthogonal rows,
+``span_dim`` counts singular values alone, leaf kinds (chordal, tridiagonal)
 are built from their parameters alone, with no gluing tree,
 ``cone_to_json`` flattens a whole span stack with one gather and
 ``simplicity_partition`` sweeps the generators once: these tests pin each
@@ -12,6 +13,7 @@ import importlib
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import rogcones as rc
@@ -153,6 +155,144 @@ def test_support_span_all_zero():
     assert basis.shape[0] == 0
     cone = rc.make_cone(3, [np.zeros((3, 3))], [], check=False)
     assert cone.dim == 0
+
+
+# ---------------------------------------------------------------------------
+# rank-only counts and the closed form for orthogonal rows
+
+
+def _record_svds(monkeypatch):
+    """The compute_uv flag of every np.linalg.svd call made from now on."""
+    calls = []
+    real = np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    return calls
+
+
+def _stack_with_spectrum(rng, n, count, s, complex_field):
+    """count symmetric (Hermitian) matrices whose vec rows have the nonzero
+    singular values s, in random orientation."""
+    basis = symlin.herm_basis(n) if complex_field else symlin.sym_basis(n)
+    u, _ = np.linalg.qr(rng.standard_normal((count, len(s))))
+    w, _ = np.linalg.qr(rng.standard_normal((len(basis), len(s))))
+    return np.tensordot((u * s) @ w.T, basis, axes=(1, 0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), count=st.integers(1, 10),
+       rank=st.integers(1, 10), near=st.integers(0, 3), complex_field=st.booleans(),
+       scale=st.sampled_from([1e-3, 1.0, 1e4]))
+def test_span_dim_is_the_dimension_of_orthonormal_span(seed, n, count, rank, near,
+                                                       complex_field, scale):
+    rng = np.random.default_rng(seed)
+    rank = min(rank, count, n * n if complex_field else n * (n + 1) // 2)
+    near = min(near, rank - 1)
+    # rank - near singular values of order `scale`, the last `near` of them
+    # replaced by values a factor 1e-3 above or below the cut
+    s = scale * rng.uniform(0.5, 2.0, rank)
+    c = symlin.cut(s[:rank - near], symlin.SUBSPACE_TOL)
+    side = rng.choice([1.001, 0.999], near)
+    s[rank - near:] = c * side
+    mats = _stack_with_spectrum(rng, n, count, s, complex_field)
+    expected = rank - near + int(np.count_nonzero(side > 1.0))
+    assert symlin.span_dim(mats) == symlin.orthonormal_span(mats).shape[0] == expected
+
+
+def _chordal_pattern(rng):
+    """Pattern matrices E_ii and E_ij + E_ji of a chordal graph, each with a
+    random positive weight, so the rows are orthogonal but not unit."""
+    graph = random_chordal_graph(rng, 9)
+    mats = []
+    for i, j in [(v, v) for v in range(graph.n)] + list(graph.edges):
+        e = np.zeros((graph.n, graph.n))
+        e[i, j] = e[j, i] = rng.uniform(0.1, 10.0)
+        mats.append(e)
+    return mats
+
+
+def _direct_sum_of_bases():
+    """Two SVD-made bases embedded in the diagonal blocks of a 5 x 5 matrix."""
+    heads = (rc.codim1_cone(np.diag([1.0, -1.0, 2.0])).span_basis,
+             rc.codim1_cone(np.diag([1.0, -3.0])).span_basis)
+    mats = []
+    for at, basis in zip((0, 3), heads):
+        for b in basis:
+            e = np.zeros((5, 5))
+            e[at:at + len(b), at:at + len(b)] = b
+            mats.append(e)
+    return mats
+
+
+def _straddling_rows():
+    """Orthogonal rows whose norms sit just above, just below and at zero
+    against the cut of the largest."""
+    norms = np.array([3.0, 1.0, 3e-10 * 1.001, 0.0, 3e-10 * 0.999, 0.5])
+    return norms[:, None, None] * symlin.sym_basis(3)[:len(norms)], norms > 3e-10
+
+
+@pytest.mark.parametrize("name", ["sym_basis", "herm_basis", "chordal", "direct_sum",
+                                  "straddling"])
+def test_orthogonal_rows_take_the_closed_form(monkeypatch, name):
+    kept = None
+    if name == "sym_basis":
+        mats = symlin.sym_basis(6)
+    elif name == "herm_basis":
+        mats = symlin.herm_basis(4)
+    elif name == "chordal":
+        mats = _chordal_pattern(np.random.default_rng(5))
+    elif name == "direct_sum":
+        mats = _direct_sum_of_bases()
+    else:
+        mats, kept = _straddling_rows()
+    dense = _dense_span(mats)
+    calls = _record_svds(monkeypatch)
+    basis = symlin.orthonormal_span(mats)
+    assert calls == []
+    rows = _rows(basis)
+    assert basis.shape[0] == dense.shape[0]
+    assert np.abs(rows @ rows.T - np.eye(len(rows))).max() <= 1e-12
+    assert np.abs(rows.T @ rows - dense.T @ dense).max() <= 1e-12
+    # the normalized input rows, in input order, the ones at the cut dropped
+    given = _rows(mats)
+    if kept is None:
+        kept = np.ones(len(given), dtype=bool)
+    unit = given[kept] / np.linalg.norm(given[kept], axis=1)[:, None]
+    assert np.abs(rows - unit).max() <= 1e-15
+    assert symlin.span_dim(mats) == basis.shape[0]
+
+
+def test_certificate_complete_asks_for_no_singular_vectors(monkeypatch):
+    cones = (rc.chordal_cone(random_chordal_graph(np.random.default_rng(5), 12)),
+             rc.codim1_cone(np.diag([1.0, -1.0, 2.0])), rc.block_toeplitz_cone(2, 2))
+    calls = _record_svds(monkeypatch)
+    assert all(cone_model.certificate_complete(k) for k in cones)
+    assert calls == [False] * len(cones)
+
+
+@pytest.mark.parametrize("name", ["full_psd", "chordal", "direct_sum"])
+def test_orthogonal_spans_build_without_an_svd(monkeypatch, name):
+    graph = random_chordal_graph(np.random.default_rng(5), 12)
+    children = (rc.hankel_cone(3), rc.full_psd_cone(2))
+    build = {"full_psd": lambda: rc.full_psd_cone(6),
+             "chordal": lambda: rc.chordal_cone(graph),
+             "direct_sum": lambda: rc.direct_sum(*children)}[name]
+    calls = _record_svds(monkeypatch)
+    cone = build()
+    assert calls == []
+    assert cone_model.certificate_complete(cone)
+
+
+def test_raw_cone_json_reloads_its_basis_unrotated():
+    rng = np.random.default_rng(0)
+    gens = [rng.standard_normal(3) for _ in range(4)]
+    cone = rc.make_cone(3, [np.outer(x, x) for x in gens], gens)
+    back = jsonio.cone_from_json(jsonio.cone_to_json(cone))
+    assert np.abs(back.span_basis - cone.span_basis).max() <= 1e-14
 
 
 def test_span_coords_matches_vec_rows():

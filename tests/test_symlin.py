@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rogcones import symlin
 from rogcones.errors import InvalidInputError
@@ -216,9 +216,25 @@ def test_span_and_kernel_split_the_space(seed, rows, cols, rank, complex_field, 
     assert np.abs(_projector(conj_span) + _projector(ker) - np.eye(cols)).max() <= 1e-12
 
 
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 9), cols=st.integers(1, 9),
+       rank=st.integers(0, 9), complex_field=st.booleans())
+def test_nullspace_matches_the_full_matrices_svd(seed, rows, cols, rank, complex_field):
+    # tall, square and wide inputs: only a wide one needs the full vt
+    rank = min(rank, rows, cols)
+    a = _low_rank(np.random.default_rng(seed), rows, cols, rank, complex_field, 1.0)
+    ker = symlin.nullspace(a)
+    _, s, vt = np.linalg.svd(a, full_matrices=True)
+    full = vt[np.count_nonzero(s > symlin.cut(s, symlin.SUBSPACE_TOL)):].conj().T
+    assert ker.shape == full.shape == (cols, cols - rank)
+    assert np.abs(_projector(ker) - _projector(full)).max(initial=0.0) <= 1e-12
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), count=st.integers(1, 8),
        rank=st.integers(0, 8), complex_field=st.booleans())
+@example(seed=131877, n=3, count=5, rank=5, complex_field=False)
+@example(seed=3, n=3, count=8, rank=6, complex_field=False)
 def test_orthonormal_span_matches_a_dense_svd(seed, n, count, rank, complex_field):
     rng = np.random.default_rng(seed)
     rank = min(rank, count, n * n if complex_field else n * (n + 1) // 2)
@@ -231,7 +247,11 @@ def test_orthonormal_span_matches_a_dense_svd(seed, n, count, rank, complex_fiel
     assert basis.shape[0] == len(dense) == rank
     rows = symlin._vec_stack(basis)
     assert np.abs(rows @ rows.T - np.eye(len(rows))).max(initial=0.0) <= 1e-12
-    assert np.abs(rows.T @ rows - dense.T @ dense).max() <= 1e-12
+    # two SVDs of the same span give projectors that agree to first order
+    # in eps times the condition number s_1 / s_rank of the generating set
+    kappa = s[0] / s[rank - 1] if rank else 1.0
+    bound = max(1e-12, 4 * np.finfo(float).eps * kappa)
+    assert np.abs(rows.T @ rows - dense.T @ dense).max() <= bound
 
 
 # ---------------------------------------------------------------------------
