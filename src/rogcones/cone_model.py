@@ -12,7 +12,7 @@ of a cone's kind (face certificates, diagonalizing bases) lives in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -32,8 +32,10 @@ class ConeExpr:
     which the family table ``decompose._FAMILIES`` mirrors.  ``params``
     holds the builder's own arguments, numpy arrays included, which
     :mod:`rogcones.jsonio` encodes; ``children`` holds the already-built
-    child cones of combinators and ``aux`` only data derived from the
-    params that the decomposition engines use.
+    child cones of combinators and wrappers, none for leaf kinds, and
+    ``aux`` only data derived from the params that the engines use.  Each
+    kind but ``moment`` is a theorem of the paper: a tree of them proves
+    the cone rank-one generated.
     """
 
     kind: str
@@ -67,32 +69,31 @@ class SpectrahedralCone:
     span_basis: np.ndarray                 # (d, n, n) orthonormal stack
     generators: np.ndarray                 # (g, n) unit vectors
     expr: Optional[ConeExpr] = None
-    complex_field: bool = False
 
     @property
     def dim(self) -> int:
         return self.span_basis.shape[0]
 
+    @property
+    def complex_field(self) -> bool:
+        """True iff the span holds complex Hermitian matrices."""
+        return np.iscomplexobj(self.span_basis)
+
     def copy_with(self, **kw) -> "SpectrahedralCone":
-        data = dict(n=self.n, span_basis=self.span_basis,
-                    generators=self.generators, expr=self.expr,
-                    complex_field=self.complex_field)
-        data.update(kw)
-        return SpectrahedralCone(**data)
+        return replace(self, **kw)
 
 
 def make_cone(n: int, span_mats, generators, expr: Optional[ConeExpr] = None,
-              complex_field: bool = False, check: bool = True,
-              tol: float = DEFAULT_TOL) -> SpectrahedralCone:
-    """Assemble a cone from spanning matrices and generator vectors."""
+              check: bool = True) -> SpectrahedralCone:
+    """Assemble a cone from spanning matrices and generator vectors, over
+    the field (real or complex) of the spanning matrices."""
     basis = symlin.orthonormal_span(span_mats)
-    gens = _normalize_generators(generators, n, complex_field)
-    cone = SpectrahedralCone(n=n, span_basis=basis, generators=gens,
-                             expr=expr, complex_field=complex_field)
+    gens = _normalize_generators(generators, n, np.iscomplexobj(basis))
+    cone = SpectrahedralCone(n=n, span_basis=basis, generators=gens, expr=expr)
     if check:
         for x in gens:
             p = symlin.outer(x)
-            if symlin.span_distance(basis, p) > 100 * tol * (1.0 + np.linalg.norm(p)):
+            if symlin.span_distance(basis, p) > 100 * DEFAULT_TOL * (1.0 + np.linalg.norm(p)):
                 raise InvalidInputError("generator outer product is not in the span")
     return cone
 
@@ -190,7 +191,7 @@ def reduce_nondegenerate(cone: SpectrahedralCone, tol: float = DEFAULT_TOL
     if not certified and not symlin.psd_values(dec.values, hub, tol):
         raise MissingCertificateError(
             "cone carries no certificate and no obvious interior element")
-    b = dec.vectors[:, dec.values > symlin.cut(dec.values, tol)]
+    b = dec.range(tol)
     m = b.shape[1]
     if m == cone.n:
         expr = ConeExpr("reduce", {"embedding": np.eye(cone.n)}, children=(cone,))
@@ -198,8 +199,7 @@ def reduce_nondegenerate(cone: SpectrahedralCone, tol: float = DEFAULT_TOL
     span = b.conj().T @ cone.span_basis @ b
     gens = [b.conj().T @ x for x in cone.generators]
     expr = ConeExpr("reduce", {"embedding": b}, children=(cone,))
-    reduced = make_cone(m, span, gens, expr=expr,
-                        complex_field=cone.complex_field, check=False)
+    reduced = make_cone(m, span, gens, expr=expr, check=False)
     return reduced, b
 
 
@@ -294,13 +294,13 @@ def simplicity_partition(cone: SpectrahedralCone, tol: float = DEFAULT_TOL
     return handles
 
 
-def isolated_rays(cone: SpectrahedralCone, tol: float = DEFAULT_TOL) -> list[int]:
+def isolated_rays(cone: SpectrahedralCone) -> list[int]:
     """Generator indices spanning the 1-dimensional direct summands.
 
     These are exactly the isolated extreme rays: the discrete part of the
     extreme-ray variety splits off as a nonnegative-orthant factor.
     """
-    return unit_factor_rays(cone, simplicity_partition(cone, tol))
+    return unit_factor_rays(cone, simplicity_partition(cone))
 
 
 def unit_factor_rays(cone: SpectrahedralCone, handles: list[FaceHandle]) -> list[int]:
@@ -342,26 +342,25 @@ def tangent_space(cone: SpectrahedralCone, x: np.ndarray) -> np.ndarray:
 # MLD sets
 
 
-def find_mld_sets(cone: SpectrahedralCone, max_size: int = 6,
-                  tol: float = DEFAULT_TOL) -> list[MldSet]:
-    """All minimally linearly dependent generator subsets up to max_size.
+def find_mld_sets(cone: SpectrahedralCone) -> list[MldSet]:
+    """All minimally linearly dependent generator subsets of at most six.
 
     A subset of k+1 vectors qualifies when its span has dimension k and
     the (then unique) kernel vector of the stacked column matrix has no
-    zero entry.
+    entry of modulus DEFAULT_TOL or less.
     """
     if len(cone.generators) == 0:
         raise MissingCertificateError("MLD search needs a certificate")
     from itertools import combinations
     gens = cone.generators
     out = []
-    for size in range(2, min(max_size, len(gens)) + 1):
+    for size in range(2, min(6, len(gens)) + 1):
         for subset in combinations(range(len(gens)), size):
-            null = symlin.nullspace(gens[np.array(subset)].T, tol)
+            null = symlin.nullspace(gens[np.array(subset)].T, DEFAULT_TOL)
             if null.shape[1] != 1:
                 continue
             kern = null[:, 0]
-            if np.abs(kern).min() > tol:
+            if np.abs(kern).min() > DEFAULT_TOL:
                 out.append(MldSet(indices=list(subset), kernel_coeffs=kern))
     return out
 
@@ -384,6 +383,5 @@ def apply_congruence(cone: SpectrahedralCone, a: np.ndarray,
     expr = None
     if keep_expr:
         expr = ConeExpr("transform", params={"matrix": a}, children=(cone,))
-    return make_cone(cone.n, span, gens, expr=expr,
-                     complex_field=cone.complex_field, check=False)
+    return make_cone(cone.n, span, gens, expr=expr, check=False)
 

@@ -88,7 +88,7 @@ def hankel_cone(n: int, m: int = 1) -> SpectrahedralCone:
     return cone
 
 
-def codim1_cone(q: np.ndarray, tol: float = DEFAULT_TOL) -> SpectrahedralCone:
+def codim1_cone(q: np.ndarray) -> SpectrahedralCone:
     """PSD matrices orthogonal to one indefinite quadratic form.
 
     The rank-1 elements are exactly the outer products of the null cone
@@ -98,7 +98,7 @@ def codim1_cone(q: np.ndarray, tol: float = DEFAULT_TOL) -> SpectrahedralCone:
     """
     q = symlin.sym_matrix(q)
     n = q.shape[0]
-    u_dirs, v_dirs, ker = symlin.inertia_split(q, tol)
+    u_dirs, v_dirs, ker = symlin.inertia_split(q)
     if u_dirs.shape[1] == 0 or v_dirs.shape[1] == 0:
         raise InvalidInputError("form must be indefinite")
     gens = []
@@ -269,8 +269,7 @@ def block_toeplitz_cone(n: int, m: int = 1) -> SpectrahedralCone:
     qs = np.exp(2j * np.pi * np.arange(2 * n - 1) / (2 * n - 1))
     gens = [_phase_vector(q, n, v) for q in qs for v in vs]
     cone = make_cone(n * m, span, gens,
-                     expr=ConeExpr("block_toeplitz", {"n": n, "m": m}),
-                     complex_field=True, check=False)
+                     expr=ConeExpr("block_toeplitz", {"n": n, "m": m}), check=False)
     assert cone.dim == (2 * n - 1) * m * m
     if not certificate_complete(cone):
         raise InvalidInputError("block-Toeplitz certificate incomplete")
@@ -295,8 +294,7 @@ def direct_sum(k1: SpectrahedralCone, k2: SpectrahedralCone) -> SpectrahedralCon
     gens = [np.concatenate([x, np.zeros(n2, dtype=dtype)]) for x in k1.generators]
     gens += [np.concatenate([np.zeros(n1, dtype=dtype), y]) for y in k2.generators]
     expr = ConeExpr("direct_sum", {"sizes": [n1, n2]}, children=(k1, k2))
-    return make_cone(n, span, gens, expr=expr,
-                     complex_field=k1.complex_field, check=False)
+    return make_cone(n, span, gens, expr=expr, check=False)
 
 
 def full_extension(k1: SpectrahedralCone, n: int) -> SpectrahedralCone:
@@ -616,11 +614,6 @@ _BUILDERS = {
 }
 
 
-# Leaf kinds take no children; JSON written before the chordal kinds became
-# leaves lists their gluing tree, which loading skips.
-LEAF_KINDS = frozenset(kind for kind, (arity, _) in _BUILDERS.items() if arity is None)
-
-
 def _moment_from_params(params: dict) -> SpectrahedralCone:
     if "powers" not in params:
         raise InvalidInputError(
@@ -629,24 +622,19 @@ def _moment_from_params(params: dict) -> SpectrahedralCone:
                                     powers=params["powers"])
 
 
-def build(expr) -> SpectrahedralCone:
-    """Build a cone from a ConeExpr or its JSON dict form."""
-    if isinstance(expr, ConeExpr):
-        kind, params, children = expr.kind, expr.params, expr.children
-    elif isinstance(expr, dict):
-        kind = expr.get("kind")
-        params = expr.get("params", {})
-        children = expr.get("children", [])
-    else:
-        raise InvalidInputError("expected a ConeExpr or a dict")
+def build(expr: dict) -> SpectrahedralCone:
+    """Build a cone from the JSON dict form of its expression, whose
+    ``"children"`` are built cones or expression dicts.  A leaf kind given
+    children, or a combinator the wrong number: InvalidInputError."""
+    if not isinstance(expr, dict):
+        raise InvalidInputError("expected an expression dict")
+    kind = expr.get("kind")
     if kind not in _BUILDERS:
         raise InvalidInputError(f"unknown cone expression kind {kind!r}")
     arity, builder = _BUILDERS[kind]
-    if arity is None:
-        return builder(params, ())
-    children = [c if isinstance(c, SpectrahedralCone) else build(c)
-                for c in children]
-    if len(children) != arity:
+    children = expr.get("children", [])
+    if len(children) != (arity or 0):
         raise InvalidInputError(
-            f"{kind} takes {('one child', 'two children')[arity - 1]}")
-    return builder(params, children)
+            f"{kind} takes {('no children', 'one child', 'two children')[arity or 0]}")
+    return builder(expr.get("params", {}),
+                   [c if isinstance(c, SpectrahedralCone) else build(c) for c in children])

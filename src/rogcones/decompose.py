@@ -93,15 +93,15 @@ def decompose(cone: SpectrahedralCone, x_mat: np.ndarray,
 
 
 def carath_decompose(cone: SpectrahedralCone, x_mat: np.ndarray,
-                     tol: float = DEFAULT_TOL, max_retries: int = 8
-                     ) -> Decomposition:
+                     tol: float = DEFAULT_TOL) -> Decomposition:
     """Peel extreme rays until nothing is left.
 
     Each round finds a rank-1 element E = x x^T of the cone inside the
     face of the current iterate and removes mu* E with the largest mu*
     keeping the iterate PSD (mu* = 1 / x^T X^+ x); the rank then drops by
-    exactly one.  A step that fails to drop the rank is retried with a
-    different ray.
+    exactly one.  A step that fails to drop the rank is retried with the
+    next ray of the kind's rule, up to eight rays a round; a round whose
+    rule has no ray left stalls the peel (NumericalError).
     """
     x_mat = np.asarray(x_mat, dtype=cone.span_basis.dtype)
     if not membership(cone, x_mat, max(tol, 1e-7)):
@@ -113,14 +113,14 @@ def carath_decompose(cone: SpectrahedralCone, x_mat: np.ndarray,
     rank = dec.rank(tol)
     mu_trace: list[float] = []
     while rank > 0:
-        h = dec.vectors[:, dec.values > symlin.cut(dec.values, tol)]
+        h = dec.range(tol)
         pinv = dec.pinv(tol)
         accepted = False
-        for attempt in range(max_retries):
+        for attempt in range(8):
             x = extreme_ray_oracle(cone, h, x_current=current, attempt=attempt,
                                    tol=tol)
             if x is None:
-                continue
+                break
             x = x / np.linalg.norm(x)
             denom = float(np.real(np.vdot(x, pinv @ x)))
             # denom >= 1 / lambda_max for a unit x in the face, at every scale
@@ -178,12 +178,11 @@ def extreme_ray_oracle(cone: SpectrahedralCone, h: np.ndarray,
     return None
 
 
-def rays_spanning_face(cone: SpectrahedralCone, h: np.ndarray,
-                       tol: float = DEFAULT_TOL) -> list[np.ndarray]:
+def rays_spanning_face(cone: SpectrahedralCone, h: np.ndarray) -> list[np.ndarray]:
     """Every candidate x in col(h) with x x^T in the cone's span, by the
     rule of the cone's kind (none for kinds, summands or wrapped cones
     without one)."""
-    return [x for x in _rays(cone, h, None, tol)
+    return [x for x in _rays(cone, h, None, DEFAULT_TOL)
             if not isinstance(x, OracleUnavailableError)]
 
 
@@ -204,8 +203,7 @@ def _child_rays(child, h, x_current, tol, lift):
         yield x if isinstance(x, OracleUnavailableError) else lift(x)
 
 
-def face_of(cone: SpectrahedralCone, handle: FaceHandle,
-            tol: float = DEFAULT_TOL) -> SpectrahedralCone:
+def face_of(cone: SpectrahedralCone, handle: FaceHandle) -> SpectrahedralCone:
     """The face K ∩ L_n(H): intersect the span, keep generators inside H.
 
     When the kept generators do not span the face, the candidates of
@@ -219,27 +217,25 @@ def face_of(cone: SpectrahedralCone, handle: FaceHandle,
     basis = face_span(cone, h)
     p = h @ h.conj().T
     gens = [x for x in cone.generators
-            if np.linalg.norm(x - p @ x) <= 10 * tol * np.linalg.norm(x)]
+            if np.linalg.norm(x - p @ x) <= 10 * DEFAULT_TOL * np.linalg.norm(x)]
     if basis.shape[0] == 0:
         return SpectrahedralCone(n=cone.n, span_basis=basis,
                                  generators=np.zeros((0, cone.n), dtype=cone.generators.dtype),
-                                 expr=None, complex_field=cone.complex_field)
+                                 expr=None)
     have = symlin.span_dim([symlin.outer(x) for x in gens]) if gens else 0
     if have < basis.shape[0]:
-        gens.extend(rays_spanning_face(cone, h, tol))
-    return make_cone(cone.n, basis, gens, expr=None,
-                     complex_field=cone.complex_field, check=False)
+        gens.extend(rays_spanning_face(cone, h))
+    return make_cone(cone.n, basis, gens, expr=None, check=False)
 
 
-def diagonalizing_basis(cone: SpectrahedralCone, x_mat: np.ndarray,
-                        tol: float = DEFAULT_TOL) -> np.ndarray:
+def diagonalizing_basis(cone: SpectrahedralCone, x_mat: np.ndarray) -> np.ndarray:
     """Basis of R^n or C^n (columns) in which X reads diag(1,..,1,0,..,0).
 
     The leading k columns b_i carry rank-1 elements b_i b_i^T of K, so all
     diag(d_1..d_k, 0..0) with d_i >= 0 stay inside the cone in these
     coordinates.  Built from the rank-1 decomposition of X.
     """
-    result = decompose(cone, x_mat, tol=tol)
+    result = decompose(cone, x_mat)
     cols = [atom.vector * np.sqrt(atom.weight) for atom in result.atoms]
     if len(cols) < cone.n:
         head = symlin.subspace_of_vectors(cols) if cols else np.zeros((cone.n, 0))
@@ -546,8 +542,7 @@ def decompose_hankel(x_mat: np.ndarray, n: int, m: int = 1,
     rank = dec.rank(tol)
     if rank == 0:
         return Decomposition(atoms=[], residual=float(np.linalg.norm(x_mat)))
-    finite, inf_dirs = _hankel_candidates(
-        dec.vectors[:, dec.values > symlin.cut(dec.values, tol)], n, m)
+    finite, inf_dirs = _hankel_candidates(dec.range(tol), n, m)
     dirs = [v for _, v in finite] + inf_dirs
     result = _solve_weights(dirs, x_mat) if len(dirs) == rank else None
     if result is not None:

@@ -21,9 +21,10 @@ import numpy as np
 from . import symlin
 from .cone_model import SpectrahedralCone, reduce_nondegenerate
 from .errors import InvalidInputError
-from .symlin import DEFAULT_TOL
 
 _ENTRY_TOL = 1e-9
+# a witness must reproduce each matched generator to this relative error
+_WITNESS_TOL = 1e-7
 
 
 @dataclass
@@ -214,13 +215,14 @@ class IsoOutcome:
     reason: Optional[str] = None
 
 
-def _greedy_basis(cols: np.ndarray, tol: float = 1e-9) -> list[int]:
-    """Indices of a well-conditioned maximal independent column subset."""
+def _greedy_basis(cols: np.ndarray) -> list[int]:
+    """Indices of a well-conditioned maximal independent column subset,
+    picking residuals above 1e-9 only."""
     n = cols.shape[0]
     chosen: list[int] = []
     basis = np.zeros((n, 0))
     for _ in range(n):
-        best, best_res = None, tol
+        best, best_res = None, 1e-9
         for j in range(cols.shape[1]):
             if j in chosen:
                 continue
@@ -266,14 +268,14 @@ def _reconstruct_core(xs: np.ndarray, ys: np.ndarray, basis_idx: list[int]):
     return yb @ np.diag(comp.e) @ np.linalg.inv(xb), comp.f
 
 
-def reconstruct_isomorphism(x_gens, y_gens, tol: float = 1e-7) -> IsoOutcome:
+def reconstruct_isomorphism(x_gens, y_gens) -> IsoOutcome:
     """Recover S with y_i = +-S x_i from index-matched generator lists.
 
     The first list must span and both must have the same length.  Both
     are solved against a basis of the first, and the rank-1 completion
     of their coordinate ratios gives S with y_i = f_i S x_i.  S is scaled
     by the median |f_i|, and every generator must then satisfy
-    y_i = +-S x_i within tol; this also enforces determinant
+    y_i = +-S x_i within ``_WITNESS_TOL``; this also enforces determinant
     compatibility (|det| of matched n-column subsets agree up to one
     common factor).
     """
@@ -294,7 +296,7 @@ def reconstruct_isomorphism(x_gens, y_gens, tol: float = 1e-7) -> IsoOutcome:
     s_mat = s_mat * float(np.median(np.abs(f)))
     sigma = np.where(f < 0, -1.0, 1.0)
     err = np.linalg.norm(ys - sigma * (s_mat @ xs), axis=0)
-    bad = np.flatnonzero(err > tol * (1.0 + np.linalg.norm(ys, axis=0)))
+    bad = np.flatnonzero(err > _WITNESS_TOL * (1.0 + np.linalg.norm(ys, axis=0)))
     if bad.size:
         return IsoOutcome("incompatible", reason=f"generator {bad[0]} not reproduced")
     return IsoOutcome("isomorphic", witness=IsoWitness(s_matrix=s_mat, sigma=sigma))
@@ -304,16 +306,16 @@ def reconstruct_isomorphism(x_gens, y_gens, tol: float = 1e-7) -> IsoOutcome:
 # cone-level isomorphism
 
 
-def _span_maps_onto(s_mat, span1, span2, tol=1e-6) -> bool:
+def _span_maps_onto(s_mat, span1, span2) -> bool:
     for mat in span1:
         img = s_mat @ mat @ s_mat.T
-        if symlin.span_distance(span2, img) > tol * (1.0 + np.linalg.norm(img)):
+        if symlin.span_distance(span2, img) > 1e-6 * (1.0 + np.linalg.norm(img)):
             return False
     return True
 
 
-def _signature(q: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[int, int, int]:
-    pos, neg, zero = (d.shape[1] for d in symlin.inertia_split(q, tol))
+def _signature(q: np.ndarray) -> tuple[int, int, int]:
+    pos, neg, zero = (d.shape[1] for d in symlin.inertia_split(q))
     if (pos, neg) < (neg, pos):
         pos, neg = neg, pos
     return pos, neg, zero
@@ -336,8 +338,7 @@ def codim1_form(cone: SpectrahedralCone) -> np.ndarray:
 
 
 def cones_isomorphic(k1: SpectrahedralCone, k2: SpectrahedralCone,
-                     seed: int = 0, max_tuples: int = 10_000,
-                     tol: float = 1e-7) -> IsoOutcome:
+                     seed: int = 0, max_tuples: int = 10_000) -> IsoOutcome:
     """Decide isomorphism of two certified cones, producing a witness.
 
     Quick invariant rejections (degree, dimension, codimension-1
@@ -367,10 +368,10 @@ def cones_isomorphic(k1: SpectrahedralCone, k2: SpectrahedralCone,
     kinds = tuple(c.expr.kind if c.expr else None for c in (k1, k2))
     if kinds == ("cross_ratio", "cross_ratio"):
         return _cross_ratio_isomorphic(k1, k2)
-    return _match_and_reconstruct(k1r, k2r, seed, max_tuples, tol)
+    return _match_and_reconstruct(k1r, k2r, seed, max_tuples)
 
 
-def _match_and_reconstruct(k1, k2, seed, max_tuples, tol):
+def _match_and_reconstruct(k1, k2, seed, max_tuples):
     xs = k1.generators
     ys = k2.generators
     basis_idx = _greedy_basis(xs.T)
@@ -379,7 +380,7 @@ def _match_and_reconstruct(k1, k2, seed, max_tuples, tol):
     rng = np.random.default_rng(seed)
     attempts = 0
     if len(xs) == len(ys):
-        out = _try_matching(k1, k2, list(range(len(ys))), basis_idx, tol)
+        out = _try_matching(k1, k2, list(range(len(ys))), basis_idx)
         if out is not None:
             return out
         attempts += 1
@@ -394,7 +395,7 @@ def _match_and_reconstruct(k1, k2, seed, max_tuples, tol):
             perm = _search_assignment(m_x, pats, ys, basis_idx, rng)
             if perm is None:
                 continue
-            out = _try_matching(k1, k2, perm, basis_idx, tol)
+            out = _try_matching(k1, k2, perm, basis_idx)
             if out is not None:
                 return out
     # a search that cannot start counts as max_tuples failed assignments
@@ -404,7 +405,7 @@ def _match_and_reconstruct(k1, k2, seed, max_tuples, tol):
                              "tried without a witness")
 
 
-def _search_assignment(m_x, pats, ys, basis_idx, rng, ratio_tol=1e-6):
+def _search_assignment(m_x, pats, ys, basis_idx, rng):
     """One randomized attempt at a full generator assignment; m_x is the
     first list in its basis coordinates and pats the columns' zero patterns."""
     mm, my = m_x.shape[1], len(ys)
@@ -431,7 +432,7 @@ def _search_assignment(m_x, pats, ys, basis_idx, rng, ratio_tol=1e-6):
             paty = np.abs(coly) > symlin.cut(coly, 1e-6)
             if not np.array_equal(pat, paty):
                 continue
-            if not _ratio_consistent(col, coly, matched_cols, ratio_tol):
+            if not _ratio_consistent(col, coly, matched_cols):
                 continue
             found = j
             break
@@ -443,19 +444,19 @@ def _search_assignment(m_x, pats, ys, basis_idx, rng, ratio_tol=1e-6):
     return perm
 
 
-def _ratio_consistent(col_x, col_y, matched_cols, tol):
+def _ratio_consistent(col_x, col_y, matched_cols):
     pat = np.abs(col_x) > 1e-8
     for ox, oy in matched_cols:
         shared = pat & (np.abs(ox) > 1e-8)
         if shared.sum() < 2:
             continue
         r = (col_y[shared] / col_x[shared]) / (oy[shared] / ox[shared])
-        if np.abs(r - r[0]).max() > tol * (1.0 + np.abs(r[0])):
+        if np.abs(r - r[0]).max() > 1e-6 * (1.0 + np.abs(r[0])):
             return False
     return True
 
 
-def _try_matching(k1, k2, perm, basis_idx, tol):
+def _try_matching(k1, k2, perm, basis_idx):
     """Attempt a witness from the given generator assignment, or None."""
     xs = k1.generators.T
     ys = k2.generators[np.array(perm)].T
@@ -471,7 +472,7 @@ def _try_matching(k1, k2, perm, basis_idx, tol):
     img = s_mat @ xs
     img = img / np.linalg.norm(img, axis=0)
     sigma = np.where(np.sum(img * ys, axis=0) < 0, -1.0, 1.0)
-    if np.any(np.linalg.norm(sigma * img - ys, axis=0) > tol * 10):
+    if np.any(np.linalg.norm(sigma * img - ys, axis=0) > 10 * _WITNESS_TOL):
         return None
     return IsoOutcome("isomorphic", witness=IsoWitness(s_matrix=s_mat, sigma=sigma))
 
@@ -513,8 +514,9 @@ def s4_orbit(lam: float) -> list[float]:
     return vals
 
 
-def same_s4_orbit(lam1: float, lam2: float, tol: float = 1e-9) -> bool:
-    return any(abs(v - lam2) <= tol * (1.0 + abs(lam2)) for v in s4_orbit(lam1))
+def same_s4_orbit(lam1: float, lam2: float) -> bool:
+    """True iff lam2 is within 1e-9 (1 + |lam2|) of the orbit of lam1."""
+    return any(abs(v - lam2) <= 1e-9 * (1.0 + abs(lam2)) for v in s4_orbit(lam1))
 
 
 def _cross_ratio_isomorphic(k1, k2) -> IsoOutcome:

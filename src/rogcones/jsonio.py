@@ -9,10 +9,10 @@ element flattened to its upper triangle (row-major, i <= j) and a
 expression are encoded here.  Cones carrying a construction expression
 are rebuilt from it on load, which reproduces the original bit-for-bit
 because the builders are deterministic.  Only combinator and wrapper
-expressions carry children; leaf kinds (``constructions.LEAF_KINDS``) are
-rebuilt from their parameters alone, and children that older files list
-under a leaf are skipped on load.  Raw cones, without an expression, are
-input from outside: their generators are checked against their span.
+expressions carry children; leaf kinds are rebuilt from their parameters
+alone, and a leaf that lists children is rejected on load.  Raw cones,
+without an expression, are input from outside: their generators are
+checked against their span.
 """
 
 from __future__ import annotations
@@ -46,12 +46,9 @@ def expr_to_json(expr: ConeExpr) -> dict:
 
 def cone_to_json(cone: SpectrahedralCone) -> dict:
     iu, ju = np.triu_indices(cone.n)
-    span = cone.span_basis[:, iu, ju]
-    if cone.complex_field:
-        span = span.astype(complex, copy=False)
     out = {
         "n": cone.n,
-        "span_basis": to_json_array(span),
+        "span_basis": to_json_array(cone.span_basis[:, iu, ju]),
         "generators": to_json_array(cone.generators),
     }
     if cone.complex_field:
@@ -80,15 +77,14 @@ def cone_from_json(data: dict) -> SpectrahedralCone:
     span[:, ju, iu] = span[:, iu, ju].conj()  # second: the diagonal holds the conjugate
     gens = from_json_array(data.get("generators", []), 2)
     # input from outside: make_cone checks each generator against the span
-    return make_cone(n, span, gens, expr=None, complex_field=complex_field)
+    return make_cone(n, span, gens, expr=None)
 
 
 def build_expr(expr_json: dict) -> SpectrahedralCone:
     if expr_json.get("kind") == "raw":
         return cone_from_json(expr_json["params"]["cone"])
     node = dict(expr_json)
-    if node.get("kind") not in constructions.LEAF_KINDS:
-        node["children"] = [build_expr(c) for c in expr_json.get("children", [])]
+    node["children"] = [build_expr(c) for c in expr_json.get("children", [])]
     return constructions.build(node)
 
 
@@ -132,7 +128,7 @@ def qcqp_from_json(data: dict) -> QcqpProblem:
 def matrix_argument(data) -> np.ndarray:
     """Accept either a bare nested list or {"matrix": [...]}."""
     if isinstance(data, dict):
-        data = data.get("matrix", data.get("X"))
+        data = data.get("matrix")
         if data is None:
             raise InvalidInputError("no matrix found in input")
     return from_json_array(data, 2)

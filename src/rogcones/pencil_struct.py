@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import symlin
-from .cone_model import (FaceHandle, SpectrahedralCone, degree,
+from .cone_model import (RAY_MATCH, FaceHandle, SpectrahedralCone, degree,
                          reduce_nondegenerate, simplicity_partition)
 from .decompose import face_of
 from .errors import InvalidInputError, NumericalError
@@ -77,8 +77,7 @@ def _angle_mod_pi(c: float, s: float) -> float:
     return phi
 
 
-def pencil_decompose(pencil: Pencil, tol: float = DEFAULT_TOL,
-                     seed: int = 7) -> PencilDecomposition:
+def pencil_decompose(pencil: Pencil, seed: int = 7) -> PencilDecomposition:
     """Joint block decomposition of a pencil with n real eigenvectors.
 
     Writes Q1 = sum_k cos(phi_k) Phi_k and Q2 = sum_k sin(phi_k) Phi_k
@@ -89,7 +88,7 @@ def pencil_decompose(pencil: Pencil, tol: float = DEFAULT_TOL,
     q1, q2 = pencil.q1, pencil.q2
     n = q1.shape[0]
     scale = max(np.linalg.norm(q1), np.linalg.norm(q2), 1.0)
-    kernel = symlin.nullspace(np.vstack([q1, q2]), tol)
+    kernel = symlin.nullspace(np.vstack([q1, q2]), DEFAULT_TOL)
     comp = symlin.complement_basis(kernel, n) if kernel.shape[1] else np.eye(n)
     q1c = symlin.sym(comp.T @ q1 @ comp)
     q2c = symlin.sym(comp.T @ q2 @ comp)
@@ -101,7 +100,7 @@ def pencil_decompose(pencil: Pencil, tol: float = DEFAULT_TOL,
     for _ in range(20):
         theta = rng.uniform(0, np.pi)
         cand = np.cos(theta) * q1c + np.sin(theta) * q2c
-        if symlin.numeric_rank(cand, tol) == nc:
+        if symlin.numeric_rank(cand) == nc:
             a_mat = cand
             break
     if a_mat is None:
@@ -180,8 +179,7 @@ def _validate_pencil(dec: PencilDecomposition, q1, q2, n, scale):
 # rank-2 extreme elements
 
 
-def rank2_extreme_check(forms, x: np.ndarray, y: np.ndarray,
-                        tol: float = DEFAULT_TOL) -> Optional[np.ndarray]:
+def rank2_extreme_check(forms, x: np.ndarray, y: np.ndarray) -> Optional[np.ndarray]:
     """Extreme rank-2 element of the section on span{x, y}, if one exists.
 
     Builds the d x 3 matrix of the restricted forms; the face carries an
@@ -193,7 +191,7 @@ def rank2_extreme_check(forms, x: np.ndarray, y: np.ndarray,
     y = np.asarray(y, dtype=float)
     m_rows = np.array([[x @ q @ x, 2.0 * (x @ q @ y), y @ q @ y] for q in forms])
     _, sv, vt = np.linalg.svd(m_rows)
-    cut = symlin.cut(sv, tol)
+    cut = symlin.cut(sv, DEFAULT_TOL)
     if np.count_nonzero(sv > cut) != 2:
         return None
     a, b, c = vt[-1]
@@ -290,9 +288,9 @@ def codim2_structure(q1: np.ndarray, q2: np.ndarray, seed: int = 0,
                            samples=p_samples)
 
 
-def _refine_null_vector(q1, q2, z0, iters: int = 60):
+def _refine_null_vector(q1, q2, z0):
     z = z0 / np.linalg.norm(z0)
-    for _ in range(iters):
+    for _ in range(60):
         f = np.array([z @ q1 @ z, z @ q2 @ z])
         if np.abs(f).max() < 1e-12:
             return z if np.linalg.norm(z) > 1e-6 else None
@@ -344,9 +342,9 @@ class ClassLabel:
         return out
 
 
-def classify_codim1(cone: SpectrahedralCone, tol: float = DEFAULT_TOL) -> ClassLabel:
+def classify_codim1(cone: SpectrahedralCone) -> ClassLabel:
     """Signature label of a codimension-1 cone (positives first)."""
-    cone, _ = reduce_nondegenerate(cone, tol)
+    cone, _ = reduce_nondegenerate(cone)
     n = cone.n
     if cone.dim != n * (n + 1) // 2 - 1:
         raise InvalidInputError("cone is not of codimension 1")
@@ -426,7 +424,7 @@ def rank2_face_planes(cone: SpectrahedralCone):
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
             x, y = gens[i], gens[j]
-            if abs(x @ y) > 1.0 - 1e-8:
+            if abs(x @ y) > RAY_MATCH:
                 continue
             cross = symlin.sym(np.outer(x, y)) * 2.0
             if symlin.span_distance(cone.span_basis, cross) > 1e-7 * (1.0 + np.linalg.norm(cross)):

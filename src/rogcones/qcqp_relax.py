@@ -12,9 +12,8 @@ corrector; Helmberg-Rendl-Vanderbei-Wolkowicz 1996, Toh-Todd-Tutuncu
 PSD dual matrix Z recomputed from (y, w) and a measured duality gap,
 ``infeasible`` and ``unbounded`` a ray.  ``certify_exactness`` purifies the
 optimizer to an extreme point of the optimal face and extracts a rank-1
-solution when there is one.  If the induced cone carries a complete rank-1
-certificate the relaxation is exact for structural reasons and is reported
-as such.
+solution when there is one.  A cone whose construction tree proves it
+rank-one generated makes the relaxation exact, and is reported as such.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import symlin
-from .cone_model import SpectrahedralCone, certificate_complete, make_cone
+from .cone_model import SpectrahedralCone, make_cone
 from .errors import InvalidInputError
 from .symlin import DEFAULT_TOL
 
@@ -89,6 +88,9 @@ class SdpSolution:
 
 @dataclass
 class ExactnessCertificate:
+    """``exact-by-rog`` rests on a construction tree proving the cone ROG,
+    ``exact-with-solution`` on a rank-1 x_opt at the relaxed value, and
+    ``gap-detected`` on samples only: a sampled claim, not a proof."""
     status: str                  # exact-with-solution | exact-by-rog | gap-detected | inconclusive
     x_opt: Optional[np.ndarray]
     relaxed_value: float
@@ -330,7 +332,7 @@ def purify_to_extreme(problem: QcqpProblem, cone: SpectrahedralCone,
     fixed = np.vstack([flat @ problem.normalization.ravel(), flat @ problem.cost.ravel()])
     for _ in range(problem.n * (problem.n + 1)):
         dec = symlin.eig_sym(x)
-        h = dec.vectors[:, dec.values > symlin.cut(dec.values, tol)]
+        h = dec.range(tol)
         if h.shape[1] <= 1:
             break
         p = h @ h.T
@@ -377,10 +379,10 @@ _GRAM_RESIDUAL = 1e-14
 
 
 def rank1_feasible_samples(problem: QcqpProblem, count: int,
-                           rng: np.random.Generator, iters: int = 50):
+                           rng: np.random.Generator):
     """Newton-refined samples of {x : x^T A_i x = 0, x^T B x = 1}.
 
-    Each of `count` standard normal starts takes up to `iters` minimum-norm
+    Each of `count` standard normal starts takes up to 50 minimum-norm
     Newton steps J^+ f on the residuals f = (x^T A_i x, x^T B x - 1), J
     their Jacobian.  The steps come from ``_min_norm_steps`` when J has
     full row rank at a generic x; otherwise (dependent forms, more forms
@@ -410,7 +412,7 @@ def rank1_feasible_samples(problem: QcqpProblem, count: int,
         x = rng.standard_normal((min(_SAMPLE_BLOCK, count - first), n))
         converged = np.zeros(len(x), dtype=bool)
         live = np.arange(len(x))
-        for _ in range(iters):
+        for _ in range(50):
             xs = x[live]
             ax = (xs @ rows_t).reshape(len(xs), k, n)
             f = np.einsum("ska,sa->sk", ax, xs)
@@ -456,6 +458,14 @@ def _pinv_steps(jac, f, rcond):
     return np.einsum("snk,sk->sn", np.linalg.pinv(jac, rcond=rcond), f)
 
 
+def _proved_rog(cone: SpectrahedralCone) -> bool:
+    """True iff every node of the cone's construction tree has an
+    expression of a kind other than ``moment``."""
+    expr = cone.expr
+    return (expr is not None and expr.kind != "moment"
+            and all(_proved_rog(child) for child in expr.children))
+
+
 def certify_exactness(problem: QcqpProblem,
                       cone: SpectrahedralCone | None = None,
                       gap_samples: int = 100_000, seed: int = 0,
@@ -463,11 +473,13 @@ def certify_exactness(problem: QcqpProblem,
     """Solve the relaxation and certify whether it is exact.
 
     The optimizer is purified to an extreme point of the optimal face; a
-    rank-1 extreme point yields the solution vector directly.  When the
-    induced cone carries a complete rank-1 certificate, exactness holds
-    structurally and the status says so.  A higher-rank extreme point
-    triggers sampling of the rank-1 feasible set with
-    ``rank1_feasible_samples``, whose values x^T S x come from one
+    rank-1 extreme point yields the solution vector directly.  When
+    ``cone`` (spanning the induced cone) is proved ROG by its construction
+    tree, an expression on every node and no ``moment`` kind, exactness
+    holds structurally and the status says so; spanning rank-1 generators
+    are no proof (the raw 4-cycle pattern cone has them, and a gap).  A
+    higher-rank extreme point triggers sampling of the rank-1 feasible set
+    with ``rank1_feasible_samples``, whose values x^T S x come from one
     ``einsum`` over the stacked samples: "gap-detected" is a sampled
     claim, never a proof, and "inconclusive" is returned when sampling
     cannot tell.
@@ -488,7 +500,7 @@ def certify_exactness(problem: QcqpProblem,
                 raise InvalidInputError("provided cone does not match the constraints")
         if cone.dim != work.dim:
             raise InvalidInputError("provided cone does not match the constraints")
-    certified = len(cone.generators) > 0 and certificate_complete(cone)
+    certified = _proved_rog(cone)
     x_pure = purify_to_extreme(problem, cone, sol.x_mat, tol)
     dec = symlin.eig_sym(x_pure)
     rank = int(np.count_nonzero(dec.values > symlin.cut(dec.values, tol)))

@@ -13,9 +13,10 @@ Matrices are plain numpy arrays.  Symmetric means ``A == A.T`` exactly;
 Rank, range, kernel and inertia decisions share one rule, computed only
 by :func:`cut`: v_i counts as nonzero when |v_i| > tol * max(1, max|v|),
 v being the eigenvalues, singular values or entries decided on.  The
-defaults, overridable per call, are ``DEFAULT_TOL`` = 1e-8 and, for the
-singular-value cut that ``orthonormal_span``, ``span_dim``,
-``subspace_of_vectors`` and ``nullspace`` share, ``SUBSPACE_TOL`` = 1e-10.
+kernels that take a ``tol`` default to ``DEFAULT_TOL`` = 1e-8.  The
+subspace kernels ``orthonormal_span``, ``span_dim`` and
+``subspace_of_vectors`` cut their singular values at ``SUBSPACE_TOL`` =
+1e-10, with no per-call override; ``nullspace`` defaults to the same cut.
 PSD decisions use the rule of :func:`psd_check`.
 
 Each subspace kernel computes only what its callers read: ``span_dim``
@@ -105,6 +106,10 @@ class EigDecomp:
     def rank(self, tol: float) -> int:
         """Number of eigenvalues with |lambda| > cut(lambda, tol)."""
         return int(np.count_nonzero(np.abs(self.values) > cut(self.values, tol)))
+
+    def range(self, tol: float) -> np.ndarray:
+        """Eigenvectors (columns) whose eigenvalues are above cut(lambda, tol)."""
+        return self.vectors[:, self.values > cut(self.values, tol)]
 
     def pinv(self, tol: float) -> np.ndarray:
         """Moore-Penrose inverse, inverting the eigenvalues above the cut."""
@@ -272,19 +277,19 @@ def _span_rows(mats):
     return rows[:, support], support, rows.shape[1], stack.shape[1], complex_field
 
 
-def span_dim(mats, tol: float = SUBSPACE_TOL) -> int:
+def span_dim(mats) -> int:
     """Dimension of the real span of the given matrices: the number of
-    singular values above cut(s, tol), the rank rule of
+    singular values above cut(s, SUBSPACE_TOL), the rank rule of
     :func:`orthonormal_span`, from the singular values alone."""
     s = np.linalg.svd(_span_rows(mats)[0], compute_uv=False)
-    return int(np.count_nonzero(s > cut(s, tol)))
+    return int(np.count_nonzero(s > cut(s, SUBSPACE_TOL)))
 
 
-def orthonormal_span(mats, tol: float = SUBSPACE_TOL) -> np.ndarray:
+def orthonormal_span(mats) -> np.ndarray:
     """Orthonormal basis (stack) of the real span of the given matrices.
 
     The rows vec(mats[k]), restricted to their support, decide the span by
-    their singular values above cut(s, tol).  When the rows are pairwise
+    their singular values above cut(s, SUBSPACE_TOL).  When the rows are pairwise
     orthogonal up to rounding (coordinate patterns, Hankel anti-diagonals,
     Toeplitz diagonals, direct sums, an orthonormal basis read back), the
     SVD is known in closed form: the singular values are the row norms and
@@ -298,12 +303,12 @@ def orthonormal_span(mats, tol: float = SUBSPACE_TOL) -> np.ndarray:
     norms = np.sqrt(gram.diagonal())
     np.fill_diagonal(gram, 0.0)
     if (np.abs(gram) <= _ORTHOGONAL * norms[:, None] * norms).all():
-        live = norms > cut(norms, tol)
+        live = norms > cut(norms, SUBSPACE_TOL)
         vt = rows if live.all() else rows[live]
         vt /= norms[live, None]
         rank = len(vt)
     else:
-        rank, vt = _svd_cut(rows, tol, full_matrices=False)
+        rank, vt = _svd_cut(rows, SUBSPACE_TOL, full_matrices=False)
     keep = np.zeros((rank, width))
     keep[:, support] = vt[:rank]
     if complex_field:
@@ -333,12 +338,13 @@ def span_from_coords(basis: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.tensordot(np.asarray(c), basis, axes=(0, 0))
 
 
-def subspace_of_vectors(vectors, tol: float = SUBSPACE_TOL) -> np.ndarray:
-    """Orthonormal basis, as columns, of the span of the given vectors."""
+def subspace_of_vectors(vectors) -> np.ndarray:
+    """Orthonormal basis, as columns, of the span of the given vectors,
+    cut at SUBSPACE_TOL."""
     v = np.array([np.asarray(x) for x in vectors])
     if v.size == 0:
         return np.zeros((0, 0))
-    rank, vt = _svd_cut(v, tol, full_matrices=False)
+    rank, vt = _svd_cut(v, SUBSPACE_TOL, full_matrices=False)
     return vt[:rank].T
 
 

@@ -51,7 +51,7 @@ def test_cli_build(tmp_path):
 
 def test_cli_build_reduce_over_a_degenerate_complex_raw_cone(tmp_path):
     gens = np.array([[1, 1j, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]])
-    raw = rc.make_cone(3, [symlin.outer(g) for g in gens], gens, complex_field=True)
+    raw = rc.make_cone(3, [symlin.outer(g) for g in gens], gens)
     expr = _write(tmp_path, "expr.json", {"kind": "reduce", "params": {}, "children": [
         {"kind": "raw", "params": {"cone": jsonio.cone_to_json(raw)}}]})
     code, report = _run(tmp_path, "build", "--expr", expr)
@@ -127,6 +127,13 @@ def test_cli_decompose(tmp_path):
     for atom in dec.atoms:
         assert atom.weight > 0
         assert symlin.span_distance(cone.span_basis, symlin.outer(atom.vector)) < 1e-10
+
+
+def test_cli_decompose_reads_only_the_matrix_key(tmp_path, capsys):
+    path = _cone_path(tmp_path, rc.tridiagonal_cone(3))
+    matrix = _write(tmp_path, "x.json", {"X": np.eye(3).tolist()})
+    assert cli.run(["decompose", path, matrix]) == 1
+    assert capsys.readouterr().err == "error: no matrix found in input\n"
 
 
 def test_cli_iso(tmp_path):

@@ -314,6 +314,19 @@ def test_oracle_examples():
     assert abs(x @ np.diag([1.0, -1.0, 0.0]) @ x) < 1e-9
 
 
+def test_peel_stops_asking_once_its_rule_runs_dry(monkeypatch):
+    calls = []
+
+    def dry(cone, h, attempt, **kwargs):
+        calls.append(attempt)
+
+    monkeypatch.setattr(importlib.import_module("rogcones.decompose"),
+                        "extreme_ray_oracle", dry)
+    with pytest.raises(rc.NumericalError, match="stalled at rank 3"):
+        rc.carath_decompose(rc.full_psd_cone(3), np.eye(3))
+    assert calls == [0]
+
+
 def test_oracle_unavailable_for_ternary_quartic():
     k = rc.ternary_quartic_cone()
     with pytest.raises(OracleUnavailableError):

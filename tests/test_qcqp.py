@@ -407,6 +407,31 @@ def four_cycle_problem():
     return QcqpProblem(s, np.eye(4), [a1, a2])
 
 
+def raw_four_cycle_cone():
+    """The 4-cycle pattern cone L = {X : X_02 = X_13 = 0}, with no
+    expression: e_i + e_j, e_i - e_j, e_i and e_j on the edges 01, 12, 23
+    and 30, twelve rays once deduped, whose outer products span L."""
+    eye = np.eye(4)
+    gens = [v for i, j in ((0, 1), (1, 2), (2, 3), (3, 0))
+            for v in (eye[i] + eye[j], eye[i] - eye[j], eye[i], eye[j])]
+    return rc.make_cone(4, [symlin.outer(g) for g in gens], gens)
+
+
+@pytest.mark.parametrize("wrap", [lambda raw: raw,
+                                  lambda raw: rc.apply_congruence(raw, np.eye(4))],
+                         ids=["raw", "congruence-of-raw"])
+def test_spanning_generators_are_no_rog_proof(wrap):
+    # the 4-cycle is not chordal, so its pattern cone is not ROG although
+    # its rank-1 generators span L; the call must not claim exactness
+    cone = wrap(raw_four_cycle_cone())
+    assert len(cone.generators) == 12 and rc.certificate_complete(cone)
+    problem = four_cycle_problem()
+    cert = certify_exactness(problem, cone=cone, gap_samples=2000, seed=1)
+    alone = certify_exactness(problem, gap_samples=2000, seed=1)
+    assert cert.status == alone.status == "gap-detected"
+    assert cert.extracted_value > cert.relaxed_value + 0.05
+
+
 def sequential_samples(problem, count, rng, iters=50):
     """The one-start-at-a-time sampler: the reference for the batched one."""
     n = problem.n

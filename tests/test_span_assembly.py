@@ -99,6 +99,17 @@ def test_dedupe_keeps_first_of_each_group():
                           _pairwise_dedupe([chain[0], chain[2]], 3, False))
 
 
+def test_complex_spanning_matrices_make_a_complex_cone():
+    # the field comes from the span: no argument names it
+    gens = [np.array([1.0, 1j]), np.array([1.0, 0.0]), np.array([0.0, 1.0]),
+            np.array([1.0, 1.0])]
+    cone = rc.make_cone(2, [symlin.outer(g) for g in gens], gens)
+    assert cone.complex_field and cone.generators.dtype == complex
+    assert cone.dim == 4 and len(cone.generators) == 4
+    assert np.array_equal(cone.generators[0], gens[0] / np.sqrt(2.0))
+    assert not rc.make_cone(2, [np.eye(2)], []).complex_field
+
+
 # ---------------------------------------------------------------------------
 # span on the nonzero support
 
@@ -325,13 +336,9 @@ def _count_calls(monkeypatch, targets):
     return calls
 
 
-def _count_intertwines(monkeypatch):
-    return _count_calls(monkeypatch, [(constructions, "intertwine")])
-
-
 def _leaf_nodes_with_children(node):
     found = []
-    if node["kind"] in constructions.LEAF_KINDS and "children" in node:
+    if constructions._BUILDERS[node["kind"]][0] is None and "children" in node:
         found.append(node["kind"])
     for child in node.get("children", []):
         found += _leaf_nodes_with_children(child)
@@ -357,17 +364,16 @@ def test_chordal_kinds_glue_nothing(monkeypatch):
     assert calls == []
 
 
-def test_legacy_json_children_under_a_leaf_are_ignored(monkeypatch):
-    calls = _count_intertwines(monkeypatch)
-    cone = rc.chordal_cone(rc.ChordalGraph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)]))
-    built = len(calls)
-    data = jsonio.cone_to_json(cone)
-    legacy = dict(data, expr=dict(data["expr"], children=[
-        {"kind": "transform", "params": {"matrix": np.eye(5).tolist()},
-         "children": [{"kind": "full_psd", "params": {"n": 5}}]}]))
-    del calls[:]
-    assert jsonio.cone_to_json(jsonio.cone_from_json(legacy)) == data
-    assert len(calls) == built
+def test_children_under_a_leaf_are_rejected():
+    child = {"kind": "transform", "params": {"matrix": np.eye(5).tolist()},
+             "children": [{"kind": "full_psd", "params": {"n": 5}}]}
+    for cone in (rc.chordal_cone(rc.ChordalGraph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])),
+                 rc.tridiagonal_cone(5)):
+        data = jsonio.cone_to_json(cone)
+        with pytest.raises(rc.InvalidInputError, match="takes no children"):
+            jsonio.cone_from_json(dict(data, expr=dict(data["expr"], children=[child])))
+        with pytest.raises(rc.InvalidInputError, match="takes no children"):
+            rc.build(dict(data["expr"], children=[child]))
 
 
 def test_no_children_under_leaf_kinds_in_nested_json():
@@ -495,8 +501,7 @@ def test_one_sweep_partition_matches_two_sweep_loop(seed, blocks, extra, complex
     rng = np.random.default_rng(seed)
     gens = _block_generators(rng, tuple(blocks), complex_field, extra)
     n = sum(blocks)
-    cone = rc.make_cone(n, [symlin.outer(g) for g in gens], gens,
-                        complex_field=complex_field, check=False)
+    cone = rc.make_cone(n, [symlin.outer(g) for g in gens], gens, check=False)
     want = _two_sweep_partition(cone.generators)
     parts = cone_model.simplicity_partition(cone)
     got = sorted([i for i, x in enumerate(cone.generators)
