@@ -48,7 +48,7 @@ def diagonal_cone(n: int) -> SpectrahedralCone:
 
 def _moment_vector(t: float, n: int, x: np.ndarray) -> np.ndarray:
     """The vector (x, t x, ..., t^{n-1} x)."""
-    return np.kron(t ** np.arange(n), x)
+    return np.outer(t ** np.arange(n), x).ravel()
 
 
 def hankel_cone(n: int, m: int = 1) -> SpectrahedralCone:
@@ -235,7 +235,7 @@ def moment_cone_from_samples(evaluators, samples,
 
 
 def _phase_vector(q: complex, n: int, v: np.ndarray) -> np.ndarray:
-    return np.kron(q ** np.arange(n), v.astype(complex))
+    return np.outer(q ** np.arange(n), v.astype(complex)).ravel()
 
 
 def block_toeplitz_cone(n: int, m: int = 1) -> SpectrahedralCone:
@@ -622,10 +622,23 @@ def _moment_from_params(params: dict) -> SpectrahedralCone:
                                     powers=params["powers"])
 
 
+class _Params(dict):
+    """An expression's parameters; reading a missing one raises
+    InvalidInputError naming the kind and the parameter."""
+
+    def __init__(self, kind: str, params: dict):
+        super().__init__(params)
+        self.kind = kind
+
+    def __missing__(self, key):
+        raise InvalidInputError(f"{self.kind} expression is missing parameter {key!r}")
+
+
 def build(expr: dict) -> SpectrahedralCone:
     """Build a cone from the JSON dict form of its expression, whose
     ``"children"`` are built cones or expression dicts.  A leaf kind given
-    children, or a combinator the wrong number: InvalidInputError."""
+    children, a combinator the wrong number, or a missing parameter:
+    InvalidInputError."""
     if not isinstance(expr, dict):
         raise InvalidInputError("expected an expression dict")
     kind = expr.get("kind")
@@ -636,5 +649,8 @@ def build(expr: dict) -> SpectrahedralCone:
     if len(children) != (arity or 0):
         raise InvalidInputError(
             f"{kind} takes {('no children', 'one child', 'two children')[arity or 0]}")
-    return builder(expr.get("params", {}),
+    params = expr.get("params", {})
+    if not isinstance(params, dict):
+        raise InvalidInputError(f"{kind} params must be an object")
+    return builder(_Params(kind, params),
                    [c if isinstance(c, SpectrahedralCone) else build(c) for c in children])

@@ -1,6 +1,6 @@
 """Rank-1 decomposition engines.
 
-Four routes, all returning a :class:`Decomposition` whose atom count
+Five routes, all returning a :class:`Decomposition` whose atom count
 equals the matrix rank:
 
 * a generic peeling loop (``carath_decompose``) that repeatedly extracts
@@ -9,8 +9,13 @@ equals the matrix rank:
   step is one step of zero-fill elimination,
 * compositional recursions over the construction tree for direct sums,
   full extensions and intertwinings,
-* a shift-invariance (Prony-type) node solver for block-Hankel matrices,
-* a unitary spectral factorization for complex block-Toeplitz matrices.
+* a shift-invariance (Prony-type) node solver for block-Hankel matrices;
+  a full-rank member first sheds the Schur complement of its last block
+  as node-at-infinity atoms,
+* a unitary spectral factorization for complex block-Toeplitz matrices,
+* closed forms read off a factorization: the eigenvectors for the full
+  PSD cone, the S-lemma rotation of Sturm and Zhang for codimension-1
+  cones, and one elimination per tail coordinate for cross-ratio cones.
 
 What the engines know about each cone kind (its route, its rank-1 rule
 and its sampler) is one :class:`Family` record in ``_FAMILIES`` at the
@@ -103,10 +108,7 @@ def carath_decompose(cone: SpectrahedralCone, x_mat: np.ndarray,
     next ray of the kind's rule, up to eight rays a round; a round whose
     rule has no ray left stalls the peel (NumericalError).
     """
-    x_mat = np.asarray(x_mat, dtype=cone.span_basis.dtype)
-    if not membership(cone, x_mat, max(tol, 1e-7)):
-        raise InvalidInputError("matrix is not a member of the cone")
-    current = symlin.span_project(cone.span_basis, symlin.sym(x_mat))
+    x_mat, current = _span_member(cone, x_mat, tol)
     weights: list[float] = []
     vectors: list[np.ndarray] = []
     dec = symlin.eig_sym(current)
@@ -144,6 +146,104 @@ def carath_decompose(cone: SpectrahedralCone, x_mat: np.ndarray,
             raise NumericalError(
                 f"extreme-ray peeling stalled at rank {rank}; "
                 f"rejected steps mu={mu_trace}")
+    return _as_decomposition(weights, vectors, x_mat)
+
+
+def _span_member(cone, x_mat, tol):
+    """X in the cone's field and its projection onto the span, after the
+    membership test (span distance and PSD at max(tol, 1e-7)); a
+    non-member raises InvalidInputError."""
+    x_mat = np.asarray(x_mat, dtype=cone.span_basis.dtype)
+    if not membership(cone, x_mat, max(tol, 1e-7)):
+        raise InvalidInputError("matrix is not a member of the cone")
+    return x_mat, symlin.span_project(cone.span_basis, symlin.sym(x_mat))
+
+
+# ---------------------------------------------------------------------------
+# closed-form routes
+
+
+def _factor(cone, x_mat, tol):
+    """X after the membership test, and columns p_i with X = sum p_i p_i^T:
+    the eigenvectors above the cut, scaled by the roots of their eigenvalues."""
+    x_mat, current = _span_member(cone, x_mat, tol)
+    dec = symlin.eig_sym(current)
+    keep = dec.values > symlin.cut(dec.values, tol)
+    return x_mat, list((dec.vectors[:, keep] * np.sqrt(dec.values[keep])).T)
+
+
+def _decompose_full_psd(cone, x_mat, tol):
+    """The eigenvectors whose eigenvalues are above the cut."""
+    x_mat, cols = _factor(cone, x_mat, tol)
+    return _as_decomposition(np.ones(len(cols)), cols, x_mat)
+
+
+def _decompose_codim1(cone, x_mat, tol):
+    """The S-lemma rotation (Sturm and Zhang, Math. Oper. Res. 2003).
+
+    Factor X = P P^T (:func:`_factor`); the Q-values q_i =
+    p_i^T Q p_i sum to <Q, X> = 0.  Two columns with Q-values of opposite
+    signs rotate to y, z with y^T Q y = 0 and y y^T + z z^T = p_i p_i^T +
+    p_j p_j^T: y is an atom, z replaces the pair.  When every remaining
+    Q-value is zero (at tol relative to |Q| |p|^2) the remaining columns
+    are atoms too.  The atoms are an orthogonal transform of the columns
+    of P, so there are rank(X) of them and they are independent.
+    """
+    x_mat, cols = _factor(cone, x_mat, tol)
+    q = cone.expr.params["Q"]
+    vals = [float(p @ q @ p) for p in cols]
+    bound = tol * float(np.linalg.norm(q, 2))
+    atoms = []
+    while len(cols) > 1:
+        ratio = np.array(vals) / np.array([p @ p for p in cols])
+        i = int(np.argmax(np.abs(ratio)))
+        partners = np.flatnonzero(ratio * ratio[i] < 0)
+        if abs(ratio[i]) <= bound or len(partners) == 0:
+            break
+        j = int(partners[np.argmax(np.abs(ratio[partners]))])
+        a, c, b = vals[i], vals[j], float(cols[i] @ q @ cols[j])
+        # tan of the rotation angle: the root of c t^2 + 2 b t + a = 0 that
+        # is free of cancellation (a c < 0, so the denominator is nonzero)
+        t = -a / (b + np.copysign(np.sqrt(b * b - a * c), b))
+        cos = 1.0 / np.sqrt(1.0 + t * t)
+        atoms.append(cos * (cols[i] + t * cols[j]))
+        cols[i] = cos * (cols[j] - t * cols[i])
+        vals[i] = float(cols[i] @ q @ cols[i])
+        del cols[j], vals[j]
+    atoms += cols
+    return _as_decomposition(np.ones(len(atoms)), atoms, x_mat)
+
+
+def _decompose_cross_ratio(cone, x_mat, tol):
+    """One elimination per tail coordinate, then the base plane.
+
+    Tail coordinate 2 + j lies in plane j + 1 alone and the tail block is
+    diagonal, so column 2 + j over the root of its diagonal entry is an
+    atom of that plane.  Eliminating every tail coordinate leaves the
+    2 x 2 Schur complement on the base plane, which splits by
+    eigendecomposition; rank additivity gives rank(X) atoms.  A tail atom
+    at or below the cut is dropped, as the peel drops it, and so is a
+    tail whose diagonal entry is rounding (at most 1e-6 of the cut):
+    dividing by it would blow the rounding of its column up.
+    """
+    x_mat, current = _span_member(cone, x_mat, tol)
+    cut = symlin.cut(np.linalg.eigvalsh(current), tol)
+    base = current[:2, :2].copy()
+    weights, vectors = [], []
+    for k in range(2, cone.n):
+        d = current[k, k]
+        v = np.zeros(cone.n)
+        v[:2], v[k] = current[:2, k], d
+        if d <= 1e-6 * cut or v @ v <= cut * d:
+            continue
+        weights.append(1.0 / d)
+        vectors.append(v)
+        base -= np.outer(v[:2], v[:2]) / d
+    dec = symlin.eig_sym(base)
+    for lam, z in zip(dec.values, dec.vectors.T):
+        if lam > cut:
+            weights.append(lam)
+            vectors.append(_place(cone.n, 0, z))
     return _as_decomposition(weights, vectors, x_mat)
 
 
@@ -479,7 +579,7 @@ def _snap_moment_vector(v, n, m, t):
     blocks = v.reshape(n, m)
     powers = t ** np.arange(n)
     x = powers @ blocks / (powers @ powers)
-    return np.kron(powers, x)
+    return np.outer(powers, x).ravel()
 
 
 def _hankel_candidates(u, n, m):
@@ -527,9 +627,12 @@ def decompose_hankel(x_mat: np.ndarray, n: int, m: int = 1,
 
     Finite nodes come from the shift-invariance eigenproblem on the
     column space; directions that truncate to zero are the node at
-    infinity.  Atom weights are then solved by least squares.  When the
-    node solve degenerates (clustered or saturated nodes) the generic
-    peeling loop with the Hankel ray oracle takes over.
+    infinity.  A full-rank member (rank n m), whose column space is all
+    of R^{nm} and pins no node, takes the node-at-infinity route of
+    :func:`_full_rank_directions` first.  Atom weights are then solved by
+    least squares.  Only when the node solve degenerates (clustered
+    nodes, a defective shift) does the generic peeling loop with the
+    Hankel ray oracle take over.
     """
     x_mat = symlin.sym(np.asarray(x_mat, dtype=float))
     if x_mat.shape != (n * m, n * m):
@@ -542,14 +645,37 @@ def decompose_hankel(x_mat: np.ndarray, n: int, m: int = 1,
     rank = dec.rank(tol)
     if rank == 0:
         return Decomposition(atoms=[], residual=float(np.linalg.norm(x_mat)))
-    finite, inf_dirs = _hankel_candidates(dec.range(tol), n, m)
-    dirs = [v for _, v in finite] + inf_dirs
+    if rank == n * m:
+        dirs = _full_rank_directions(x_mat, n, m)
+    else:
+        finite, inf_dirs = _hankel_candidates(dec.range(tol), n, m)
+        dirs = [v for _, v in finite] + inf_dirs
     result = _solve_weights(dirs, x_mat) if len(dirs) == rank else None
     if result is not None:
         return result
     if cone is None:
         cone = constructions.hankel_cone(n, m)
     return carath_decompose(cone, x_mat, tol)
+
+
+def _full_rank_directions(x_mat, n, m):
+    """Atom directions of a positive definite block-Hankel X.
+
+    The last m x m block sits alone on its anti-diagonal, so subtracting
+    the Schur complement S = X22 - X12^T X11^{-1} X12 of the leading
+    (n-1) m block there keeps the block-Hankel pattern.  What remains is
+    a flat member of rank (n-1) m, whose nodes the shift-invariance solve
+    finds; the eigenvectors of S, placed at (0, ..., 0, x), are the atoms
+    at the node at infinity.
+    """
+    k = (n - 1) * m
+    x12 = x_mat[:k, k:]
+    flat = x_mat.copy()
+    flat[k:, k:] = symlin.sym(x12.T @ np.linalg.solve(x_mat[:k, :k], x12))
+    finite, inf_dirs = _hankel_candidates(symlin.eig_sym(flat).vectors[:, :k], n, m)
+    schur = symlin.eig_sym(x_mat[k:, k:] - flat[k:, k:])
+    return ([v for _, v in finite] + inf_dirs
+            + [_place(n * m, k, z) for z in schur.vectors.T])
 
 
 def _solve_weights(dirs, x_mat):
@@ -759,9 +885,14 @@ class Family:
     one for a peel first; :func:`extreme_ray_oracle` takes the candidate
     of its attempt and :func:`rays_spanning_face` lists them all
     (``x_current=None``).  ``route(cone, x_mat, tol)`` is a direct
-    decomposition; without a route, :func:`decompose` peels.  Rules call
-    the public engines by their module names, never through captured
-    function objects, so a patched module attribute sees every call.
+    decomposition: closed forms for ``full_psd``, ``codim1`` and
+    ``cross_ratio``, the node solve for ``hankel``, the spectral
+    factorization for ``block_toeplitz``, and the recursions of the
+    composite and wrapper kinds.  Without a route (the chordal kinds,
+    ``diagonal``, ``ternary_quartic``, ``moment``), :func:`decompose`
+    peels.  Rules call the public engines by their module names, never
+    through captured function objects, so a patched module attribute
+    sees every call.
     """
 
     sample: Callable
@@ -779,15 +910,16 @@ _CHORDAL = Family(sample=_chordal_sample, rays=_chordal_rays)
 
 _FAMILIES = {
     "full_psd": Family(sample=lambda cone, rng: rng.standard_normal(cone.n),
-                       rays=_full_psd_rays),
+                       rays=_full_psd_rays, route=_decompose_full_psd),
     "diagonal": Family(sample=lambda cone, rng: np.eye(cone.n)[rng.integers(cone.n)],
                        rays=_diagonal_rays),
     "hankel": Family(
         sample=_hankel_sample, rays=_hankel_rays,
         route=lambda cone, x, tol: decompose_hankel(x, *_block_size(cone), tol,
                                                     cone=cone)),
-    "codim1": Family(sample=_codim1_sample, rays=_codim1_rays),
-    "cross_ratio": Family(sample=_cross_ratio_sample, rays=_cross_ratio_rays),
+    "codim1": Family(sample=_codim1_sample, rays=_codim1_rays, route=_decompose_codim1),
+    "cross_ratio": Family(sample=_cross_ratio_sample, rays=_cross_ratio_rays,
+                          route=_decompose_cross_ratio),
     "ternary_quartic": Family(
         sample=lambda cone, rng: constructions._quadric_vector(rng.standard_normal(3))),
     "moment": Family(

@@ -81,6 +81,8 @@ def cone_from_json(data: dict) -> SpectrahedralCone:
 
 
 def build_expr(expr_json: dict) -> SpectrahedralCone:
+    if not isinstance(expr_json, dict):
+        raise InvalidInputError("a cone expression must be a JSON object")
     if expr_json.get("kind") == "raw":
         return cone_from_json(expr_json["params"]["cone"])
     node = dict(expr_json)

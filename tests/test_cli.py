@@ -68,6 +68,19 @@ def test_cli_build_reduce_over_a_degenerate_complex_raw_cone(tmp_path):
     assert np.all(overlaps.max(axis=0) > 1 - 1e-8) and np.all(overlaps.max(axis=1) > 1 - 1e-8)
 
 
+@pytest.mark.parametrize("expr, message", [
+    ([{"kind": "full_psd"}], "a cone expression must be a JSON object"),
+    ({"kind": "full_psd", "params": {}}, "full_psd expression is missing parameter 'n'"),
+    ({"kind": "full_ext", "params": {}, "children": [{"kind": "full_psd", "params": {"n": 2}}]},
+     "full_ext expression is missing parameter 'n'"),
+    ({"kind": "hankel", "params": [3]}, "hankel params must be an object"),
+], ids=["array", "missing-leaf-param", "missing-combinator-param", "params-array"])
+def test_cli_build_rejects_malformed_expressions(tmp_path, capsys, expr, message):
+    # domain errors: exit 1 with one error line, no traceback
+    assert cli.run(["build", "--expr", _write(tmp_path, "expr.json", expr)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_cli_analyze_checks_raw_generators(tmp_path, capsys):
     cone = _write(tmp_path, "raw.json",
                   {"n": 2, "span_basis": [[1, 0, 0]], "generators": [[1, 1]]})

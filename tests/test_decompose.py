@@ -1,3 +1,4 @@
+import functools
 import importlib
 
 import numpy as np
@@ -374,3 +375,63 @@ def test_carath_one_eigendecomposition_per_step(monkeypatch):
     check_decomposition(cone, x_mat, dec)
     assert len(dec.atoms) == 3
     assert peel_calls <= 1 + len(dec.atoms)
+
+
+@functools.cache
+def _routed_cone(name, n=None):
+    """The cones whose decompositions have a closed form."""
+    if name == "hankel_m2":
+        return rc.hankel_cone(n, 2)
+    return family_registry()[name]
+
+
+def _codim1_with_kernel(rng, n):
+    # an indefinite form with a kernel of dimension 1..n-2 in a random basis
+    nonzero = int(rng.integers(2, n))
+    d = np.zeros(n)
+    d[:nonzero] = rng.uniform(0.5, 2.0, nonzero) * rng.choice([-1.0, 1.0], nonzero)
+    d[0], d[1] = abs(d[0]), -abs(d[1])
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return rc.codim1_cone(u @ np.diag(d) @ u.T)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=st.sampled_from(["full_psd4", "codim1", "cross_ratio", "hankel4", "hankel22",
+                             "codim1_kernel", "hankel_m2"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_closed_form_routes_decompose_without_peeling(case, seed):
+    rng = np.random.default_rng(seed)
+    if case == "codim1_kernel":
+        cone = _codim1_with_kernel(rng, int(rng.integers(3, 6)))
+    else:
+        cone = _routed_cone(case, int(rng.integers(2, 5)) if case == "hankel_m2" else None)
+    full_rank = case.startswith("hankel")
+    x = rank_r_member(cone, rng, cone.n if full_rank else int(rng.integers(1, rc.degree(cone) + 1)))
+    module = importlib.import_module("rogcones.decompose")
+    peels = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "carath_decompose",
+                   lambda *args, real=module.carath_decompose, **kwargs:
+                   peels.append(1) or real(*args, **kwargs))
+        dec = rc.decompose(cone, x)
+        with pytest.raises(InvalidInputError):
+            rc.decompose(cone, -x)  # not positive semidefinite
+        off = symlin.sym(rng.standard_normal((cone.n, cone.n)))
+        off -= symlin.span_project(cone.span_basis, off)
+        if np.linalg.norm(off) > 1e-9:  # outside the span
+            with pytest.raises(InvalidInputError):
+                rc.decompose(cone, x + 1e-3 * (1.0 + np.linalg.norm(x)) * off / np.linalg.norm(off))
+    check_decomposition(cone, x, dec)
+    assert peels == []
+
+
+def test_cross_ratio_route_ignores_rounding_on_empty_tails():
+    # the projection onto the span leaves rounding on the tail diagonal of a
+    # base-plane member; eliminating such a tail made a second, wrong atom
+    cone = rc.cross_ratio_cone([0.15, 0.8, 1.65, 2.4])
+    for theta in np.linspace(0.0, np.pi, 60, endpoint=False):
+        v = np.array([np.cos(theta), np.sin(theta), 0.0, 0.0, 0.0, 0.0])
+        x = 1.9 * np.outer(v, v)
+        dec = rc.decompose(cone, x)
+        check_decomposition(cone, x, dec)
+        assert len(dec.atoms) == 1
