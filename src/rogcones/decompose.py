@@ -17,6 +17,13 @@ equals the matrix rank:
   PSD cone, the S-lemma rotation of Sturm and Zhang for codimension-1
   cones, and one elimination per tail coordinate for cross-ratio cones.
 
+Every route opens with one membership gate, :func:`_span_member`: it
+projects X onto the span and eigendecomposes the projection once, and
+rejects a non-member by the rule of ``cone_model.membership``.  The
+route reuses that eigendecomposition.  A direct route makes each rank
+decision on what is left of X at one scale, the cut of the eigenvalues
+of X; the peel makes it at the scale of the iterate it peels.
+
 What the engines know about each cone kind (its route, its rank-1 rule
 and its sampler) is one :class:`Family` record in ``_FAMILIES`` at the
 end of this module.  The rank-1 rule lists vectors x in a subspace H
@@ -34,8 +41,7 @@ from typing import Callable
 import numpy as np
 
 from . import constructions, symlin
-from .cone_model import (FaceHandle, SpectrahedralCone, face_span, make_cone,
-                         membership)
+from .cone_model import FaceHandle, SpectrahedralCone, face_span, make_cone
 from .errors import (InvalidInputError, NumericalError,
                      OracleUnavailableError)
 from .symlin import DEFAULT_TOL
@@ -108,10 +114,9 @@ def carath_decompose(cone: SpectrahedralCone, x_mat: np.ndarray,
     next ray of the kind's rule, up to eight rays a round; a round whose
     rule has no ray left stalls the peel (NumericalError).
     """
-    x_mat, current = _span_member(cone, x_mat, tol)
+    x_mat, current, dec = _span_member(cone, x_mat, tol)
     weights: list[float] = []
     vectors: list[np.ndarray] = []
-    dec = symlin.eig_sym(current)
     rank = dec.rank(tol)
     mu_trace: list[float] = []
     while rank > 0:
@@ -131,10 +136,12 @@ def carath_decompose(cone: SpectrahedralCone, x_mat: np.ndarray,
             mu = 1.0 / denom
             candidate = symlin.sym(current - mu * symlin.outer(x))
             cand_dec = symlin.eig_sym(candidate)
-            # rank and sign are judged at the scale of the iterate peeled
+            # the rank is judged at the scale of the iterate peeled.  By
+            # interlacing, a rank-1 downdate keeps rank - 1 eigenvalues above
+            # the cut, so a step past the PSD boundary leaves one below -cut
+            # and keeps the rank: the rank test is also the sign test
             new_rank = int(np.count_nonzero(np.abs(cand_dec.values) > symlin.cut(dec.values, tol)))
-            if (new_rank >= rank
-                    or not symlin.psd_values(cand_dec.values, current, 10 * tol)):
+            if new_rank >= rank:
                 mu_trace.append(mu)
                 continue
             weights.append(mu)
@@ -150,32 +157,38 @@ def carath_decompose(cone: SpectrahedralCone, x_mat: np.ndarray,
 
 
 def _span_member(cone, x_mat, tol):
-    """X in the cone's field and its projection onto the span, after the
-    membership test (span distance and PSD at max(tol, 1e-7)); a
+    """The membership gate of every route: (X, P, eig(P)) for X in the
+    cone's field, P its projection onto the span.  X is a member iff
+    |X - P| and the negative eigenvalues of P are within max(tol, 1e-7)
+    of the scale of X (the rule of ``cone_model.membership``); a
     non-member raises InvalidInputError."""
     x_mat = np.asarray(x_mat, dtype=cone.span_basis.dtype)
-    if not membership(cone, x_mat, max(tol, 1e-7)):
+    if x_mat.shape != (cone.n, cone.n):
+        raise InvalidInputError(f"expected a {cone.n} x {cone.n} matrix")
+    current = symlin.span_project(cone.span_basis, symlin.sym(x_mat))
+    dec = symlin.eig_sym(current)
+    bound = max(tol, 1e-7)
+    if (np.linalg.norm(x_mat - current) > bound * (1.0 + np.linalg.norm(x_mat))
+            or not symlin.psd_values(dec.values, current, bound)):
         raise InvalidInputError("matrix is not a member of the cone")
-    return x_mat, symlin.span_project(cone.span_basis, symlin.sym(x_mat))
+    return x_mat, current, dec
+
+
+def _factor(dec, cut):
+    """Columns v_i sqrt(lambda_i) of the eigenpairs with lambda_i > cut."""
+    keep = dec.values > cut
+    return dec.vectors[:, keep] * np.sqrt(dec.values[keep])
 
 
 # ---------------------------------------------------------------------------
 # closed-form routes
 
 
-def _factor(cone, x_mat, tol):
-    """X after the membership test, and columns p_i with X = sum p_i p_i^T:
-    the eigenvectors above the cut, scaled by the roots of their eigenvalues."""
-    x_mat, current = _span_member(cone, x_mat, tol)
-    dec = symlin.eig_sym(current)
-    keep = dec.values > symlin.cut(dec.values, tol)
-    return x_mat, list((dec.vectors[:, keep] * np.sqrt(dec.values[keep])).T)
-
-
 def _decompose_full_psd(cone, x_mat, tol):
     """The eigenvectors whose eigenvalues are above the cut."""
-    x_mat, cols = _factor(cone, x_mat, tol)
-    return _as_decomposition(np.ones(len(cols)), cols, x_mat)
+    x_mat, _, dec = _span_member(cone, x_mat, tol)
+    cols = _factor(dec, symlin.cut(dec.values, tol))
+    return _as_decomposition(np.ones(cols.shape[1]), cols.T, x_mat)
 
 
 def _decompose_codim1(cone, x_mat, tol):
@@ -189,7 +202,8 @@ def _decompose_codim1(cone, x_mat, tol):
     are atoms too.  The atoms are an orthogonal transform of the columns
     of P, so there are rank(X) of them and they are independent.
     """
-    x_mat, cols = _factor(cone, x_mat, tol)
+    x_mat, _, dec = _span_member(cone, x_mat, tol)
+    cols = list(_factor(dec, symlin.cut(dec.values, tol)).T)
     q = cone.expr.params["Q"]
     vals = [float(p @ q @ p) for p in cols]
     bound = tol * float(np.linalg.norm(q, 2))
@@ -226,8 +240,8 @@ def _decompose_cross_ratio(cone, x_mat, tol):
     tail whose diagonal entry is rounding (at most 1e-6 of the cut):
     dividing by it would blow the rounding of its column up.
     """
-    x_mat, current = _span_member(cone, x_mat, tol)
-    cut = symlin.cut(np.linalg.eigvalsh(current), tol)
+    x_mat, current, dec = _span_member(cone, x_mat, tol)
+    cut = symlin.cut(dec.values, tol)
     base = current[:2, :2].copy()
     weights, vectors = [], []
     for k in range(2, cone.n):
@@ -239,11 +253,9 @@ def _decompose_cross_ratio(cone, x_mat, tol):
         weights.append(1.0 / d)
         vectors.append(v)
         base -= np.outer(v[:2], v[:2]) / d
-    dec = symlin.eig_sym(base)
-    for lam, z in zip(dec.values, dec.vectors.T):
-        if lam > cut:
-            weights.append(lam)
-            vectors.append(_place(cone.n, 0, z))
+    for z in _factor(symlin.eig_sym(base), cut).T:
+        weights.append(1.0)
+        vectors.append(_place(cone.n, 0, z))
     return _as_decomposition(weights, vectors, x_mat)
 
 
@@ -453,12 +465,9 @@ def _composite_rays(cone, h, x_current, tol):
 def _decompose_direct_sum(cone, x_mat, tol):
     n1, n2 = cone.expr.params["sizes"]
     k1, k2 = cone.expr.children
-    x_mat = np.asarray(x_mat)
-    scale = 1.0 + float(np.linalg.norm(x_mat))
-    if np.linalg.norm(x_mat[:n1, n1:]) > 1e3 * tol * scale:
-        raise InvalidInputError("off-diagonal block is not zero")
-    d1 = decompose(k1, symlin.sym(x_mat[:n1, :n1]), tol)
-    d2 = decompose(k2, symlin.sym(x_mat[n1:, n1:]), tol)
+    x_mat, current, _ = _span_member(cone, x_mat, tol)
+    d1 = decompose(k1, current[:n1, :n1], tol)
+    d2 = decompose(k2, current[n1:, n1:], tol)
     weights = [a.weight for a in d1.atoms] + [a.weight for a in d2.atoms]
     vectors = [np.concatenate([a.vector, np.zeros(n2)]) for a in d1.atoms]
     vectors += [np.concatenate([np.zeros(n1), a.vector]) for a in d2.atoms]
@@ -471,38 +480,25 @@ def decompose_full_extension(cone: SpectrahedralCone, x_mat: np.ndarray,
 
     The leading block is decomposed by the child cone; the off-diagonal
     strip is matched by a least-squares lift of the child atoms; what the
-    lift leaves in the trailing block is the PSD Schur complement, which
-    splits by eigendecomposition into tail atoms.  A strip outside the
-    range of the head, or a Schur complement that is not PSD, shows that
-    X is not a member: InvalidInputError.
+    lift leaves in the trailing block is the PSD Schur complement, whose
+    eigenvectors above the cut of X are the tail atoms.  For a member the
+    strip lies in the range of the head, so the lift matches it; a
+    non-member raises InvalidInputError at the gate.
     """
     if cone.expr is None or cone.expr.kind != "full_ext":
         raise InvalidInputError("cone was not built by full_extension")
+    x_mat, current, dec = _span_member(cone, x_mat, tol)
     child = cone.expr.children[0]
     n1 = child.n
-    x_mat = symlin.sym(np.asarray(x_mat, dtype=float))
-    x11 = x_mat[:n1, :n1]
-    x12 = x_mat[:n1, n1:]
-    x22 = x_mat[n1:, n1:]
-    child_dec = decompose(child, x11, tol)
+    child_dec = decompose(child, current[:n1, :n1], tol)
     v_cols = np.array([a.vector * np.sqrt(a.weight)
                        for a in child_dec.atoms]).reshape(-1, n1).T
-    w_cols = (np.linalg.pinv(v_cols) @ x12).T
-    # the strip must lie in the range of the head, where the lift matches it
-    if np.linalg.norm(v_cols @ w_cols.T - x12) > 1e3 * tol * (1.0 + np.linalg.norm(x_mat)):
-        raise InvalidInputError("strip block is outside the range of the head")
-    vectors = [np.concatenate([v_cols[:, i], w_cols[:, i]]) for i in range(v_cols.shape[1])]
-    weights = [1.0] * len(vectors)
-    schur = symlin.sym(x22 - w_cols @ w_cols.T)
-    dec = symlin.eig_sym(schur)
-    if not symlin.psd_values(dec.values, schur, max(tol, 1e-7)):
-        raise InvalidInputError("Schur complement of the head is not positive semidefinite")
-    cut = symlin.cut(dec.values, tol)
-    for lam, z in zip(dec.values, dec.vectors.T):
-        if lam > cut:
-            vectors.append(np.concatenate([np.zeros(n1), z * np.sqrt(lam)]))
-            weights.append(1.0)
-    return _as_decomposition(weights, vectors, x_mat)
+    w_cols = (np.linalg.pinv(v_cols) @ current[:n1, n1:]).T
+    tail = _factor(symlin.eig_sym(current[n1:, n1:] - w_cols @ w_cols.T),
+                   symlin.cut(dec.values, tol))
+    vectors = [np.concatenate([v, w]) for v, w in zip(v_cols.T, w_cols.T)]
+    vectors += [np.concatenate([np.zeros(n1), z]) for z in tail.T]
+    return _as_decomposition(np.ones(len(vectors)), vectors, x_mat)
 
 
 def decompose_intertwining(cone: SpectrahedralCone, x_mat: np.ndarray,
@@ -522,18 +518,12 @@ def decompose_intertwining(cone: SpectrahedralCone, x_mat: np.ndarray,
     f1 = cone.expr.aux["f1"]
     f2 = cone.expr.aux["f2"]
     k1, k2 = cone.expr.children
-    x_mat = symlin.span_project(cone.span_basis, symlin.sym(np.asarray(x_mat, dtype=float)))
-    c1m, c2m = symlin.schur_split(x_mat, (a, k, b), max(tol, 1e-9))
-    x1_block = np.zeros((a + k, a + k))
-    x1_block[:a, :a] = x_mat[:a, :a]
-    x1_block[:a, a:] = x_mat[:a, a:a + k]
-    x1_block[a:, :a] = x_mat[a:a + k, :a]
+    x_mat, current, _ = _span_member(cone, x_mat, tol)
+    c1m, c2m = symlin.schur_split(current, (a, k, b), max(tol, 1e-9))
+    x1_block = current[:a + k, :a + k].copy()
     x1_block[a:, a:] = c1m
-    x2_block = np.zeros((k + b, k + b))
+    x2_block = current[a:, a:].copy()
     x2_block[:k, :k] = c2m
-    x2_block[:k, k:] = x_mat[a:a + k, a + k:]
-    x2_block[k:, :k] = x_mat[a + k:, a:a + k]
-    x2_block[k:, k:] = x_mat[a + k:, a + k:]
     m1 = symlin.sym(c1 @ x1_block @ c1.T)
     m2 = symlin.sym(c2 @ x2_block @ c2.T)
     for child, m in ((k1, m1), (k2, m2)):
@@ -551,28 +541,6 @@ def decompose_intertwining(cone: SpectrahedralCone, x_mat: np.ndarray,
 
 # ---------------------------------------------------------------------------
 # block-Hankel nodes (Prony / shift invariance)
-
-
-def _block_pattern_ok(x_mat, n, m, tol, hankel):
-    """True iff every m x m block of X is within 1e3 tol (1 + |X|_F) of its
-    reference block and the blocks are symmetric (Hankel) or X is Hermitian
-    (Toeplitz).  The reference of block (i, j) is the block of its
-    anti-diagonal in the first block column or the last block row (Hankel),
-    or the block of its diagonal in the first block column or row (Toeplitz).
-    """
-    bound = 1e3 * tol * (1.0 + float(np.linalg.norm(x_mat)))
-    blocks = x_mat.reshape(n, m, n, m).swapaxes(1, 2)
-    i, j = np.indices((n, n))
-    if hankel:
-        ref_i = np.minimum(i + j, n - 1)
-        ref_j = i + j - ref_i
-    else:
-        ref_i, ref_j = np.maximum(i - j, 0), np.maximum(j - i, 0)
-    if np.linalg.norm(blocks - blocks[ref_i, ref_j], axis=(2, 3)).max() > bound:
-        return False
-    if hankel:
-        return np.linalg.norm(blocks - blocks.swapaxes(2, 3), axis=(2, 3)).max() <= bound
-    return np.linalg.norm(x_mat - x_mat.conj().T) <= bound
 
 
 def _snap_moment_vector(v, n, m, t):
@@ -620,10 +588,9 @@ def _hankel_candidates(u, n, m):
     return finite, inf_dirs
 
 
-def decompose_hankel(x_mat: np.ndarray, n: int, m: int = 1,
-                     tol: float = DEFAULT_TOL,
-                     cone: SpectrahedralCone | None = None) -> Decomposition:
-    """Node recovery for a PSD block-Hankel matrix.
+def decompose_hankel(cone: SpectrahedralCone, x_mat: np.ndarray,
+                     tol: float = DEFAULT_TOL) -> Decomposition:
+    """Node recovery for a member of a block-Hankel cone.
 
     Finite nodes come from the shift-invariance eigenproblem on the
     column space; directions that truncate to zero are the node at
@@ -632,29 +599,24 @@ def decompose_hankel(x_mat: np.ndarray, n: int, m: int = 1,
     :func:`_full_rank_directions` first.  Atom weights are then solved by
     least squares.  Only when the node solve degenerates (clustered
     nodes, a defective shift) does the generic peeling loop with the
-    Hankel ray oracle take over.
+    Hankel ray oracle take over.  A cone of another kind, or a
+    non-member, raises InvalidInputError.
     """
-    x_mat = symlin.sym(np.asarray(x_mat, dtype=float))
-    if x_mat.shape != (n * m, n * m):
-        raise InvalidInputError("matrix size does not match (n, m)")
-    if not _block_pattern_ok(x_mat, n, m, tol, hankel=True):
-        raise InvalidInputError("matrix is not block-Hankel")
-    dec = symlin.eig_sym(x_mat)
-    if not symlin.psd_values(dec.values, x_mat, max(tol, 1e-7)):
-        raise InvalidInputError("matrix is not positive semidefinite")
+    if cone.expr is None or cone.expr.kind != "hankel":
+        raise InvalidInputError("cone was not built by hankel_cone")
+    n, m = _block_size(cone)
+    x_mat, current, dec = _span_member(cone, x_mat, tol)
     rank = dec.rank(tol)
     if rank == 0:
         return Decomposition(atoms=[], residual=float(np.linalg.norm(x_mat)))
     if rank == n * m:
-        dirs = _full_rank_directions(x_mat, n, m)
+        dirs = _full_rank_directions(current, n, m)
     else:
         finite, inf_dirs = _hankel_candidates(dec.range(tol), n, m)
         dirs = [v for _, v in finite] + inf_dirs
     result = _solve_weights(dirs, x_mat) if len(dirs) == rank else None
     if result is not None:
         return result
-    if cone is None:
-        cone = constructions.hankel_cone(n, m)
     return carath_decompose(cone, x_mat, tol)
 
 
@@ -696,28 +658,23 @@ def _solve_weights(dirs, x_mat):
 # complex block-Toeplitz spectral factorization
 
 
-def decompose_block_toeplitz(t_mat: np.ndarray, n: int, m: int = 1,
+def decompose_block_toeplitz(cone: SpectrahedralCone, t_mat: np.ndarray,
                              tol: float = DEFAULT_TOL) -> Decomposition:
-    """Split a PSD Hermitian block-Toeplitz matrix into phase atoms.
+    """Split a member of a block-Toeplitz cone into phase atoms.
 
     Factor T = W W^*, solve the block shift W_lower = W_upper U for a
     unitary U (least squares followed by the polar projection), and
     diagonalize U; in the rotated factor every column has the geometric
-    structure (v, v q, ..., v q^{n-1}) with |q| = 1.
+    structure (v, v q, ..., v q^{n-1}) with |q| = 1.  A cone of another
+    kind, or a non-member, raises InvalidInputError.
     """
-    t_mat = np.asarray(t_mat, dtype=complex)
-    if t_mat.shape != (n * m, n * m):
-        raise InvalidInputError("matrix size does not match (n, m)")
-    if not _block_pattern_ok(t_mat, n, m, tol, hankel=False):
-        raise InvalidInputError("matrix is not Hermitian block-Toeplitz")
-    t_mat = symlin.sym(t_mat)
-    dec = symlin.eig_sym(t_mat)
-    if not symlin.psd_values(dec.values, t_mat, max(tol, 1e-7)):
-        raise InvalidInputError("matrix is not positive semidefinite")
-    keep = dec.values > symlin.cut(dec.values, tol)
-    if not keep.any():
+    if cone.expr is None or cone.expr.kind != "block_toeplitz":
+        raise InvalidInputError("cone was not built by block_toeplitz_cone")
+    n, m = _block_size(cone)
+    t_mat, _, dec = _span_member(cone, t_mat, tol)
+    w_full = _factor(dec, symlin.cut(dec.values, tol))
+    if w_full.shape[1] == 0:
         return Decomposition(atoms=[], residual=float(np.linalg.norm(t_mat)))
-    w_full = dec.vectors[:, keep] * np.sqrt(dec.values[keep])
     if n == 1:
         return _as_decomposition(np.ones(w_full.shape[1]), list(w_full.T), t_mat)
     w_up = w_full[:-m, :]
@@ -890,9 +847,12 @@ class Family:
     factorization for ``block_toeplitz``, and the recursions of the
     composite and wrapper kinds.  Without a route (the chordal kinds,
     ``diagonal``, ``ternary_quartic``, ``moment``), :func:`decompose`
-    peels.  Rules call the public engines by their module names, never
-    through captured function objects, so a patched module attribute
-    sees every call.
+    peels.  Every route, the peel included, gates X with
+    :func:`_span_member` and reuses its eigendecomposition; a direct route
+    cuts ranks at the scale of X.  A wrapper route hands F X F^* to its
+    child, whose route gates it.  Rules call the public engines by their
+    module names, never through captured function objects, so a patched
+    module attribute sees every call.
     """
 
     sample: Callable
@@ -915,8 +875,7 @@ _FAMILIES = {
                        rays=_diagonal_rays),
     "hankel": Family(
         sample=_hankel_sample, rays=_hankel_rays,
-        route=lambda cone, x, tol: decompose_hankel(x, *_block_size(cone), tol,
-                                                    cone=cone)),
+        route=lambda cone, x, tol: decompose_hankel(cone, x, tol)),
     "codim1": Family(sample=_codim1_sample, rays=_codim1_rays, route=_decompose_codim1),
     "cross_ratio": Family(sample=_cross_ratio_sample, rays=_cross_ratio_rays,
                           route=_decompose_cross_ratio),
@@ -926,8 +885,7 @@ _FAMILIES = {
         sample=lambda cone, rng: cone.generators[rng.integers(len(cone.generators))]),
     "block_toeplitz": Family(
         sample=_block_toeplitz_sample,
-        route=lambda cone, x, tol: decompose_block_toeplitz(x, *_block_size(cone),
-                                                            tol)),
+        route=lambda cone, x, tol: decompose_block_toeplitz(cone, x, tol)),
     "direct_sum": Family(sample=_direct_sum_sample, rays=_direct_sum_rays,
                          route=_decompose_direct_sum),
     "full_ext": Family(

@@ -149,6 +149,16 @@ def test_cli_decompose_reads_only_the_matrix_key(tmp_path, capsys):
     assert capsys.readouterr().err == "error: no matrix found in input\n"
 
 
+def test_cli_decompose_rejects_a_non_member(tmp_path, capsys):
+    s2 = rc.full_psd_cone(2)
+    arrow = rc.intertwine(s2, s2, rc.rank1_glue(s2, [0, 1], s2, [1, 0]))
+    x_mat = np.eye(3)
+    x_mat[0, 2] = x_mat[2, 0] = 0.5  # PSD, with a corner off the span
+    matrix = _write(tmp_path, "x.json", {"matrix": x_mat.tolist()})
+    assert cli.run(["decompose", _cone_path(tmp_path, arrow), matrix]) == 1
+    assert capsys.readouterr().err == "error: matrix is not a member of the cone\n"
+
+
 def test_cli_iso(tmp_path):
     k1 = rc.tridiagonal_cone(3)
     a = np.array([[2.0, 0.5, 0.0], [0.0, 1.0, 0.3], [0.4, 0.0, 1.5]])

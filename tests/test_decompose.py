@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 import rogcones as rc
 from rogcones import symlin
-from rogcones.decompose import (_block_pattern_ok, decompose_block_toeplitz,
-                                decompose_full_extension, decompose_hankel,
-                                decompose_intertwining, extreme_ray_oracle)
+from rogcones.decompose import (decompose_block_toeplitz, decompose_full_extension,
+                                decompose_hankel, decompose_intertwining,
+                                extreme_ray_oracle)
 from rogcones.errors import InvalidInputError, OracleUnavailableError
 from conftest import family_registry, rank_r_member
 
@@ -112,6 +112,21 @@ def test_decompose_full_extension_rejects_non_members(x):
         rc.carath_decompose(k, x)
 
 
+@pytest.mark.parametrize("c", [1.0, 1e4, 1e8, 1e12])
+@pytest.mark.parametrize("child", ["hankel3", "codim1"])
+def test_decompose_full_extension_is_scale_free(child, c):
+    # the tail's rank is cut at the scale of X, so the rounding of the Schur
+    # complement reads neither as an atom nor as a PSD failure
+    base = rc.hankel_cone(3) if child == "hankel3" else family_registry()["codim1"]
+    cone = rc.full_extension(base, 5)
+    degree = rc.degree(cone)
+    for i in range(30):
+        x = rank_r_member(cone, np.random.default_rng(i), 1 + i % degree)
+        dec = rc.decompose(cone, c * x)
+        assert len(dec.atoms) == rc.numeric_rank(x)
+        assert dec.residual <= 1e-7 * np.linalg.norm(c * x)
+
+
 def test_decompose_intertwining_counts(rng):
     s2 = rc.full_psd_cone(2)
     arrow = rc.intertwine(s2, s2, rc.rank1_glue(s2, [0, 1], s2, [1, 0]))
@@ -128,6 +143,17 @@ def test_decompose_intertwining_counts(rng):
     check_decomposition(k, x, dec)
 
 
+def test_decompose_intertwining_rejects_a_corner_off_the_span():
+    # PSD, but the corner block of the glued coordinates is not zero
+    s2 = rc.full_psd_cone(2)
+    arrow = rc.intertwine(s2, s2, rc.rank1_glue(s2, [0, 1], s2, [1, 0]))
+    x = np.eye(3)
+    x[0, 2] = x[2, 0] = 0.5
+    assert not rc.membership(arrow, x)
+    with pytest.raises(InvalidInputError):
+        rc.decompose(arrow, x)
+
+
 def test_decompose_intertwining_child_face():
     s2 = rc.full_psd_cone(2)
     arrow = rc.intertwine(s2, s2, rc.rank1_glue(s2, [0, 1], s2, [1, 0]))
@@ -140,20 +166,21 @@ def test_decompose_intertwining_child_face():
 
 
 def test_decompose_hankel_examples():
+    k = rc.hankel_cone(3)
     x = np.outer(moment(0.0), moment(0.0))
-    dec = decompose_hankel(x, 3)
+    dec = decompose_hankel(k, x)
     assert len(dec.atoms) == 1
     assert abs(abs(dec.atoms[0].vector[0]) - 1.0) < 1e-9
 
     h = np.array([[2.0, 0.0, 2.0], [0.0, 2.0, 0.0], [2.0, 0.0, 2.0]])
-    dec = decompose_hankel(h, 3)
+    dec = decompose_hankel(k, h)
     assert len(dec.atoms) == 2
     nodes = sorted(a.vector[1] / a.vector[0] for a in dec.atoms)
     assert np.allclose(nodes, [-1.0, 1.0], atol=1e-8)
 
     e3 = np.zeros(3)
     e3[2] = 1.0
-    dec = decompose_hankel(np.outer(e3, e3), 3)
+    dec = decompose_hankel(k, np.outer(e3, e3))
     assert len(dec.atoms) == 1
     assert abs(abs(dec.atoms[0].vector[2]) - 1.0) < 1e-9
 
@@ -162,74 +189,29 @@ def test_decompose_hankel_block(rng):
     k = rc.hankel_cone(3, 2)
     for _ in range(10):
         x = rank_r_member(k, rng, int(rng.integers(1, 7)))
-        dec = decompose_hankel(x, 3, 2)
+        dec = decompose_hankel(k, x)
         check_decomposition(k, x, dec)
 
 
 def test_decompose_hankel_interior(rng):
     k = rc.hankel_cone(3)
     x = rank_r_member(k, rng, 3)
-    dec = decompose_hankel(x, 3)
+    dec = decompose_hankel(k, x)
     check_decomposition(k, x, dec)
 
 
 def test_decompose_hankel_rejects():
     with pytest.raises(InvalidInputError):
-        decompose_hankel(np.eye(4), 3, 1)  # size mismatch
+        decompose_hankel(rc.hankel_cone(3), np.eye(4))  # size mismatch
     bad = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
     with pytest.raises(InvalidInputError):
-        decompose_hankel(bad, 3)  # anti-diagonals disagree
-
-
-def _block_loops(x_mat, n, m, tol, hankel):
-    """The per-block loops that ``_block_pattern_ok`` replaces."""
-    scale = 1.0 + float(np.linalg.norm(x_mat))
-    for i in range(n):
-        for j in range(n):
-            blk = x_mat[i * m:(i + 1) * m, j * m:(j + 1) * m]
-            if hankel:
-                ri = min(i + j, n - 1)
-                rj = i + j - ri
-            else:
-                d = i - j
-                ri, rj = (d, 0) if d >= 0 else (0, -d)
-            ref = x_mat[ri * m:(ri + 1) * m, rj * m:(rj + 1) * m]
-            if np.linalg.norm(blk - ref) > 1e3 * tol * scale:
-                return False
-            if hankel and np.linalg.norm(blk - blk.T) > 1e3 * tol * scale:
-                return False
-    return hankel or np.linalg.norm(x_mat - x_mat.conj().T) <= 1e3 * tol * scale
-
-
-@settings(max_examples=300, deadline=None)
-@given(n=st.integers(1, 6), m=st.integers(1, 3), hankel=st.booleans(),
-       perturb=st.sampled_from([0.0, 1e-9, 1e-2, 1.0]), seed=st.integers(0, 2**32 - 1))
-def test_block_pattern_matches_the_block_loops(n, m, hankel, perturb, seed):
-    rng = np.random.default_rng(seed)
-    x = np.zeros((n * m, n * m), dtype=float if hankel else complex)
-    if hankel:  # a symmetric block per anti-diagonal
-        for s, b in enumerate(rng.standard_normal((2 * n - 1, m, m))):
-            for i in range(max(0, s - n + 1), min(s, n - 1) + 1):
-                x[i * m:(i + 1) * m, (s - i) * m:(s - i + 1) * m] = b + b.T
-    else:  # a block per diagonal, the block of -d the adjoint of that of d
-        blocks = rng.standard_normal((n, m, m)) + 1j * rng.standard_normal((n, m, m))
-        blocks[0] += blocks[0].conj().T
-        for i in range(n):
-            for j in range(n):
-                b = blocks[i - j] if i >= j else blocks[j - i].conj().T
-                x[i * m:(i + 1) * m, j * m:(j + 1) * m] = b
-    i, j = rng.integers(n, size=2)
-    x[i * m:(i + 1) * m, j * m:(j + 1) * m] += perturb * (1.0 + np.linalg.norm(x)) * \
-        rng.standard_normal((m, m))
-    assert _block_pattern_ok(x, n, m, 1e-8, hankel) == _block_loops(x, n, m, 1e-8, hankel)
-    if perturb == 0.0:
-        assert _block_pattern_ok(x, n, m, 1e-8, hankel)
+        decompose_hankel(rc.hankel_cone(3), bad)  # anti-diagonals disagree
 
 
 def test_decompose_toeplitz_single_atom():
     w = np.kron(1j ** np.arange(2), np.array([1.0 + 0j]))
     t = np.outer(w, w.conj())
-    dec = decompose_block_toeplitz(t, 2, 1)
+    dec = decompose_block_toeplitz(rc.block_toeplitz_cone(2, 1), t)
     assert len(dec.atoms) == 1
     v = dec.atoms[0].vector
     q = v[1] / v[0]
@@ -239,7 +221,8 @@ def test_decompose_toeplitz_single_atom():
 
 def test_decompose_toeplitz_identity():
     for n, m in [(2, 1), (3, 1), (2, 2)]:
-        dec = decompose_block_toeplitz(np.eye(n * m, dtype=complex), n, m)
+        dec = decompose_block_toeplitz(rc.block_toeplitz_cone(n, m),
+                                       np.eye(n * m, dtype=complex))
         assert len(dec.atoms) == n * m
         total = sum(a.matrix() for a in dec.atoms)
         assert np.linalg.norm(total - np.eye(n * m)) < 1e-8
@@ -248,14 +231,15 @@ def test_decompose_toeplitz_identity():
 
 
 def test_decompose_toeplitz_zero():
-    dec = decompose_block_toeplitz(np.zeros((4, 4), dtype=complex), 2, 2)
+    dec = decompose_block_toeplitz(rc.block_toeplitz_cone(2, 2),
+                                   np.zeros((4, 4), dtype=complex))
     assert dec.atoms == []
 
 
 def test_decompose_toeplitz_rejects_pattern():
     t = np.diag([1.0, 2.0]).astype(complex)
     with pytest.raises(InvalidInputError):
-        decompose_block_toeplitz(t, 2, 1)
+        decompose_block_toeplitz(rc.block_toeplitz_cone(2, 1), t)
 
 
 @pytest.mark.parametrize("n, edges, atoms", [
@@ -348,33 +332,41 @@ def test_compositional_matches_carath(rng):
             assert len(d1.atoms) == len(d2.atoms) == r
 
 
-def test_carath_one_eigendecomposition_per_step(monkeypatch):
-    """After the membership check the peel decomposes the start once and
-    each accepted candidate once; that decomposition gives the rank, the
-    PSD test, the face basis and the pseudo-inverse of the next step."""
-    decompose = importlib.import_module("rogcones.decompose")  # the package re-exports the function
-    cone = rc.hankel_cone(5)
-    x_mat = rank_r_member(cone, np.random.default_rng(3), 3)
+def _count_eigensolves(monkeypatch):
+    """Patch numpy's symmetric eigensolvers to record each call by name."""
     calls = []
     for name in ("eigh", "eigvalsh"):
-        def counted(*args, real=getattr(np.linalg, name), **kwargs):
+        def counted(*args, real=getattr(np.linalg, name), name=name, **kwargs):
             calls.append(name)
             return real(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
-    after_membership = []
-    real_membership = decompose.membership
+    return calls
 
-    def membership(*args, **kwargs):
-        out = real_membership(*args, **kwargs)
-        after_membership.append(len(calls))
-        return out
 
-    monkeypatch.setattr(decompose, "membership", membership)
-    dec = decompose.carath_decompose(cone, x_mat)
-    peel_calls = len(calls) - after_membership[0]
+def test_carath_one_eigendecomposition_per_step(monkeypatch):
+    """The membership gate decomposes the start once and the peel each
+    accepted candidate once; the gate's decomposition gives the rank, the
+    face basis and the pseudo-inverse of the first step."""
+    cone = rc.hankel_cone(5)
+    x_mat = rank_r_member(cone, np.random.default_rng(3), 3)
+    calls = _count_eigensolves(monkeypatch)
+    dec = rc.carath_decompose(cone, x_mat)
+    eigensolves = len(calls)
     check_decomposition(cone, x_mat, dec)
     assert len(dec.atoms) == 3
-    assert peel_calls <= 1 + len(dec.atoms)
+    assert eigensolves <= 1 + len(dec.atoms)
+
+
+@pytest.mark.parametrize("name, eigensolves", [("full_psd4", 1), ("codim1", 1),
+                                               ("cross_ratio", 2)])
+def test_closed_forms_reuse_the_gate_eigendecomposition(monkeypatch, name, eigensolves):
+    # the cross-ratio route also splits its 2 x 2 base plane
+    cone = family_registry()[name]
+    x_mat = rank_r_member(cone, np.random.default_rng(5), 2)
+    calls = _count_eigensolves(monkeypatch)
+    dec = rc.decompose(cone, x_mat)
+    assert calls == ["eigh"] * eigensolves
+    check_decomposition(cone, x_mat, dec)
 
 
 @functools.cache

@@ -2,9 +2,9 @@
 
 The builder table (``constructions._BUILDERS``) and the family table
 (``decompose._FAMILIES``) must list the same kinds, and each kind must
-survive a bit-exact JSON round trip, sample rank-1 points of its span
-and, where it has an extreme-ray rule, decompose a rank-1 member into one
-atom.
+survive a bit-exact JSON round trip, sample rank-1 points of its span,
+reject non-members and, where it has an extreme-ray rule, decompose a
+rank-1 member into one atom.
 """
 
 import json
@@ -17,7 +17,7 @@ import rogcones as rc
 from rogcones import jsonio, symlin
 from rogcones.constructions import _BUILDERS
 from rogcones.decompose import _FAMILIES
-from rogcones.errors import OracleUnavailableError
+from rogcones.errors import InvalidInputError, OracleUnavailableError
 
 from conftest import random_congruence
 
@@ -102,3 +102,24 @@ def test_rank1_member_decomposes_into_one_atom(name, seed):
     atom = dec.atoms[0].matrix()
     assert symlin.span_distance(cone.span_basis, atom) < 1e-7
     assert np.linalg.norm(atom - x_mat) < 1e-7
+
+
+@pytest.mark.parametrize("name", sorted(CONES))
+def test_non_members_are_rejected(name):
+    """Every route opens with the membership gate, the peel's included: a
+    PSD matrix off the span and minus a member raise InvalidInputError."""
+    cone = CONES[name]
+    rng = np.random.default_rng(0)
+    member = sum(symlin.outer(g) for g in cone.generators)
+    off = rng.standard_normal((cone.n, cone.n))
+    if np.iscomplexobj(cone.span_basis):
+        off = off + 1j * rng.standard_normal((cone.n, cone.n))
+    off = symlin.sym(off)
+    off -= symlin.span_project(cone.span_basis, off)
+    non_members = [-member]
+    if np.linalg.norm(off) > 1e-9:  # the full PSD cone spans every matrix
+        non_members.append(np.eye(cone.n) + 0.5 * off / np.linalg.norm(off, 2))
+    for x_mat in non_members:
+        assert not rc.membership(cone, x_mat)
+        with pytest.raises(InvalidInputError):
+            rc.decompose(cone, x_mat)

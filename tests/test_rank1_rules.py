@@ -7,6 +7,7 @@ same order.
 """
 
 import ast
+import importlib
 import pathlib
 
 import numpy as np
@@ -87,6 +88,21 @@ def test_cone_model_imports_no_engine():
             imported.update(alias.name for alias in node.names)
     assert not {name for name in imported
                 if name.split(".")[-1] in ("decompose", "constructions")}
+
+
+def test_decompose_tests_membership_only_in_its_gate():
+    # one membership rule for every route: membership and PSD tests are
+    # called from _span_member and nowhere else in the module
+    tests = {"membership", "psd_check", "psd_values"}
+    tree = ast.parse(pathlib.Path(importlib.import_module("rogcones.decompose").__file__)
+                     .read_text())
+    gate = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == "_span_member")
+    in_gate = {id(node) for node in ast.walk(gate)}
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) in tests]
+    assert [node.lineno for node in calls if id(node) not in in_gate] == []
+    assert calls
 
 
 # ---------------------------------------------------------------------------
