@@ -90,11 +90,9 @@ def make_cone(n: int, span_mats, generators, expr: Optional[ConeExpr] = None,
     basis = symlin.orthonormal_span(span_mats)
     gens = _normalize_generators(generators, n, np.iscomplexobj(basis))
     cone = SpectrahedralCone(n=n, span_basis=basis, generators=gens, expr=expr)
-    if check:
-        for x in gens:
-            p = symlin.outer(x)
-            if symlin.span_distance(basis, p) > 100 * DEFAULT_TOL * (1.0 + np.linalg.norm(p)):
-                raise InvalidInputError("generator outer product is not in the span")
+    if check and not symlin.span_contains(basis, gens[:, :, None] * gens.conj()[:, None, :],
+                                          100 * DEFAULT_TOL):
+        raise InvalidInputError("generator outer product is not in the span")
     return cone
 
 
@@ -146,9 +144,7 @@ def membership(cone: SpectrahedralCone, x_mat: np.ndarray,
     x_mat = np.asarray(x_mat)
     if x_mat.shape != (cone.n, cone.n):
         raise InvalidInputError(f"expected a {cone.n} x {cone.n} matrix")
-    if symlin.span_distance(cone.span_basis, x_mat) > tol * (1.0 + np.linalg.norm(x_mat)):
-        return False
-    return symlin.psd_check(x_mat, tol)
+    return symlin.span_contains(cone.span_basis, x_mat, tol) and symlin.psd_check(x_mat, tol)
 
 
 def interior_element(cone: SpectrahedralCone) -> np.ndarray:
@@ -257,6 +253,10 @@ def simplicity_partition(cone: SpectrahedralCone, tol: float = DEFAULT_TOL
     q = np.zeros((cone.n, m), dtype=gens.dtype)  # orthonormal basis of the kept
     kept, dep, prefix = [], [], []  # prefix[i]: how many were kept before dep[i]
     for j, g in enumerate(gens):
+        if len(kept) == cone.n:  # the kept span R^n: the rest are dependent
+            dep += range(j, m)
+            prefix += [cone.n] * (m - j)
+            break
         qk = q[:, :len(kept)]
         res = g - qk @ (qk.conj().T @ g)
         res -= qk @ (qk.conj().T @ res)

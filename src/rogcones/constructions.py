@@ -375,10 +375,8 @@ def _validate_full_face(cone: SpectrahedralCone, iota: np.ndarray,
     h = symlin.subspace_of_vectors(iota.T)
     if h.shape[1] != iota.shape[1]:
         raise InvalidInputError("glue injection is not of full column rank")
-    for mat in symlin.subspace_pencil_span(h):
-        if not symlin.span_contains(cone.span_basis, mat, tol):
-            raise InvalidInputError(
-                "glue subspace does not carry a full face of the cone")
+    if not symlin.span_contains(cone.span_basis, symlin.subspace_pencil_span(h), tol):
+        raise InvalidInputError("glue subspace does not carry a full face of the cone")
     return h
 
 

@@ -508,7 +508,8 @@ def decompose_intertwining(cone: SpectrahedralCone, x_mat: np.ndarray,
     The three-block Schur split writes X as a sum of two matrices living
     on the child faces; each child decomposes its share and the atoms are
     lifted back.  Atom counts add up to rank(X) because the split matches
-    the rank split of X across the overlap.
+    the rank split of X across the overlap.  A share at or below the cut
+    of X's eigenvalues is rounding of the split and is skipped.
     """
     if cone.expr is None or cone.expr.kind != "intertwine":
         raise InvalidInputError("cone was not built by intertwine")
@@ -518,7 +519,7 @@ def decompose_intertwining(cone: SpectrahedralCone, x_mat: np.ndarray,
     f1 = cone.expr.aux["f1"]
     f2 = cone.expr.aux["f2"]
     k1, k2 = cone.expr.children
-    x_mat, current, _ = _span_member(cone, x_mat, tol)
+    x_mat, current, dec = _span_member(cone, x_mat, tol)
     c1m, c2m = symlin.schur_split(current, (a, k, b), max(tol, 1e-9))
     x1_block = current[:a + k, :a + k].copy()
     x1_block[a:, a:] = c1m
@@ -527,11 +528,14 @@ def decompose_intertwining(cone: SpectrahedralCone, x_mat: np.ndarray,
     m1 = symlin.sym(c1 @ x1_block @ c1.T)
     m2 = symlin.sym(c2 @ x2_block @ c2.T)
     for child, m in ((k1, m1), (k2, m2)):
-        if symlin.span_distance(child.span_basis, m) > 1e-6 * (1.0 + np.linalg.norm(m)):
+        if not symlin.span_contains(child.span_basis, m, 1e-6):
             raise NumericalError("split landed outside a child cone")
     vectors: list[np.ndarray] = []
     weights: list[float] = []
+    floor = symlin.cut(dec.values, tol)
     for child, m, f in ((k1, m1, f1), (k2, m2, f2)):
+        if np.linalg.norm(m) <= floor:
+            continue
         sub = decompose(child, m, tol)
         for atom in sub.atoms:
             vectors.append(f @ atom.vector)

@@ -216,30 +216,22 @@ class IsoOutcome:
 
 
 def _greedy_basis(cols: np.ndarray) -> list[int]:
-    """Indices of a well-conditioned maximal independent column subset,
-    picking residuals above 1e-9 only."""
-    n = cols.shape[0]
+    """Indices of a well-conditioned maximal independent column subset:
+    each pick is the first column of largest residual against the picks
+    before it, and only residuals above 1e-9 are picked."""
+    rows = np.ascontiguousarray(cols.T)
     chosen: list[int] = []
-    basis = np.zeros((n, 0))
-    for _ in range(n):
-        best, best_res = None, 1e-9
-        for j in range(cols.shape[1]):
-            if j in chosen:
-                continue
-            if basis.shape[1]:
-                r = cols[:, j] - basis @ (basis.T @ cols[:, j])
-            else:
-                r = cols[:, j]
-            res = np.linalg.norm(r)
-            if res > best_res:
-                best, best_res = j, res
-        if best is None:
+    basis = np.zeros((0, cols.shape[0]))  # orthonormal rows
+    for _ in range(cols.shape[0]):
+        # the residual of every column against the picks so far, in one product
+        r = rows - (rows @ basis.T) @ basis
+        res = np.sqrt(np.vecdot(r, r))
+        res[chosen] = 0.0
+        best = int(np.argmax(res))
+        if res[best] <= 1e-9:
             break
         chosen.append(best)
-        new = cols[:, best]
-        if basis.shape[1]:
-            new = new - basis @ (basis.T @ new)
-        basis = np.hstack([basis, (new / np.linalg.norm(new))[:, None]])
+        basis = np.vstack([basis, r[best] / res[best]])
     return chosen
 
 
@@ -307,11 +299,9 @@ def reconstruct_isomorphism(x_gens, y_gens) -> IsoOutcome:
 
 
 def _span_maps_onto(s_mat, span1, span2) -> bool:
-    for mat in span1:
-        img = s_mat @ mat @ s_mat.T
-        if symlin.span_distance(span2, img) > 1e-6 * (1.0 + np.linalg.norm(img)):
-            return False
-    return True
+    """True iff S L_k S^T lies in span2 for every basis matrix L_k of
+    span1: the whole stack of images is tested in one kernel call."""
+    return symlin.span_contains(span2, s_mat @ span1 @ s_mat.T, 1e-6)
 
 
 def _signature(q: np.ndarray) -> tuple[int, int, int]:

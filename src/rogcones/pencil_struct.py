@@ -417,26 +417,22 @@ def _plane_census_label(cone):
 
 
 def rank2_face_planes(cone: SpectrahedralCone):
-    """Maximal 2-dimensional subspaces carrying full rank-2 faces,
-    detected from certificate generator pairs."""
+    """Maximal 2-dimensional subspaces carrying full rank-2 faces: the
+    planes of the certificate pairs x, y of distinct rays with x y^T + y x^T
+    in the span, all pairs tested in one kernel call, in pair order."""
     gens = cone.generators
+    i, j = np.triu_indices(len(gens), 1)
+    distinct = np.abs((gens @ gens.T)[i, j]) <= RAY_MATCH
+    x, y = gens[i[distinct]], gens[j[distinct]]
+    cross = symlin.sym(x[:, :, None] * y[:, None, :]) * 2.0
+    near = symlin.span_distances(cone.span_basis, cross) \
+        <= 1e-7 * (1.0 + np.linalg.norm(cross, axis=(1, 2)))
     planes = []
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            x, y = gens[i], gens[j]
-            if abs(x @ y) > RAY_MATCH:
-                continue
-            cross = symlin.sym(np.outer(x, y)) * 2.0
-            if symlin.span_distance(cone.span_basis, cross) > 1e-7 * (1.0 + np.linalg.norm(cross)):
-                continue
-            basis = symlin.subspace_of_vectors([x, y])
-            if not any(_same_plane(basis, p) for p in planes):
-                planes.append(basis)
+    for a, b in zip(x[near], y[near]):
+        basis = symlin.subspace_of_vectors([a, b])
+        if not any(np.linalg.norm(basis @ basis.T - p @ p.T) < 1e-6 for p in planes):
+            planes.append(basis)
     return planes
-
-
-def _same_plane(p1, p2):
-    return np.linalg.norm(p1 @ p1.T - p2 @ p2.T) < 1e-6
 
 
 def _planes_meet(p1, p2):

@@ -495,10 +495,8 @@ def certify_exactness(problem: QcqpProblem,
         cone = induced_cone(problem)
     else:
         work = induced_cone(problem)
-        for s in cone.span_basis:
-            if symlin.span_distance(work.span_basis, s) > 1e-7:
-                raise InvalidInputError("provided cone does not match the constraints")
-        if cone.dim != work.dim:
+        if (cone.dim != work.dim
+                or symlin.span_distances(work.span_basis, cone.span_basis).max(initial=0.0) > 1e-7):
             raise InvalidInputError("provided cone does not match the constraints")
     certified = _proved_rog(cone)
     x_pure = purify_to_extreme(problem, cone, sol.x_mat, tol)

@@ -326,12 +326,24 @@ def span_project(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.tensordot(c, basis, axes=(0, 0))
 
 
+def span_distances(basis: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """Frobenius distance from each matrix of a stack (k, n, n) to the span,
+    real or complex, from one product of the rows vec(X) against the basis
+    rows; an empty basis (0, n, n) gives |X|."""
+    field = np.result_type(basis, stack)
+    rows, b = (_vec_stack(np.asarray(a).astype(field, copy=False)) for a in (stack, basis))
+    return np.linalg.norm(rows - (rows @ b.T) @ b, axis=1)
+
+
 def span_distance(basis: np.ndarray, x: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(x) - span_project(basis, x)))
+    return float(span_distances(basis, np.asarray(x)[None])[0])
 
 
 def span_contains(basis: np.ndarray, x: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    return span_distance(basis, x) <= tol * (1.0 + float(np.linalg.norm(x)))
+    """True iff X, or each matrix of a stack, is within tol * (1 + |X|) of the span."""
+    stack = np.asarray(x).reshape(-1, *np.shape(x)[-2:])
+    bound = tol * (1.0 + np.linalg.norm(stack, axis=(1, 2)))
+    return bool((span_distances(basis, stack) <= bound).all())
 
 
 def span_from_coords(basis: np.ndarray, c: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import rogcones as rc
+from rogcones import symlin
 from rogcones.pencil_struct import ClassLabel
 
 
@@ -112,6 +113,18 @@ def catalog_constructions():
     out.update(deg3)
     out.update(deg4)
     return out
+
+
+def count_span_tests(monkeypatch):
+    """Patch ``symlin.span_distance`` and ``symlin.span_distances`` to record
+    each call by name (the one-matrix case calls the kernel too)."""
+    calls = []
+    for name in ("span_distance", "span_distances"):
+        def counted(*args, real=getattr(symlin, name), name=name, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(symlin, name, counted)
+    return calls
 
 
 @pytest.fixture

@@ -127,6 +127,20 @@ def test_decompose_full_extension_is_scale_free(child, c):
         assert dec.residual <= 1e-7 * np.linalg.norm(c * x)
 
 
+@pytest.mark.parametrize("c", [1.0, 1e4, 1e8, 1e12])
+def test_decompose_intertwining_is_scale_free(c):
+    # on a rank-1 member the Schur split can hand one child a share of pure
+    # rounding of X's scale: it is skipped, neither an atom nor a PSD failure
+    cone = rc.intertwine(rc.full_psd_cone(2), rc.hankel_cone(3),
+                         rc.rank1_glue(None, [1.0, 0.0], None, [0.0, 0.0, 1.0]))
+    degree = rc.degree(cone)
+    for i in range(30):
+        x = rank_r_member(cone, np.random.default_rng(i), 1 + i % degree)
+        dec = rc.decompose(cone, c * x)
+        assert len(dec.atoms) == rc.numeric_rank(x)
+        assert dec.residual <= 1e-7 * np.linalg.norm(c * x)
+
+
 def test_decompose_intertwining_counts(rng):
     s2 = rc.full_psd_cone(2)
     arrow = rc.intertwine(s2, s2, rc.rank1_glue(s2, [0, 1], s2, [1, 0]))

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 import rogcones as rc
-from rogcones import symlin
+from rogcones import isomorph, symlin
 from rogcones.errors import InvalidInputError
-from rogcones.isomorph import (PartialMatrix, cross_ratio, rank1_complete,
+from rogcones.isomorph import (PartialMatrix, _greedy_basis, cross_ratio, rank1_complete,
                                rank1_complete_signs, reconstruct_isomorphism,
                                s4_orbit, same_s4_orbit)
-from conftest import catalog_constructions, random_congruence
+from conftest import (catalog_constructions, count_span_tests, random_chordal_graph,
+                      random_congruence)
 
 
 def test_complete_diagonal_only():
@@ -282,3 +283,60 @@ def test_codim1_form_recovers_the_form(rng):
         got = codim1_form(cone)
         form = form / np.linalg.norm(form)
         assert min(np.linalg.norm(got - form), np.linalg.norm(got + form)) < 1e-8
+
+
+def _greedy_one_column_at_a_time(cols):
+    """The greedy pick computing one column's residual at a time."""
+    n = cols.shape[0]
+    chosen, residuals = [], []
+    basis = np.zeros((n, 0))
+    for _ in range(n):
+        best, best_res = None, 1e-9
+        for j in range(cols.shape[1]):
+            if j in chosen:
+                continue
+            r = cols[:, j] - basis @ (basis.T @ cols[:, j]) if basis.shape[1] else cols[:, j]
+            res = np.linalg.norm(r)
+            if res > best_res:
+                best, best_res = j, res
+        if best is None:
+            break
+        chosen.append(best)
+        residuals.append(best_res)
+        new = cols[:, best]
+        if basis.shape[1]:
+            new = new - basis @ (basis.T @ new)
+        basis = np.hstack([basis, (new / np.linalg.norm(new))[:, None]])
+    return chosen, residuals
+
+
+@pytest.mark.parametrize("cone", [
+    rc.full_psd_cone(4), rc.hankel_cone(3), rc.hankel_cone(5), rc.hankel_cone(3, 2),
+    rc.chordal_cone(random_chordal_graph(np.random.default_rng(3), 7)),
+    rc.chordal_cone(rc.ChordalGraph(4, [(0, 1), (1, 2), (0, 2), (2, 3)]))],
+    ids=["full_psd4", "hankel3", "hankel5", "hankel3x2", "chordal7", "chordal4"])
+def test_greedy_basis_matches_the_column_loop(cone):
+    cols = cone.generators.T
+    got = _greedy_basis(cols)
+    want, residuals = _greedy_one_column_at_a_time(cols)
+    assert got == want
+    assert len(got) == cone.n and min(residuals) > 1e-9
+    assert np.linalg.matrix_rank(cols[:, got]) == cone.n
+
+
+def test_span_maps_onto_tests_each_direction_in_one_kernel_call(monkeypatch, rng):
+    k = rc.hankel_cone(4)
+    moved = rc.apply_congruence(k, random_congruence(rng, 4), keep_expr=False)
+    calls = count_span_tests(monkeypatch)
+    per_call = []
+    real = isomorph._span_maps_onto
+
+    def counted(*args):
+        start = len(calls)
+        out = real(*args)
+        per_call.append(calls[start:])
+        return out
+    monkeypatch.setattr(isomorph, "_span_maps_onto", counted)
+    assert rc.cones_isomorphic(k, moved).status == "isomorphic"
+    assert per_call == [["span_distances"]] * 2
+    assert not real(np.eye(4), k.span_basis, rc.tridiagonal_cone(4).span_basis)

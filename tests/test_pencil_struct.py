@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 import rogcones as rc
+from rogcones import pencil_struct, symlin
+from rogcones.cone_model import RAY_MATCH
 from rogcones.errors import InvalidInputError, NumericalError
 from rogcones.pencil_struct import (Pencil, biquartic_p, classify_codim1,
                                     classify_small, codim2_structure,
-                                    pencil_decompose, rank2_extreme_check)
-from conftest import catalog_constructions, random_congruence
+                                    pencil_decompose, rank2_extreme_check,
+                                    rank2_face_planes)
+from conftest import catalog_constructions, count_span_tests, random_congruence
 
 
 def test_pencil_already_split():
@@ -229,3 +232,56 @@ def test_classifier_direct_sum():
 def test_classifier_rejects_large_degree():
     with pytest.raises(InvalidInputError):
         classify_small(rc.full_psd_cone(5))
+
+
+# the four simple classes of degree 4 and dimension 7, and their plane counts
+PLANE_CENSUS = {"Han4": 0, "IntertwineHan3S2": 1, "FullExtDiag3": 3, "Tri4": 3}
+
+
+def _pairwise_planes(cone):
+    """The plane search one generator pair at a time."""
+    gens = cone.generators
+    planes = []
+    for i in range(len(gens)):
+        for j in range(i + 1, len(gens)):
+            x, y = gens[i], gens[j]
+            if abs(x @ y) > RAY_MATCH:
+                continue
+            cross = symlin.sym(np.outer(x, y)) * 2.0
+            if symlin.span_distance(cone.span_basis, cross) > 1e-7 * (1.0 + np.linalg.norm(cross)):
+                continue
+            basis = symlin.subspace_of_vectors([x, y])
+            if not any(np.linalg.norm(basis @ basis.T - p @ p.T) < 1e-6 for p in planes):
+                planes.append(basis)
+    return planes
+
+
+def test_rank2_face_planes_match_the_pairwise_search():
+    rng = np.random.default_rng(11)
+    for name, (cone, _) in catalog_constructions().items():
+        moved = rc.apply_congruence(cone, random_congruence(rng, cone.n), keep_expr=False)
+        for k in (cone, moved):
+            got, want = rank2_face_planes(k), _pairwise_planes(k)
+            assert len(got) == len(want), name
+            for p, q in zip(got, want):
+                assert np.allclose(p @ p.T, q @ q.T, atol=1e-12), name
+            if name in PLANE_CENSUS:
+                assert len(got) == PLANE_CENSUS[name], name
+
+
+def test_classify_tests_all_pairs_in_one_kernel_call(monkeypatch):
+    catalog = catalog_constructions()
+    rng = np.random.default_rng(12)
+    for name in PLANE_CENSUS:
+        cone, expected = catalog[name]
+        moved = rc.apply_congruence(cone, random_congruence(rng, cone.n), keep_expr=False)
+        for k in (cone, moved):
+            with monkeypatch.context() as m:
+                calls = count_span_tests(m)
+                planes = []
+                real = pencil_struct.rank2_face_planes
+                m.setattr(pencil_struct, "rank2_face_planes",
+                          lambda c: planes.append(c) or real(c))
+                assert classify_small(k) == expected
+            assert "span_distance" not in calls, name
+            assert len(planes) == 1 and calls == ["span_distances"], name

@@ -255,6 +255,42 @@ def test_orthonormal_span_matches_a_dense_svd(seed, n, count, rank, complex_fiel
 
 
 # ---------------------------------------------------------------------------
+# distances to a span
+
+
+def _one_distance(basis, x):
+    """The per-matrix formula: X minus its projection on the span."""
+    c = symlin._vec_stack(basis) @ symlin.vec(np.asarray(x, dtype=basis.dtype))
+    return float(np.linalg.norm(x - np.tensordot(c, basis, axes=(0, 0))))
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+@pytest.mark.parametrize("d", [0, 1, 4])
+def test_span_distances_match_the_per_matrix_formula(complex_field, d):
+    rng = np.random.default_rng(7 + d)
+    n = 4
+
+    def draw(k):
+        x = rng.standard_normal((k, n, n))
+        return symlin.sym(x + 1j * rng.standard_normal((k, n, n)) if complex_field else x)
+    basis = (symlin.orthonormal_span(draw(d)) if d else
+             np.zeros((0, n, n), dtype=complex if complex_field else float))
+    members = np.tensordot(rng.standard_normal((3, d)), basis, axes=(1, 0))
+    stack = np.concatenate([draw(5), members])
+    got = symlin.span_distances(basis, stack)
+    want = [_one_distance(basis, x) for x in stack]
+    assert got.shape == (len(stack),)
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+    assert np.all(got[5:] <= 1e-12)
+    if d == 0:  # an empty span is at distance |X|
+        assert np.allclose(got, np.linalg.norm(stack, axis=(1, 2)), rtol=1e-14)
+    # a single matrix is the stack of one
+    assert symlin.span_distance(basis, stack[0]) == symlin.span_distances(basis, stack[:1])[0]
+    assert np.isclose(symlin.span_distance(basis, stack[0]), want[0], rtol=1e-12, atol=1e-12)
+    assert symlin.span_contains(basis, members) and not symlin.span_contains(basis, stack)
+
+
+# ---------------------------------------------------------------------------
 # the JSON array format
 
 
