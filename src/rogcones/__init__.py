@@ -34,9 +34,8 @@ from .isomorph import (IsoOutcome, IsoWitness, PartialMatrix,
                        reconstruct_isomorphism, same_s4_orbit)
 from .pencil_struct import (ClassLabel, Codim2Structure, Pencil,
                             PencilBlock, PencilDecomposition, biquartic_p,
-                            classify_codim1, classify_small,
-                            codim2_structure, pencil_decompose,
-                            rank2_extreme_check)
+                            classify_small, codim2_structure,
+                            pencil_decompose, rank2_extreme_check)
 from .qcqp_relax import (ExactnessCertificate, QcqpProblem, SdpSolution,
                          certify_exactness, induced_cone, solve_relaxation)
 from .symlin import (EigDecomp, eig_sym, herm_matrix, numeric_rank,

@@ -168,6 +168,69 @@ def is_nondegenerate(cone: SpectrahedralCone, tol: float = DEFAULT_TOL) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# codimension <= 1: the PSD cone and the sections {X >= 0 : <Q, X> = 0}
+
+
+def codimension(cone: SpectrahedralCone) -> int | None:
+    """n(n+1)/2 - dim for a real cone; None over the complex field.
+
+    Codimension 0 is the full PSD cone, and codimension 1 the section
+    {X >= 0 : <Q, X> = 0} of the normal Q of the span, which is rank-one
+    generated for every Q (Sturm and Zhang, Math. Oper. Res. 2003).  The
+    engines decide both by this number before the cone's kind.
+    """
+    if cone.complex_field:
+        return None
+    return cone.n * (cone.n + 1) // 2 - cone.dim
+
+
+def codim1_form(cone: SpectrahedralCone) -> np.ndarray:
+    """The unit normal Q of the span of a real codimension-1 cone.
+
+    Q is E minus its projection onto the span, for the symmetric unit
+    matrix E of the coordinate (a, c) farthest from the span.  In
+    orthonormal coordinates of the symmetric matrices the squared
+    distances of the n(n+1)/2 coordinates add up to the codimension, 1, so
+    the farthest is at least 1 / sqrt(n(n+1)/2) away: no cancellation.
+    """
+    n = cone.n
+    if codimension(cone) != 1:
+        raise InvalidInputError("cone is not of codimension 1")
+    b = cone.span_basis
+    # |P E|^2 for each coordinate: sum_k B_k[a, c]^2, twice that off the diagonal
+    near = (2.0 - np.eye(n)) * np.einsum("kij,kij->ij", b, b)
+    a, c = divmod(int(np.argmin(near)), n)
+    # Q ~ E - sum_k <B_k, E> B_k for E = e_a e_c^T + e_c e_a^T, where
+    # <B_k, E> = 2 B_k[a, c], or E = e_a e_a^T on the diagonal
+    q = -(1.0 + (a != c)) * np.tensordot(b[:, a, c], b, axes=1)
+    q[a, c] += 1.0
+    if a != c:
+        q[c, a] += 1.0
+    return q / np.linalg.norm(q)
+
+
+def inertia_normal_form(q: np.ndarray) -> tuple[tuple[int, int, int], np.ndarray]:
+    """The signature (p, m, z) of a form, p >= m, and a frame M with
+    M^T Q' M = J = diag(1 x p, -1 x m, 0 x z), from one
+    ``symlin.inertia_split``.
+
+    Q and -Q cut out one section, so Q' is whichever of them has p
+    positive directions.  M is invertible, and Q' = N J N^T with
+    N = M^-T; two forms of one signature therefore have the congruence
+    S = M_2 M_1^-1 = N_2^-T N_1^T, with S^T Q'_2 S = Q'_1.
+    """
+    u, v, w = symlin.inertia_split(q)
+    if u.shape[1] < v.shape[1]:
+        u, v = v, u
+    return (u.shape[1], v.shape[1], w.shape[1]), np.hstack([u, v, w])
+
+
+def _signature(q: np.ndarray) -> tuple[int, int, int]:
+    """The signature of :func:`inertia_normal_form`."""
+    return inertia_normal_form(q)[0]
+
+
+# ---------------------------------------------------------------------------
 # non-degenerate reduction
 
 

@@ -1,7 +1,13 @@
 """Rank-1 decomposition engines.
 
-Five routes, all returning a :class:`Decomposition` whose atom count
-equals the matrix rank:
+:func:`decompose` decides by the codimension of a real cone before its
+kind.  Codimension 0 is the PSD cone, whose atoms are the eigenvectors;
+codimension 1 is a section {X >= 0 : <Q, X> = 0}, split by the S-lemma
+rotation of Sturm and Zhang with Q the normal of the span.  Both hold
+whatever built the cone: a bare span, a congruence transform or a full
+extension of codimension 1 takes them too.  Every other cone takes one of
+five routes by its kind, all returning a :class:`Decomposition` whose atom
+count equals the matrix rank:
 
 * a generic peeling loop (``carath_decompose``) that repeatedly extracts
   an extreme ray from the face of the current iterate and steps to the
@@ -13,9 +19,8 @@ equals the matrix rank:
   a full-rank member first sheds the Schur complement of its last block
   as node-at-infinity atoms,
 * a unitary spectral factorization for complex block-Toeplitz matrices,
-* closed forms read off a factorization: the eigenvectors for the full
-  PSD cone, the S-lemma rotation of Sturm and Zhang for codimension-1
-  cones, and one elimination per tail coordinate for cross-ratio cones.
+* a closed form for cross-ratio cones: one elimination per tail
+  coordinate, then the eigenvectors of the base plane.
 
 Every route opens with one membership gate, :func:`_span_member`: it
 projects X onto the span and eigendecomposes the projection once, and
@@ -41,7 +46,8 @@ from typing import Callable
 import numpy as np
 
 from . import constructions, symlin
-from .cone_model import FaceHandle, SpectrahedralCone, face_span, make_cone
+from .cone_model import (FaceHandle, SpectrahedralCone, codim1_form, codimension,
+                         face_span, make_cone)
 from .errors import (InvalidInputError, NumericalError,
                      OracleUnavailableError)
 from .symlin import DEFAULT_TOL
@@ -89,10 +95,16 @@ def decompose(cone: SpectrahedralCone, x_mat: np.ndarray,
               tol: float = DEFAULT_TOL) -> Decomposition:
     """Write X in K as a sum of rank(X) rank-1 elements of K.
 
-    Takes the direct route of the cone's kind when it has one, and the
-    peeling loop otherwise.
+    A real cone of codimension 0 or 1 takes its closed form, whatever its
+    kind; any other cone the direct route of its kind when it has one,
+    and the peeling loop otherwise.
     """
     x_mat = np.asarray(x_mat)
+    codim = codimension(cone)
+    if codim == 0:
+        return _decompose_full_psd(cone, x_mat, tol)
+    if codim == 1:
+        return _decompose_codim1(cone, x_mat, tol)
     route = _rule(cone, "route")
     if route is None:
         return carath_decompose(cone, x_mat, tol)
@@ -192,7 +204,8 @@ def _decompose_full_psd(cone, x_mat, tol):
 
 
 def _decompose_codim1(cone, x_mat, tol):
-    """The S-lemma rotation (Sturm and Zhang, Math. Oper. Res. 2003).
+    """The S-lemma rotation (Sturm and Zhang, Math. Oper. Res. 2003), with
+    Q the normal of the span (``cone_model.codim1_form``).
 
     Factor X = P P^T (:func:`_factor`); the Q-values q_i =
     p_i^T Q p_i sum to <Q, X> = 0.  Two columns with Q-values of opposite
@@ -204,9 +217,9 @@ def _decompose_codim1(cone, x_mat, tol):
     """
     x_mat, _, dec = _span_member(cone, x_mat, tol)
     cols = list(_factor(dec, symlin.cut(dec.values, tol)).T)
-    q = cone.expr.params["Q"]
+    q = codim1_form(cone)
     vals = [float(p @ q @ p) for p in cols]
-    bound = tol * float(np.linalg.norm(q, 2))
+    bound = tol  # |Q| = 1
     atoms = []
     while len(cols) > 1:
         ratio = np.array(vals) / np.array([p @ p for p in cols])
@@ -874,13 +887,13 @@ _CHORDAL = Family(sample=_chordal_sample, rays=_chordal_rays)
 
 _FAMILIES = {
     "full_psd": Family(sample=lambda cone, rng: rng.standard_normal(cone.n),
-                       rays=_full_psd_rays, route=_decompose_full_psd),
+                       rays=_full_psd_rays),
     "diagonal": Family(sample=lambda cone, rng: np.eye(cone.n)[rng.integers(cone.n)],
                        rays=_diagonal_rays),
     "hankel": Family(
         sample=_hankel_sample, rays=_hankel_rays,
         route=lambda cone, x, tol: decompose_hankel(cone, x, tol)),
-    "codim1": Family(sample=_codim1_sample, rays=_codim1_rays, route=_decompose_codim1),
+    "codim1": Family(sample=_codim1_sample, rays=_codim1_rays),
     "cross_ratio": Family(sample=_cross_ratio_sample, rays=_cross_ratio_rays,
                           route=_decompose_cross_ratio),
     "ternary_quartic": Family(

@@ -6,8 +6,10 @@ basis drawn from each list, the two coordinate matrices have a rank-1
 ratio matrix e f^T, and S = Y_b diag(e) X_b^-1 maps x_j to y_j / f_j.
 One private core does this for both entry points: ``reconstruct_isomorphism``
 (given matched lists) and ``cones_isomorphic`` (which searches for the
-matching).  The module also holds the completion solvers and the
-projective cross-ratio invariant of the gluing family.
+matching).  Cones of codimension <= 1 need no matching: Sylvester's law
+of inertia gives their congruence in closed form.  The module also holds
+the completion solvers and the projective cross-ratio invariant of the
+gluing family.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ from typing import Optional
 import numpy as np
 
 from . import symlin
-from .cone_model import SpectrahedralCone, reduce_nondegenerate
+# _signature lives in cone_model and stays importable from here
+from .cone_model import (SpectrahedralCone, _signature, codim1_form,  # noqa: F401
+                         codimension, inertia_normal_form, reduce_nondegenerate)
 from .errors import InvalidInputError
 
 _ENTRY_TOL = 1e-9
@@ -202,7 +206,13 @@ def rank1_complete_signs(a: PartialMatrix) -> Rank1Completion:
 
 @dataclass
 class IsoWitness:
-    """Invertible S with y_i = sigma_i S x_i over the matched generators."""
+    """Invertible S with S L_1 S^T = L_2, the spans of the two cones.
+
+    A witness read off a generator matching also has y_i = sigma_i S x_i
+    over the matched generators, one sign per generator.  A structural
+    witness (codimension <= 1, cross-ratio cones) matches no generators,
+    and its ``sigma`` is empty.
+    """
 
     s_matrix: np.ndarray
     sigma: np.ndarray
@@ -304,42 +314,25 @@ def _span_maps_onto(s_mat, span1, span2) -> bool:
     return symlin.span_contains(span2, s_mat @ span1 @ s_mat.T, 1e-6)
 
 
-def _signature(q: np.ndarray) -> tuple[int, int, int]:
-    pos, neg, zero = (d.shape[1] for d in symlin.inertia_split(q))
-    if (pos, neg) < (neg, pos):
-        pos, neg = neg, pos
-    return pos, neg, zero
-
-
-def codim1_form(cone: SpectrahedralCone) -> np.ndarray:
-    """The orthogonal-complement form of a codimension-1 cone.
-
-    The kernel is taken in the coordinates of ``symlin.sym_basis(n)``,
-    where it is one-dimensional; in the full n^2 space it would also hold
-    the antisymmetric matrices.
-    """
-    n = cone.n
-    if cone.dim != n * (n + 1) // 2 - 1:
-        raise InvalidInputError("cone is not of codimension 1")
-    basis = symlin.sym_basis(n)
-    coords = np.tensordot(cone.span_basis, basis, axes=([1, 2], [1, 2]))
-    q = symlin.span_from_coords(basis, symlin.nullspace(coords)[:, 0])
-    return q / np.linalg.norm(q)
-
-
 def cones_isomorphic(k1: SpectrahedralCone, k2: SpectrahedralCone,
                      seed: int = 0, max_tuples: int = 10_000) -> IsoOutcome:
     """Decide isomorphism of two certified cones, producing a witness.
 
-    Quick invariant rejections (degree, dimension, codimension-1
-    signatures, cross-ratio orbits) come first; otherwise generators are
+    Degrees and dimensions of the reduced cones come first, then the
+    codimension.  Real cones of codimension 0 are both the PSD cone
+    (S = I); real cones of codimension 1 are isomorphic exactly when the
+    signatures of their forms agree, and then Sylvester's law of inertia
+    gives the congruence in closed form (:func:`_inertia_congruence`).
+    Two cross-ratio cones compare their cross-ratio orbits.  Any other
+    pair, or a closed-form S that fails its check, has its generators
     matched (index-aligned fast path, then a capped randomized search
     pruned by ratio consistency) against one basis of the first
     certificate, and each assignment goes through the rank-1 completion
     of coordinate ratios.  A witness S is accepted only when it maps each
-    span onto the other and sends every generator to its match up to
-    sign.  Exhausting the search after ``max_tuples`` assignments returns
-    "inconclusive" with the count tried, never "not_isomorphic".
+    span onto the other, and a matched one also when it sends every
+    generator to its match up to sign.  Exhausting the search after
+    ``max_tuples`` assignments returns "inconclusive" with the count
+    tried, never "not_isomorphic".
     """
     k1r, _ = reduce_nondegenerate(k1)
     k2r, _ = reduce_nondegenerate(k2)
@@ -347,18 +340,41 @@ def cones_isomorphic(k1: SpectrahedralCone, k2: SpectrahedralCone,
         return IsoOutcome("not_isomorphic", reason="degrees differ")
     if k1r.dim != k2r.dim:
         return IsoOutcome("not_isomorphic", reason="dimensions differ")
-    n = k1r.n
-    if k1r.dim == n * (n + 1) // 2 - 1:
-        s1 = _signature(codim1_form(k1r))
-        s2 = _signature(codim1_form(k2r))
-        if s1 != s2:
-            return IsoOutcome(
-                "not_isomorphic",
-                reason=f"codimension-1 signatures differ: {s1} vs {s2}")
+    codim = codimension(k1r)
+    if codim is not None and codim <= 1 and codimension(k2r) == codim:
+        out = _inertia_congruence(k1r, k2r)
+        if out is not None:
+            return out
     kinds = tuple(c.expr.kind if c.expr else None for c in (k1, k2))
     if kinds == ("cross_ratio", "cross_ratio"):
         return _cross_ratio_isomorphic(k1, k2)
     return _match_and_reconstruct(k1r, k2r, seed, max_tuples)
+
+
+def _inertia_congruence(k1, k2) -> IsoOutcome | None:
+    """The closed-form outcome for real cones of codimension <= 1.
+
+    Codimension 0 takes S = I.  In codimension 1, S maps Q_1^perp onto
+    Q_2^perp exactly when S^T Q_2 S is a multiple of Q_1, so forms of
+    different signatures mean "not_isomorphic", and for one signature
+    S = N_2^-T N_1^T = M_2 M_1^-1 from the normal forms Q'_i = N_i J N_i^T,
+    M_i = N_i^-T (:func:`cone_model.inertia_normal_form`), is a witness.
+    S and S^-1 are checked on the spans; None when either check fails.
+    """
+    if codimension(k1) == 0:
+        s_mat = s_inv = np.eye(k1.n)
+    else:
+        (s1, m1), (s2, m2) = (inertia_normal_form(codim1_form(k)) for k in (k1, k2))
+        if s1 != s2:
+            return IsoOutcome(
+                "not_isomorphic",
+                reason=f"codimension-1 signatures differ: {s1} vs {s2}")
+        s_mat = np.linalg.solve(m1.T, m2.T).T
+        s_inv = np.linalg.solve(m2.T, m1.T).T
+    if not (_span_maps_onto(s_mat, k1.span_basis, k2.span_basis)
+            and _span_maps_onto(s_inv, k2.span_basis, k1.span_basis)):
+        return None
+    return IsoOutcome("isomorphic", witness=IsoWitness(s_matrix=s_mat, sigma=np.zeros(0)))
 
 
 def _match_and_reconstruct(k1, k2, seed, max_tuples):
@@ -536,9 +552,8 @@ def _cross_ratio_isomorphic(k1, k2) -> IsoOutcome:
             a_mat[2 + perm[i], 2 + i] = 1.0
         if _span_maps_onto(a_mat, k1.span_basis, k2.span_basis) and \
                 _span_maps_onto(np.linalg.inv(a_mat), k2.span_basis, k1.span_basis):
-            sigma = np.ones(len(k1.generators))
             return IsoOutcome("isomorphic",
-                              witness=IsoWitness(s_matrix=a_mat, sigma=sigma))
+                              witness=IsoWitness(s_matrix=a_mat, sigma=np.zeros(0)))
     return IsoOutcome("inconclusive",
                       reason="orbit matches but no line permutation verified")
 

@@ -18,11 +18,11 @@ from typing import Optional
 import numpy as np
 
 from . import symlin
-from .cone_model import (RAY_MATCH, FaceHandle, SpectrahedralCone, degree,
-                         reduce_nondegenerate, simplicity_partition)
+from .cone_model import (RAY_MATCH, FaceHandle, SpectrahedralCone, _signature,
+                         codim1_form, codimension, degree, reduce_nondegenerate,
+                         simplicity_partition)
 from .decompose import face_of
 from .errors import InvalidInputError, NumericalError
-from .isomorph import _signature, codim1_form
 from .symlin import DEFAULT_TOL
 
 
@@ -342,30 +342,30 @@ class ClassLabel:
         return out
 
 
-def classify_codim1(cone: SpectrahedralCone) -> ClassLabel:
-    """Signature label of a codimension-1 cone (positives first)."""
-    cone, _ = reduce_nondegenerate(cone)
-    n = cone.n
-    if cone.dim != n * (n + 1) // 2 - 1:
-        raise InvalidInputError("cone is not of codimension 1")
-    q = codim1_form(cone)
-    return ClassLabel(tag="Codim1", n=n, signature=_signature(q))
-
-
 def classify_small(cone: SpectrahedralCone, tol: float = DEFAULT_TOL) -> ClassLabel:
     """Catalog label for certified cones of degree at most 4.
 
-    Non-simple cones factor into a DirectSum label.  Simple cones are
-    named by degree and dimension; codimension-1 cones by the signature of
-    their form.  Degree 4 and dimension 7 holds four classes, told apart
-    by the census of the planes carrying full rank-2 faces: none for the
-    Hankel class Han4, one for IntertwineHan3S2, and three meeting
-    pairwise (FullExtDiag3) or in a chain (Tri).
+    The codimension of the reduced cone decides first: a real cone of
+    codimension 0 is FullPsd, and one of codimension 1 and degree n >= 3
+    is named by the signature of its form.  Both are simple (a direct sum
+    has codimension at least n_1 n_2), so neither needs the simplicity
+    partition; in degree 2, codimension 1 is the non-simple diag(2).
+    Every other cone is partitioned: non-simple cones factor into a
+    DirectSum label, and simple ones are named by degree and dimension.
+    Degree 4 and dimension 7 holds four classes, told apart by the census
+    of the planes carrying full rank-2 faces: none for the Hankel class
+    Han4, one for IntertwineHan3S2, and three meeting pairwise
+    (FullExtDiag3) or in a chain (Tri).
     """
     cone, _ = reduce_nondegenerate(cone, tol)
     n = degree(cone, tol)
     if n > 4:
         raise InvalidInputError("classification catalog covers degree <= 4 only")
+    codim = codimension(cone)
+    if codim == 0:
+        return ClassLabel(tag="FullPsd", n=n)
+    if codim == 1 and n >= 3:
+        return _codim1_label(n, _signature(codim1_form(cone)))
     parts = simplicity_partition(cone, tol)
     if len(parts) > 1:
         children = []
@@ -374,27 +374,22 @@ def classify_small(cone: SpectrahedralCone, tol: float = DEFAULT_TOL) -> ClassLa
             children.append(classify_small(factor, tol))
         children.sort(key=lambda c: (c.tag, c.n or 0, c.signature or ()))
         return ClassLabel(tag="DirectSum", children=tuple(children))
-    dim = cone.dim
-    if dim == n * (n + 1) // 2:
-        return ClassLabel(tag="FullPsd", n=n)
     if n <= 2:
         return ClassLabel(tag="Unknown", n=n)
-    if dim == n * (n + 1) // 2 - 1:
-        sig = _signature(codim1_form(cone))
-        if n == 3 and sig == (1, 1, 1):
-            return ClassLabel(tag="Tri", n=3)
-        if n == 4 and sig == (1, 1, 2):
-            return ClassLabel(tag="FullExtDiag2", n=4)
-        if n == 4 and sig == (2, 1, 1):
-            return ClassLabel(tag="FullExtHan3", n=4)
-        if n == 4 and sig == (2, 2, 0):
-            return ClassLabel(tag="Han22", n=4)
-        return ClassLabel(tag="Codim1", n=n, signature=sig)
-    if n == 4 and dim == 8:
+    if n == 4 and cone.dim == 8:
         return ClassLabel(tag="Codim2FullExt", n=4)
-    if n == 4 and dim == 7:
+    if n == 4 and cone.dim == 7:
         return _plane_census_label(cone)
     return ClassLabel(tag="Unknown", n=n)
+
+
+def _codim1_label(n, sig):
+    """The catalog name of a codimension-1 cone of degree n >= 3."""
+    names = {(3, (1, 1, 1)): "Tri", (4, (1, 1, 2)): "FullExtDiag2",
+             (4, (2, 1, 1)): "FullExtHan3", (4, (2, 2, 0)): "Han22"}
+    if (n, sig) in names:
+        return ClassLabel(tag=names[n, sig], n=n)
+    return ClassLabel(tag="Codim1", n=n, signature=sig)
 
 
 def _plane_census_label(cone):

@@ -294,26 +294,41 @@ def orthonormal_span(mats) -> np.ndarray:
     Toeplitz diagonals, direct sums, an orthonormal basis read back), the
     SVD is known in closed form: the singular values are the row norms and
     the right singular vectors the normalized rows.  Those rows then come
-    back in input order, normalized, the ones at or below the cut dropped;
-    any other input takes the SVD, whose rows come in descending order of
-    singular value.
+    back in input order, normalized, the ones at or below the cut dropped,
+    and are not symmetrized again when they are real and exactly
+    symmetric already; any other input takes the SVD, whose rows come in
+    descending order of singular value.
     """
     rows, support, width, n, complex_field = _span_rows(mats)
     gram = rows @ rows.T
     norms = np.sqrt(gram.diagonal())
     np.fill_diagonal(gram, 0.0)
     if (np.abs(gram) <= _ORTHOGONAL * norms[:, None] * norms).all():
+        # exactly symmetric rows stay so under the division by their norms
+        symmetric = not complex_field and _rows_symmetric(rows, support, n)
         live = norms > cut(norms, SUBSPACE_TOL)
         vt = rows if live.all() else rows[live]
         vt /= norms[live, None]
         rank = len(vt)
     else:
+        symmetric = False
         rank, vt = _svd_cut(rows, SUBSPACE_TOL, full_matrices=False)
     keep = np.zeros((rank, width))
     keep[:, support] = vt[:rank]
     if complex_field:
         keep = keep[:, :n * n] + 1j * keep[:, n * n:]
-    return sym(keep.reshape(-1, n, n))
+    keep = keep.reshape(-1, n, n)
+    return keep if symmetric else sym(keep)
+
+
+def _rows_symmetric(rows, support, n) -> bool:
+    """True iff each real row, restricted to the support, equals the
+    entries of its transpose bit for bit (a signed zero included);
+    :func:`sym` would then return it unchanged, so the caller skips it."""
+    mirror = np.arange(n * n).reshape(n, n).T.ravel()[support]
+    pos = np.minimum(np.searchsorted(support, mirror), len(support) - 1)
+    return bool(np.array_equal(support[pos], mirror)
+                and np.array_equal(rows[:, pos].view(np.uint64), rows.view(np.uint64)))
 
 
 def span_coords(basis: np.ndarray, x: np.ndarray) -> np.ndarray:

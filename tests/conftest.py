@@ -127,6 +127,19 @@ def count_span_tests(monkeypatch):
     return calls
 
 
+def count_calls(monkeypatch, module, name):
+    """Patch ``module.name`` to record the positional arguments of each call;
+    callers that look the name up in the module at call time see the patch."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240801)

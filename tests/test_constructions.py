@@ -208,11 +208,9 @@ def test_codim1_examples():
 
 
 def test_codim1_class_count_n4():
-    from rogcones.pencil_struct import classify_codim1
     qs = [np.diag(v) for v in ([1, -1, 0, 0], [1, 1, -1, 0],
                                [1, 1, -1, -1], [1, 1, 1, -1.0])]
-    labels = {classify_codim1(rc.codim1_cone(np.asarray(q, dtype=float))).signature
-              for q in qs}
+    labels = {rc.classify_small(rc.codim1_cone(np.asarray(q, dtype=float))) for q in qs}
     assert len(labels) == 4  # [n^2/4] classes at n = 4
 
 

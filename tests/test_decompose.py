@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rogcones as rc
-from rogcones import symlin
+from rogcones import cone_model, symlin
 from rogcones.decompose import (decompose_block_toeplitz, decompose_full_extension,
                                 decompose_hankel, decompose_intertwining,
                                 extreme_ray_oracle)
 from rogcones.errors import InvalidInputError, OracleUnavailableError
-from conftest import family_registry, rank_r_member
+from rogcones.qcqp_relax import QcqpProblem, induced_cone
+from conftest import (catalog_constructions, count_calls, family_registry,
+                      random_congruence, rank_r_member)
 
 
 def moment(t):
@@ -441,3 +443,67 @@ def test_cross_ratio_route_ignores_rounding_on_empty_tails():
         dec = rc.decompose(cone, x)
         check_decomposition(cone, x, dec)
         assert len(dec.atoms) == 1
+
+
+# ---------------------------------------------------------------------------
+# codimension <= 1 by theorem, whatever built the cone
+
+
+def _codim_le1_cones():
+    """Every catalog cone of codimension <= 1, the degree-1 one included,
+    with kinds that wrap or extend a codimension-1 child."""
+    cones = {name: cone for name, (cone, _) in catalog_constructions().items()
+             if cone_model.codimension(cone) <= 1}
+    codim = rc.codim1_cone(np.diag([1.0, 2.0, -1.0, -0.5]))
+    cones["transform"] = rc.apply_congruence(codim, random_congruence(np.random.default_rng(4), 4))
+    cones["full_ext_han3"] = rc.full_extension(rc.hankel_cone(3), 5)
+    cones["diagonal2"] = rc.diagonal_cone(2)
+    return cones
+
+
+def _bare(cone):
+    """The cone's span alone: no construction, no certificate."""
+    return rc.SpectrahedralCone(n=cone.n, span_basis=cone.span_basis,
+                                generators=np.zeros((0, cone.n)), expr=None)
+
+
+@pytest.mark.parametrize("name", sorted(_codim_le1_cones()))
+def test_codim_le1_decomposes_by_closed_form_only(monkeypatch, name):
+    """Codimension decides before the kind: the cone and its bare span
+    decompose every member into rank(X) atoms, with no kind route asked
+    for and no peel."""
+    cone = _codim_le1_cones()[name]
+    assert cone_model.codimension(cone) <= 1
+    rng = np.random.default_rng(7)
+    members = [rank_r_member(cone, rng, r) for r in range(1, cone.n + 1)]
+    module = importlib.import_module("rogcones.decompose")
+    rules = count_calls(monkeypatch, module, "_rule")
+    peels = count_calls(monkeypatch, module, "carath_decompose")
+    for x in members:
+        for k in (cone, _bare(cone)):
+            check_decomposition(k, x, rc.decompose(k, x))
+    assert rules == [] and peels == []
+
+
+def test_one_form_induced_cone_decomposes():
+    q = np.diag([1.0, 2.0, -1.0, 0.0])
+    cone = induced_cone(QcqpProblem(np.eye(4), np.eye(4), [q]))
+    assert cone.expr is None and cone_model.codimension(cone) == 1
+    rng = np.random.default_rng(8)
+    for r in range(1, 5):
+        x = rank_r_member(rc.codim1_cone(q), rng, r)
+        check_decomposition(cone, x, rc.decompose(cone, x))
+
+
+def test_hankel22_members_never_peel(monkeypatch):
+    # hankel_cone(2, 2) has codimension 1; its node solve never worked on
+    # rank-3 members, which all fell back to peeling
+    cone = rc.hankel_cone(2, 2)
+    peels = count_calls(monkeypatch, importlib.import_module("rogcones.decompose"),
+                        "carath_decompose")
+    rng = np.random.default_rng(0)
+    for r in (2, 3, 4):
+        for _ in range(50):
+            x = rank_r_member(cone, rng, r)
+            check_decomposition(cone, x, rc.decompose(cone, x))
+    assert peels == []

@@ -5,12 +5,13 @@ import pytest
 
 import rogcones as rc
 from rogcones import isomorph, symlin
+from rogcones.cone_model import codimension
 from rogcones.errors import InvalidInputError
 from rogcones.isomorph import (PartialMatrix, _greedy_basis, cross_ratio, rank1_complete,
                                rank1_complete_signs, reconstruct_isomorphism,
                                s4_orbit, same_s4_orbit)
-from conftest import (catalog_constructions, count_span_tests, random_chordal_graph,
-                      random_congruence)
+from conftest import (catalog_constructions, count_calls, count_span_tests,
+                      random_chordal_graph, random_congruence)
 
 
 def test_complete_diagonal_only():
@@ -340,3 +341,86 @@ def test_span_maps_onto_tests_each_direction_in_one_kernel_call(monkeypatch, rng
     assert rc.cones_isomorphic(k, moved).status == "isomorphic"
     assert per_call == [["span_distances"]] * 2
     assert not real(np.eye(4), k.span_basis, rc.tridiagonal_cone(4).span_basis)
+
+
+# ---------------------------------------------------------------------------
+# codimension <= 1: the congruence by Sylvester's law of inertia
+
+
+def _maps_spans(s_mat, k1, k2):
+    for a, src, dst in ((s_mat, k1, k2), (np.linalg.inv(s_mat), k2, k1)):
+        img = a @ src.span_basis @ a.T
+        dist = symlin.span_distances(dst.span_basis, img)
+        if not (dist < 1e-7 * (1.0 + np.linalg.norm(img, axis=(1, 2)))).all():
+            return False
+    return True
+
+
+def test_codim_le1_pairs_are_congruent_by_inertia(monkeypatch):
+    """Shuffled congruent copies of every catalog cone of codimension <= 1
+    come out isomorphic with a verified structural witness, and no
+    generator matching is tried."""
+    rng = np.random.default_rng(21)
+    searches = count_calls(monkeypatch, isomorph, "_match_and_reconstruct")
+    cases = 0
+    for name, (cone, _) in catalog_constructions().items():
+        if codimension(cone) > 1:
+            continue
+        for _ in range(5):
+            moved = rc.apply_congruence(cone, random_congruence(rng, cone.n), keep_expr=False)
+            shuffled = moved.copy_with(
+                generators=moved.generators[rng.permutation(len(moved.generators))])
+            out = rc.cones_isomorphic(cone, shuffled)
+            assert out.status == "isomorphic", (name, out.reason)
+            assert out.witness.sigma.size == 0, name
+            assert _maps_spans(out.witness.s_matrix, cone, shuffled), name
+            cases += 1
+    assert cases == 50 and searches == []
+
+
+def test_codim1_signatures_decide_without_a_search(monkeypatch):
+    searches = count_calls(monkeypatch, isomorph, "_match_and_reconstruct")
+    out = rc.cones_isomorphic(rc.codim1_cone(np.diag([1.0, 1.0, -1.0, -1.0])),
+                              rc.codim1_cone(np.diag([1.0, 1.0, 1.0, -1.0])))
+    assert out.status == "not_isomorphic" and "signature" in out.reason
+    # Q and -Q cut out one section: swapped signs are the same class
+    out = rc.cones_isomorphic(rc.codim1_cone(np.diag([1.0, 2.0, -1.0])),
+                              rc.codim1_cone(np.diag([-1.0, 1.0, -3.0])))
+    assert out.status == "isomorphic"
+    assert searches == []
+
+
+def _isomorphic_pairs():
+    rng = np.random.default_rng(22)
+    base = [0.15, 0.8, 1.65, 2.4]
+    pairs = [(rc.cross_ratio_cone(base),
+              rc.cross_ratio_cone([base[2], base[0], base[3], base[1]]))]
+    for name, (cone, _) in catalog_constructions().items():
+        pairs.append((cone, rc.apply_congruence(cone, random_congruence(rng, cone.n),
+                                                keep_expr=False)))
+    cone = rc.hankel_cone(3, 2)
+    pairs.append((cone, rc.apply_congruence(cone, random_congruence(rng, 6), keep_expr=False)))
+    return pairs
+
+
+def test_witness_signs_are_checked_or_empty():
+    """A non-empty sigma is a claim about matched generators: each
+    sigma_i S x_i is, up to a positive factor, a generator of the second
+    cone.  Structural witnesses (cross-ratio, codimension <= 1) match no
+    generators and carry an empty sigma."""
+    matched = 0
+    for k1, k2 in _isomorphic_pairs():
+        out = rc.cones_isomorphic(k1, k2, seed=3)
+        assert out.status == "isomorphic"
+        s_mat, sigma = out.witness.s_matrix, out.witness.sigma
+        structural = (codimension(k1) <= 1
+                      or (k1.expr is not None and k1.expr.kind == "cross_ratio"))
+        assert (sigma.size == 0) == structural
+        if sigma.size == 0:
+            continue
+        assert len(sigma) == len(k1.generators)
+        img = sigma * (s_mat @ k1.generators.T)
+        img /= np.linalg.norm(img, axis=0)
+        assert (np.abs(k2.generators @ img - 1.0).min(axis=0) < 1e-6).all()
+        matched += 1
+    assert matched >= 5

@@ -3,13 +3,14 @@ import pytest
 
 import rogcones as rc
 from rogcones import pencil_struct, symlin
-from rogcones.cone_model import RAY_MATCH
+from rogcones.cone_model import RAY_MATCH, codimension
 from rogcones.errors import InvalidInputError, NumericalError
-from rogcones.pencil_struct import (Pencil, biquartic_p, classify_codim1,
+from rogcones.pencil_struct import (ClassLabel, Pencil, biquartic_p,
                                     classify_small, codim2_structure,
                                     pencil_decompose, rank2_extreme_check,
                                     rank2_face_planes)
-from conftest import catalog_constructions, count_span_tests, random_congruence
+from conftest import (catalog_constructions, count_calls, count_span_tests,
+                      random_congruence)
 
 
 def test_pencil_already_split():
@@ -200,10 +201,9 @@ def test_codim2_rank2_witness(rng):
 
 
 def test_classify_codim1_examples():
-    assert classify_codim1(rc.hankel_cone(3)).signature == (2, 1, 0)
-    assert classify_codim1(rc.tridiagonal_cone(3)).signature == (1, 1, 1)
-    with pytest.raises(InvalidInputError):
-        classify_codim1(rc.full_psd_cone(3))
+    assert classify_small(rc.hankel_cone(3)).signature == (2, 1, 0)
+    assert classify_small(rc.tridiagonal_cone(3)) == ClassLabel("Tri", n=3)
+    assert classify_small(rc.full_psd_cone(3)) == ClassLabel("FullPsd", n=3)
 
 
 def test_classifier_catalog():
@@ -285,3 +285,21 @@ def test_classify_tests_all_pairs_in_one_kernel_call(monkeypatch):
                 assert classify_small(k) == expected
             assert "span_distance" not in calls, name
             assert len(planes) == 1 and calls == ["span_distances"], name
+
+
+def test_codim_le1_labels_need_no_partition(monkeypatch):
+    """Codimension 0, and codimension 1 from degree 3 on, are labelled from
+    the signature before the simplicity partition; codimension 1 in
+    degree 2 is the non-simple diag(2) and is partitioned."""
+    rng = np.random.default_rng(13)
+    cases = [(cone, expected) for cone, expected in catalog_constructions().values()
+             if codimension(cone) <= 1]
+    cases += [(rc.apply_congruence(cone, random_congruence(rng, cone.n), keep_expr=False),
+               expected) for cone, expected in cases]
+    assert len(cases) == 20
+    partitions = count_calls(monkeypatch, pencil_struct, "simplicity_partition")
+    for cone, expected in cases:
+        assert classify_small(cone) == expected
+    assert partitions == []
+    label = classify_small(rc.diagonal_cone(2))
+    assert label.tag == "DirectSum" and len(partitions) == 1

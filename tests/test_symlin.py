@@ -313,3 +313,63 @@ def test_json_array_round_trip_is_bit_exact(shape, complex_field, data):
 def test_json_array_rejects_ragged_or_non_numeric_input(data):
     with pytest.raises(InvalidInputError):
         symlin.from_json_array(data, 2)
+
+
+def _hankel_pattern(n):
+    i, j = np.indices((n, n))
+    return np.array([(i + j == k).astype(float) for k in range(2 * n - 1)])
+
+
+def _toeplitz_pattern(n):
+    # identity, then per off-diagonal its real symmetric and imaginary
+    # Hermitian parts, unnormalized
+    mats = [np.eye(n, dtype=complex)]
+    for k in range(1, n):
+        s = np.eye(n, k=k)
+        mats += [(s + s.T).astype(complex), 1j * (s - s.T)]
+    return np.array(mats)
+
+
+def _direct_sum_pattern():
+    a, b = _hankel_pattern(3), symlin.sym_basis(2)
+    out = np.zeros((len(a) + len(b), 5, 5))
+    out[:len(a), :3, :3] = a
+    out[len(a):, 3:, 3:] = b
+    return out
+
+
+def _chordal_pattern():
+    mats = []
+    for i, j in [(0, 0), (1, 1), (2, 2), (3, 3), (0, 1), (1, 2), (0, 2), (2, 3)]:
+        e = np.zeros((4, 4))
+        e[i, j] = e[j, i] = 1.0
+        mats.append(e)
+    return np.array(mats)
+
+
+@pytest.mark.parametrize("mats", [_chordal_pattern(), _hankel_pattern(4), _toeplitz_pattern(4),
+                                  _direct_sum_pattern()],
+                         ids=["pattern", "hankel", "toeplitz", "direct_sum"])
+def test_orthonormal_span_of_symmetric_rows_is_symmetric_as_built(monkeypatch, mats):
+    """Orthogonal rows come back normalized, bit for bit what symmetrizing
+    them gives; exactly symmetric real rows are not symmetrized at all."""
+    calls = []
+    real = symlin.sym
+    monkeypatch.setattr(symlin, "sym", lambda a: calls.append(1) or real(a))
+    basis = symlin.orthonormal_span(mats)
+    assert basis.shape[0] == len(mats)
+    assert basis.tobytes() == real(basis).tobytes()
+    assert calls == ([1] if np.iscomplexobj(mats) else [])
+
+
+@pytest.mark.parametrize("mats", [
+    [np.triu(np.ones((3, 3)), 1), np.eye(3)],                  # real, upper entries only
+    [1j * np.triu(np.ones((3, 3)), 1), np.eye(3, dtype=complex)],  # imaginary, not Hermitian
+    [np.diag([1.0, 0.0, 0.0]), np.array([[0, 1.0, 0], [1.0 + 1e-15, 0, 0], [0, 0, 0]])],
+], ids=["upper", "complex", "rounding"])
+def test_orthonormal_span_still_symmetrizes_other_rows(mats):
+    mats = np.array(mats)
+    basis = symlin.orthonormal_span(mats)
+    assert np.array_equal(basis, symlin.sym(basis))
+    unit = mats / np.linalg.norm(mats, axis=(1, 2))[:, None, None]
+    assert np.abs(basis - symlin.sym(unit)).max() <= 1e-15
