@@ -9,12 +9,11 @@ isomorphic cones; a small-degree classifier; and exactness certification
 for SDP relaxations of homogeneous QCQPs.
 """
 
-from .cone_model import (ConeExpr, FaceHandle, MldSet, SpectrahedralCone,
+from .cone_model import (ConeExpr, FaceHandle, SpectrahedralCone,
                          apply_congruence, certificate_complete, degree,
-                         dimension, find_mld_sets, has_tangent,
-                         interior_element, is_nondegenerate, isolated_rays,
-                         make_cone, membership, reduce_nondegenerate,
-                         simplicity_partition)
+                         dimension, interior_element, is_nondegenerate,
+                         isolated_rays, make_cone, membership,
+                         reduce_nondegenerate, simplicity_partition)
 from .constructions import (ChordalGraph, GlueSpec, block_toeplitz_cone,
                             build, chordal_cone, codim1_cone,
                             cross_ratio_cone, diagonal_cone, direct_sum,
@@ -38,7 +37,7 @@ from .pencil_struct import (ClassLabel, Codim2Structure, Pencil,
                             pencil_decompose, rank2_extreme_check)
 from .qcqp_relax import (ExactnessCertificate, QcqpProblem, SdpSolution,
                          certify_exactness, induced_cone, solve_relaxation)
-from .symlin import (EigDecomp, eig_sym, herm_matrix, numeric_rank,
-                     pseudo_inverse, psd_check, schur_split, sym_matrix)
+from .symlin import (EigDecomp, eig_sym, numeric_rank, pseudo_inverse,
+                     psd_check, schur_split, sym_matrix)
 
 __version__ = "0.1.0"

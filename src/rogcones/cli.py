@@ -4,9 +4,10 @@ Subcommands: build, analyze, decompose, iso, classify, qcqp, complete,
 pencil.  All inputs and outputs are JSON; ``-`` reads stdin / writes
 stdout.  Reports are compact, one-line JSON (``python -m json.tool``
 pretty-prints them).  Exit codes: 0 success, 1 domain errors (infeasible
-completion, non-chordal graph, ...), 2 I/O or parse errors.  Randomized
-routines consume ``--seed`` so identical inputs give byte-identical
-reports.  The import path of ``rog`` loads numpy and nothing heavier;
+completion, non-chordal graph, ...), 2 I/O or parse errors.  ``--seed``
+feeds the randomized routines of ``qcqp`` (the gap sampler) and
+``pencil``, so identical inputs give byte-identical reports; the other
+subcommands are deterministic and ignore it.  The import path of ``rog`` loads numpy and nothing heavier;
 ``scipy.linalg`` loads on first use, by the block-Toeplitz decomposition
 and by ``pencil``.
 """
@@ -78,7 +79,7 @@ def _cmd_decompose(args) -> int:
 def _cmd_iso(args) -> int:
     k1 = jsonio.cone_from_json(_read_json(args.cone1))
     k2 = jsonio.cone_from_json(_read_json(args.cone2))
-    out = isomorph.cones_isomorphic(k1, k2, seed=args.seed)
+    out = isomorph.cones_isomorphic(k1, k2)
     report = {"status": out.status}
     if out.witness is not None:
         report["witness"] = jsonio.witness_to_json(out.witness)
@@ -161,7 +162,8 @@ def make_parser() -> argparse.ArgumentParser:
         description="Build, analyze and decompose rank-one-generated "
                     "spectrahedral cones.")
     parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized routines (default 0)")
+                        help="seed of the randomized routines of qcqp and pencil "
+                             "(default 0)")
     parser.add_argument("--tol", type=float, default=1e-8,
                         help="relative numeric tolerance (default 1e-8)")
     sub = parser.add_subparsers(dest="command", required=True)

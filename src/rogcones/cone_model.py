@@ -4,8 +4,8 @@ A cone is stored as an orthonormal basis of its span L together with a
 list of unit vectors x whose outer products lie in L (the rank-1
 certificate).  The structural analyses live here: degree and dimension,
 reduction to a non-degenerate representation, the spans of faces, the
-direct-sum (simplicity) factorization, isolated extreme rays and
-minimally linearly dependent generator sets.  What needs the rank-1 rule
+direct-sum (simplicity) factorization, isolated extreme rays and the
+generator pairs that span rank-2 faces.  What needs the rank-1 rule
 of a cone's kind (face certificates, diagonalizing bases) lives in
 :mod:`rogcones.decompose`.
 """
@@ -53,14 +53,6 @@ class FaceHandle:
     @property
     def dim(self) -> int:
         return self.image_basis.shape[1]
-
-
-@dataclass
-class MldSet:
-    """A minimally linearly dependent set of certificate generators."""
-
-    indices: list[int]
-    kernel_coeffs: np.ndarray
 
 
 @dataclass
@@ -381,51 +373,18 @@ def unit_factor_rays(cone: SpectrahedralCone, handles: list[FaceHandle]) -> list
     return sorted(out)
 
 
-def has_tangent(cone: SpectrahedralCone, x: np.ndarray) -> bool:
-    """True iff some y independent of x has x y^T + y x^T in span K.
-
-    Diagnostic counterpart of the direct-sum test for isolated rays: an
-    extreme ray that is not isolated always admits such a tangent.
-    """
-    return tangent_space(cone, x).shape[1] >= 2
-
-
-def tangent_space(cone: SpectrahedralCone, x: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (columns) of {y : x y^T + y x^T ∈ span K}."""
-    if cone.complex_field:
-        raise InvalidInputError("tangent spaces are implemented over the reals")
-    x = np.asarray(x, dtype=float).reshape(cone.n)
-    span_rows = symlin._vec_stack(cone.span_basis)
-    mats = symlin.sym(x[None, :, None] * np.eye(cone.n)[:, None, :]) * 2.0
-    rows = symlin._vec_stack(mats.astype(cone.span_basis.dtype))
-    return symlin.nullspace((rows - rows @ span_rows.T @ span_rows).T)
-
-
-# ---------------------------------------------------------------------------
-# MLD sets
-
-
-def find_mld_sets(cone: SpectrahedralCone) -> list[MldSet]:
-    """All minimally linearly dependent generator subsets of at most six.
-
-    A subset of k+1 vectors qualifies when its span has dimension k and
-    the (then unique) kernel vector of the stacked column matrix has no
-    entry of modulus DEFAULT_TOL or less.
-    """
-    if len(cone.generators) == 0:
-        raise MissingCertificateError("MLD search needs a certificate")
-    from itertools import combinations
+def rank2_pairs(cone: SpectrahedralCone) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs i < j of distinct certificate rays with
+    x_i x_j^* + x_j x_i^* in the span, all pairs tested in one kernel call,
+    in pair order.  The pairs are kept by every congruence of the cone."""
     gens = cone.generators
-    out = []
-    for size in range(2, min(6, len(gens)) + 1):
-        for subset in combinations(range(len(gens)), size):
-            null = symlin.nullspace(gens[np.array(subset)].T, DEFAULT_TOL)
-            if null.shape[1] != 1:
-                continue
-            kern = null[:, 0]
-            if np.abs(kern).min() > DEFAULT_TOL:
-                out.append(MldSet(indices=list(subset), kernel_coeffs=kern))
-    return out
+    i, j = np.triu_indices(len(gens), 1)
+    distinct = np.abs((gens.conj() @ gens.T)[i, j]) <= RAY_MATCH
+    i, j = i[distinct], j[distinct]
+    cross = symlin.sym(gens[i][:, :, None] * gens[j].conj()[:, None, :]) * 2.0
+    near = symlin.span_distances(cone.span_basis, cross) \
+        <= 1e-7 * (1.0 + np.linalg.norm(cross, axis=(1, 2)))
+    return i[near], j[near]
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,14 @@ recovered from matched generator lists: solved into the coordinates of a
 basis drawn from each list, the two coordinate matrices have a rank-1
 ratio matrix e f^T, and S = Y_b diag(e) X_b^-1 maps x_j to y_j / f_j.
 One private core does this for both entry points: ``reconstruct_isomorphism``
-(given matched lists) and ``cones_isomorphic`` (which searches for the
-matching).  Cones of codimension <= 1 need no matching: Sylvester's law
-of inertia gives their congruence in closed form.  The module also holds
-the completion solvers and the projective cross-ratio invariant of the
-gluing family.
+(given matched lists) and ``cones_isomorphic`` (which finds the matching
+by a deterministic depth-first search over generator assignments, in the
+spirit of VF2, pruned by the graph of generator pairs spanning rank-2
+faces and by the coordinates of each generator on the independent ones
+matched before it).  Cones of codimension <= 1 need no matching:
+Sylvester's law of inertia gives their congruence in closed form.  The
+module also holds the completion solvers and the projective cross-ratio
+invariant of the gluing family.
 """
 
 from __future__ import annotations
@@ -23,12 +26,17 @@ import numpy as np
 from . import symlin
 # _signature lives in cone_model and stays importable from here
 from .cone_model import (SpectrahedralCone, _signature, codim1_form,  # noqa: F401
-                         codimension, inertia_normal_form, reduce_nondegenerate)
+                         codimension, inertia_normal_form, rank2_pairs,
+                         reduce_nondegenerate)
 from .errors import InvalidInputError
 
 _ENTRY_TOL = 1e-9
 # a witness must reproduce each matched generator to this relative error
 _WITNESS_TOL = 1e-7
+# a unit generator within this distance of a span of generators lies in it
+_IN_SPAN = 1e-8
+# the matching search visits at most this many partial assignments
+_SEARCH_NODES = 50_000
 
 
 @dataclass
@@ -220,6 +228,13 @@ class IsoWitness:
 
 @dataclass
 class IsoOutcome:
+    """The verdict, and a witness when "isomorphic".  "not_isomorphic"
+    rests on an invariant (degree, dimension, codimension-1 signature,
+    cross-ratio orbit); "inconclusive" means no witness was found and no
+    invariant tells the cones apart, and its reason says whether the
+    matching search was exhausted, stopped at its cap or could not start.
+    "incompatible" is the verdict of ``reconstruct_isomorphism``."""
+
     status: str  # "isomorphic" | "not_isomorphic" | "incompatible" | "inconclusive"
     witness: Optional[IsoWitness] = None
     reason: Optional[str] = None
@@ -314,8 +329,7 @@ def _span_maps_onto(s_mat, span1, span2) -> bool:
     return symlin.span_contains(span2, s_mat @ span1 @ s_mat.T, 1e-6)
 
 
-def cones_isomorphic(k1: SpectrahedralCone, k2: SpectrahedralCone,
-                     seed: int = 0, max_tuples: int = 10_000) -> IsoOutcome:
+def cones_isomorphic(k1: SpectrahedralCone, k2: SpectrahedralCone) -> IsoOutcome:
     """Decide isomorphism of two certified cones, producing a witness.
 
     Degrees and dimensions of the reduced cones come first, then the
@@ -325,14 +339,15 @@ def cones_isomorphic(k1: SpectrahedralCone, k2: SpectrahedralCone,
     gives the congruence in closed form (:func:`_inertia_congruence`).
     Two cross-ratio cones compare their cross-ratio orbits.  Any other
     pair, or a closed-form S that fails its check, has its generators
-    matched (index-aligned fast path, then a capped randomized search
-    pruned by ratio consistency) against one basis of the first
-    certificate, and each assignment goes through the rank-1 completion
-    of coordinate ratios.  A witness S is accepted only when it maps each
-    span onto the other, and a matched one also when it sends every
-    generator to its match up to sign.  Exhausting the search after
-    ``max_tuples`` assignments returns "inconclusive" with the count
-    tried, never "not_isomorphic".
+    matched: the index-aligned assignment first, then a deterministic
+    depth-first search (:func:`_search_matching`), each complete
+    assignment going through the rank-1 completion of coordinate ratios
+    against one basis of the first certificate.  A witness S is accepted
+    only when it maps each span onto the other, and a matched one also
+    when it sends every generator to its match up to sign.  A search
+    that is exhausted or reaches its cap of ``_SEARCH_NODES`` nodes
+    returns "inconclusive" with a reason saying which, never
+    "not_isomorphic".  The result depends on the two cones alone.
     """
     k1r, _ = reduce_nondegenerate(k1)
     k2r, _ = reduce_nondegenerate(k2)
@@ -348,7 +363,7 @@ def cones_isomorphic(k1: SpectrahedralCone, k2: SpectrahedralCone,
     kinds = tuple(c.expr.kind if c.expr else None for c in (k1, k2))
     if kinds == ("cross_ratio", "cross_ratio"):
         return _cross_ratio_isomorphic(k1, k2)
-    return _match_and_reconstruct(k1r, k2r, seed, max_tuples)
+    return _match_and_reconstruct(k1r, k2r)
 
 
 def _inertia_congruence(k1, k2) -> IsoOutcome | None:
@@ -377,89 +392,127 @@ def _inertia_congruence(k1, k2) -> IsoOutcome | None:
     return IsoOutcome("isomorphic", witness=IsoWitness(s_matrix=s_mat, sigma=np.zeros(0)))
 
 
-def _match_and_reconstruct(k1, k2, seed, max_tuples):
-    xs = k1.generators
-    ys = k2.generators
+def _match_and_reconstruct(k1, k2):
+    """A generator matching of k1 into k2 that :func:`_try_matching`
+    verifies: the index-aligned assignment first, then the search."""
+    if k1.complex_field or k2.complex_field:
+        return IsoOutcome("inconclusive",
+                          reason="generator matching is implemented over the reals")
+    xs, ys = k1.generators, k2.generators
     basis_idx = _greedy_basis(xs.T)
     if len(basis_idx) < k1.n:
         return IsoOutcome("inconclusive", reason="first certificate does not span")
-    rng = np.random.default_rng(seed)
-    attempts = 0
     if len(xs) == len(ys):
         out = _try_matching(k1, k2, list(range(len(ys))), basis_idx)
         if out is not None:
             return out
-        attempts += 1
-    # the first list in the coordinates of its basis columns, and the zero
-    # pattern of each column, are the same for every attempt
-    xb = xs[np.array(basis_idx)].T
-    if len(ys) >= len(xs) and abs(np.linalg.det(xb)) >= 1e-10:
-        m_x = np.linalg.solve(xb, xs.T)
-        pats = np.array([np.abs(col) > symlin.cut(col, 1e-6) for col in m_x.T]).T
-        while attempts < max_tuples:
-            attempts += 1
-            perm = _search_assignment(m_x, pats, ys, basis_idx, rng)
-            if perm is None:
-                continue
-            out = _try_matching(k1, k2, perm, basis_idx)
+    if len(ys) < len(xs):
+        return IsoOutcome("inconclusive", reason="second certificate has fewer generators")
+    return _search_matching(k1, k2, basis_idx)
+
+
+def _pair_graph(cone):
+    """Adjacency and degrees of the graph i ~ j of :func:`cone_model.rank2_pairs`."""
+    adj = np.zeros((len(cone.generators),) * 2, dtype=bool)
+    i, j = rank2_pairs(cone)
+    adj[i, j] = adj[j, i] = True
+    return adj, adj.sum(axis=1)
+
+
+def _visit_order(adj, deg):
+    """Breadth-first order of a graph, each component from its vertex of
+    highest degree and neighbours by decreasing degree (ties by index)."""
+    by_degree = np.argsort(-deg, kind="stable")
+    order = []
+    for root in by_degree:
+        if root not in order:
+            order.append(root)
+            for v in order:  # read while it grows: the list is the queue
+                order += [w for w in by_degree if adj[v, w] and w not in order]
+    return order
+
+
+def _span_coords(basis, vecs):
+    """Coordinates of the rows of vecs on the columns of basis, padded to
+    length n, their zero patterns, and whether each row lies in the span."""
+    c = np.linalg.lstsq(basis, vecs.T)[0].T
+    coef = np.zeros(vecs.shape)
+    coef[:, :basis.shape[1]] = c
+    pats = np.abs(coef) > np.array([symlin.cut(r, 1e-6) for r in coef])[:, None]
+    return coef, pats, np.linalg.norm(vecs - c @ basis.T, axis=1) <= _IN_SPAN
+
+
+def _search_matching(k1, k2, basis_idx):
+    """Depth-first search over injective assignments x_i -> y_j.
+
+    The x_i are visited in breadth-first order of the pair graph.  A
+    candidate y_j is dropped when its degree differs from that of x_i (is
+    smaller, when k2 has more generators), when its adjacency to the
+    matched generators differs, when exactly one of x_i and y_j lies in the span of the
+    independent generators matched so far, or when its coefficients on
+    that span differ in support from those of x_i or fail
+    :func:`_ratio_consistent`.  Every complete assignment goes to
+    :func:`_try_matching`; at most ``_SEARCH_NODES`` partial assignments
+    are visited.
+    """
+    xs, ys = k1.generators, k2.generators
+    (adj_x, deg_x), (adj_y, deg_y) = _pair_graph(k1), _pair_graph(k2)
+    order = _visit_order(adj_x, deg_x)
+    deg_ok = deg_y >= deg_x[:, None] if len(ys) > len(xs) else deg_y == deg_x[:, None]
+    # the x side of each depth depends on the order alone
+    steps, basis_x = [], xs[:0].T
+    for i in order:
+        coef, pats, inside = _span_coords(basis_x, xs[i][None])
+        steps.append((i, coef[0], pats[0], inside[0]))
+        if not inside[0]:
+            basis_x = np.column_stack([basis_x, xs[i]])
+    perm, used, count = [-1] * len(xs), np.zeros(len(ys), dtype=bool), [0, 0]
+
+    def visit(depth, basis_y, matched):
+        if depth == len(steps):
+            count[1] += 1
+            return _try_matching(k1, k2, perm, basis_idx)
+        i, col_x, pat, dependent = steps[depth]
+        done = order[:depth]
+        cand = np.flatnonzero(~used & deg_ok[i] & (
+            adj_y[:, [perm[v] for v in done]] == adj_x[i, done]).all(axis=1))
+        coef, pats, inside = _span_coords(basis_y, ys[cand])
+        keep = inside == dependent
+        if dependent:
+            keep &= (pats == pat).all(axis=1)
+            keep[keep] = _ratio_consistent(col_x, coef[keep], pat, matched)
+        for j, col_y in zip(cand[keep], coef[keep]):
+            if count[0] == _SEARCH_NODES:
+                return None
+            count[0] += 1
+            perm[i], used[j] = j, True
+            out = (visit(depth + 1, basis_y, matched + [(col_x, col_y, pat)]) if dependent
+                   else visit(depth + 1, np.column_stack([basis_y, ys[j]]), matched))
+            used[j] = False
             if out is not None:
                 return out
-    # a search that cannot start counts as max_tuples failed assignments
-    attempts = max(attempts, max_tuples)
-    return IsoOutcome("inconclusive",
-                      reason=f"matching search exhausted: {attempts} assignments "
-                             "tried without a witness")
-
-
-def _search_assignment(m_x, pats, ys, basis_idx, rng):
-    """One randomized attempt at a full generator assignment; m_x is the
-    first list in its basis coordinates and pats the columns' zero patterns."""
-    mm, my = m_x.shape[1], len(ys)
-    cand = rng.permutation(my)[:len(basis_idx)]
-    yb = ys[cand].T
-    if abs(np.linalg.det(yb)) < 1e-8:
         return None
-    m_y = np.linalg.solve(yb, ys.T)
-    perm = [-1] * mm
-    for k, i in enumerate(basis_idx):
-        perm[i] = int(cand[k])
-    used = set(int(c) for c in cand)
-    matched_cols = []
-    for i in range(mm):
-        if perm[i] >= 0:
-            continue
-        col = m_x[:, i]
-        pat = pats[:, i]
-        found = None
-        for j in range(my):
-            if j in used:
-                continue
-            coly = m_y[:, j]
-            paty = np.abs(coly) > symlin.cut(coly, 1e-6)
-            if not np.array_equal(pat, paty):
-                continue
-            if not _ratio_consistent(col, coly, matched_cols):
-                continue
-            found = j
-            break
-        if found is None:
-            return None
-        perm[i] = found
-        used.add(found)
-        matched_cols.append((m_x[:, i], m_y[:, found]))
-    return perm
+
+    out = visit(0, ys[:0].T, [])
+    if out is None:
+        why = "stopped at its cap of" if count[0] == _SEARCH_NODES else "exhausted after"
+        out = IsoOutcome("inconclusive",
+                         reason=f"matching search {why} {count[0]} nodes; none of its "
+                                f"{count[1]} complete assignments gave a witness")
+    return out
 
 
-def _ratio_consistent(col_x, col_y, matched_cols):
-    pat = np.abs(col_x) > 1e-8
-    for ox, oy in matched_cols:
-        shared = pat & (np.abs(ox) > 1e-8)
-        if shared.sum() < 2:
-            continue
-        r = (col_y[shared] / col_x[shared]) / (oy[shared] / ox[shared])
-        if np.abs(r - r[0]).max() > 1e-6 * (1.0 + np.abs(r[0])):
-            return False
-    return True
+def _ratio_consistent(col_x, cols_y, pat, matched):
+    """For each row of cols_y, of zero pattern pat like col_x: whether its
+    ratios to col_x and those of each matched (x, y, pattern) differ by
+    one common factor where the two patterns share two or more entries."""
+    ok = np.ones(len(cols_y), dtype=bool)
+    for ox, oy, opat in matched:
+        shared = pat & opat
+        if shared.sum() >= 2:
+            r = (cols_y[:, shared] / col_x[shared]) / (oy[shared] / ox[shared])
+            ok &= (np.abs(r - r[:, :1]) <= 1e-6 * (1.0 + np.abs(r[:, :1]))).all(axis=1)
+    return ok
 
 
 def _try_matching(k1, k2, perm, basis_idx):

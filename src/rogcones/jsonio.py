@@ -21,7 +21,7 @@ import numpy as np
 
 from . import constructions
 from .cone_model import ConeExpr, SpectrahedralCone, make_cone
-from .decompose import Decomposition, RankOneAtom
+from .decompose import Decomposition
 from .errors import InvalidInputError
 from .isomorph import IsoWitness, PartialMatrix
 from .qcqp_relax import QcqpProblem
@@ -100,13 +100,6 @@ def decomposition_to_json(dec: Decomposition) -> dict:
                   for a in dec.atoms],
         "residual": dec.residual,
     }
-
-
-def decomposition_from_json(data: dict) -> Decomposition:
-    atoms = [RankOneAtom(weight=float(a["weight"]),
-                         vector=from_json_array(a["vector"], 1))
-             for a in data.get("atoms", [])]
-    return Decomposition(atoms=atoms, residual=float(data.get("residual", 0.0)))
 
 
 def witness_to_json(w: IsoWitness) -> dict:

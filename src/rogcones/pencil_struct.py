@@ -18,8 +18,8 @@ from typing import Optional
 import numpy as np
 
 from . import symlin
-from .cone_model import (RAY_MATCH, FaceHandle, SpectrahedralCone, _signature,
-                         codim1_form, codimension, degree, reduce_nondegenerate,
+from .cone_model import (FaceHandle, SpectrahedralCone, _signature, codim1_form,
+                         codimension, degree, rank2_pairs, reduce_nondegenerate,
                          simplicity_partition)
 from .decompose import face_of
 from .errors import InvalidInputError, NumericalError
@@ -413,18 +413,12 @@ def _plane_census_label(cone):
 
 def rank2_face_planes(cone: SpectrahedralCone):
     """Maximal 2-dimensional subspaces carrying full rank-2 faces: the
-    planes of the certificate pairs x, y of distinct rays with x y^T + y x^T
-    in the span, all pairs tested in one kernel call, in pair order."""
+    planes of the certificate pairs of :func:`cone_model.rank2_pairs`, in
+    pair order."""
     gens = cone.generators
-    i, j = np.triu_indices(len(gens), 1)
-    distinct = np.abs((gens @ gens.T)[i, j]) <= RAY_MATCH
-    x, y = gens[i[distinct]], gens[j[distinct]]
-    cross = symlin.sym(x[:, :, None] * y[:, None, :]) * 2.0
-    near = symlin.span_distances(cone.span_basis, cross) \
-        <= 1e-7 * (1.0 + np.linalg.norm(cross, axis=(1, 2)))
     planes = []
-    for a, b in zip(x[near], y[near]):
-        basis = symlin.subspace_of_vectors([a, b])
+    for a, b in zip(*rank2_pairs(cone)):
+        basis = symlin.subspace_of_vectors([gens[a], gens[b]])
         if not any(np.linalg.norm(basis @ basis.T - p @ p.T) < 1e-6 for p in planes):
             planes.append(basis)
     return planes

@@ -8,7 +8,7 @@ toolbox for working with linear subspaces of matrix space (spans of
 symmetric or Hermitian matrices under the Frobenius inner product).
 
 Matrices are plain numpy arrays.  Symmetric means ``A == A.T`` exactly;
-``sym_matrix`` / ``herm_matrix`` enforce that at API boundaries.
+``sym_matrix`` enforces that at API boundaries.
 
 Rank, range, kernel and inertia decisions share one rule, computed only
 by :func:`cut`: v_i counts as nonzero when |v_i| > tol * max(1, max|v|),
@@ -61,19 +61,6 @@ def sym_matrix(entries) -> np.ndarray:
         raise InvalidInputError("matrix is not symmetric")
     out = np.triu(a)
     return out + np.triu(out, 1).T
-
-
-def herm_matrix(entries) -> np.ndarray:
-    """Validate and return a complex Hermitian matrix."""
-    a = np.asarray(entries, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidInputError(f"expected a square matrix, got shape {a.shape}")
-    scale = np.abs(a).max(initial=0.0)
-    if not np.isfinite(scale):
-        raise InvalidInputError("matrix has non-finite entries")
-    if np.abs(a - a.conj().T).max(initial=0.0) > 1e-12 * (1.0 + scale):
-        raise InvalidInputError("matrix is not Hermitian")
-    return 0.5 * (a + a.conj().T)
 
 
 def sym(a: np.ndarray) -> np.ndarray:

@@ -12,6 +12,8 @@ import pytest
 import rogcones as rc
 from rogcones import cli, jsonio, symlin
 
+from conftest import random_congruence
+
 
 def _write(tmp_path, name, data):
     path = tmp_path / name
@@ -133,13 +135,13 @@ def test_cli_decompose(tmp_path):
     matrix = _write(tmp_path, "x.json", {"matrix": x_mat.tolist()})
     code, report = _run(tmp_path, "decompose", path, matrix)
     assert code == 0
-    dec = jsonio.decomposition_from_json(report)
-    assert len(dec.atoms) == 3
-    assert np.allclose(dec.reconstruct(3), x_mat, atol=1e-10)
-    assert dec.residual <= 1e-10
-    for atom in dec.atoms:
-        assert atom.weight > 0
-        assert symlin.span_distance(cone.span_basis, symlin.outer(atom.vector)) < 1e-10
+    atoms = [(a["weight"], np.array(a["vector"])) for a in report["atoms"]]
+    assert len(atoms) == 3
+    assert np.allclose(sum(w * np.outer(v, v) for w, v in atoms), x_mat, atol=1e-10)
+    assert report["residual"] <= 1e-10
+    for weight, vector in atoms:
+        assert weight > 0
+        assert symlin.span_distance(cone.span_basis, symlin.outer(vector)) < 1e-10
 
 
 def test_cli_decompose_reads_only_the_matrix_key(tmp_path, capsys):
@@ -175,6 +177,22 @@ def test_cli_iso(tmp_path):
                         _cone_path(tmp_path, k1, "k1.json"))
     assert code == 0
     assert report["status"] == "not_isomorphic" and "signature" in report["reason"]
+
+
+def test_cli_iso_ignores_the_seed(tmp_path):
+    # a shuffled congruent copy of Han4 reaches the matching search
+    rng = np.random.default_rng(4)
+    k1 = rc.hankel_cone(4)
+    moved = rc.apply_congruence(k1, random_congruence(rng, 4), keep_expr=False)
+    k2 = rc.make_cone(4, moved.span_basis, moved.generators[rng.permutation(8)], check=False)
+    paths = _cone_path(tmp_path, k1, "k1.json"), _cone_path(tmp_path, k2, "k2.json")
+    reports = []
+    for seed in ("0", "7"):
+        out = tmp_path / f"iso{seed}.json"
+        assert cli.run(["--seed", seed, "iso", *paths, "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["status"] == "isomorphic"
 
 
 def test_cli_classify(tmp_path):

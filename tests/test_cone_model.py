@@ -178,33 +178,6 @@ def test_isolated_ray_of_a_complex_congruent_direct_sum():
     assert abs(abs(np.vdot(x, y)) - np.linalg.norm(y)) < 1e-10
 
 
-def test_has_tangent():
-    k = rc.full_psd_cone(2)
-    assert rc.has_tangent(k, np.array([1.0, 0.0]))
-    kd = rc.diagonal_cone(3)
-    assert not rc.has_tangent(kd, np.array([1.0, 0.0, 0.0]))
-
-
-def test_mld_sets():
-    span = [np.eye(2), np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])]
-    k = rc.make_cone(2, span, [[1, 0], [0, 1], [1, 1]])
-    sets = rc.find_mld_sets(k)
-    assert len(sets) == 1
-    assert sets[0].indices == [0, 1, 2]
-    c = sets[0].kernel_coeffs
-    # coefficients proportional to (1, 1, -sqrt(2)) after unit normalization
-    assert abs(abs(c[0] / c[1]) - 1.0) < 1e-9
-
-    k2 = rc.diagonal_cone(3)
-    assert rc.find_mld_sets(k2) == []
-
-    gens = [np.eye(3)[i] for i in range(3)] + [np.ones(3)]
-    span = [np.outer(g, g) for g in gens]
-    k3 = rc.make_cone(3, span, gens)
-    sets = rc.find_mld_sets(k3)
-    assert len(sets) == 1 and len(sets[0].indices) == 4
-
-
 def test_diagonalizing_basis_full_psd():
     k = rc.full_psd_cone(3)
     b = rc.diagonalizing_basis(k, np.eye(3))

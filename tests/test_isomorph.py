@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rogcones as rc
 from rogcones import isomorph, symlin
@@ -178,17 +179,29 @@ def test_cones_isomorphic_shuffled_generators(rng):
     a = random_congruence(rng, 3)
     ka = rc.apply_congruence(k, a, keep_expr=False)
     shuffled = ka.copy_with(generators=ka.generators[rng.permutation(len(ka.generators))])
-    out = rc.cones_isomorphic(k, shuffled, seed=5)
+    out = rc.cones_isomorphic(k, shuffled)
     assert out.status == "isomorphic"
 
 
-def test_cones_isomorphic_exhausted_search_reports_count(rng):
-    k = rc.tridiagonal_cone(4)
-    ka = rc.apply_congruence(k, random_congruence(rng, 4), keep_expr=False)
-    shuffled = ka.copy_with(generators=ka.generators[rng.permutation(len(ka.generators))])
-    out = rc.cones_isomorphic(k, shuffled, max_tuples=5)
-    assert out.status == "inconclusive"
-    assert "5 assignments tried" in out.reason
+def test_cones_isomorphic_exhausted_search_reports_count():
+    """Tri4 and FullExtDiag3 share degree and dimension, and their pair
+    graphs differ, so the search runs out without a candidate: the
+    result is "inconclusive" with the search's reason and node count,
+    not a claim."""
+    out = rc.cones_isomorphic(rc.tridiagonal_cone(4),
+                              rc.full_extension(rc.diagonal_cone(3), 4))
+    assert out.status == "inconclusive" and out.witness is None
+    assert out.reason.startswith("matching search exhausted after 0 nodes")
+
+
+def test_complex_cones_are_inconclusive_without_a_search(monkeypatch):
+    """The rank-1 completion is real, so complex cones are not matched."""
+    searches = count_calls(monkeypatch, isomorph, "_search_matching")
+    k = rc.block_toeplitz_cone(3, 1)
+    a = np.array([[1.0, 0.5j, 0.0], [0.2, 1.0, 0.3j], [0.0, 0.1, 1.0]])
+    out = rc.cones_isomorphic(k, rc.apply_congruence(k, a, keep_expr=False))
+    assert out.status == "inconclusive" and "over the reals" in out.reason
+    assert searches == []
 
 
 def test_cones_isomorphic_catalog_congruent(rng):
@@ -410,7 +423,7 @@ def test_witness_signs_are_checked_or_empty():
     generators and carry an empty sigma."""
     matched = 0
     for k1, k2 in _isomorphic_pairs():
-        out = rc.cones_isomorphic(k1, k2, seed=3)
+        out = rc.cones_isomorphic(k1, k2)
         assert out.status == "isomorphic"
         s_mat, sigma = out.witness.s_matrix, out.witness.sigma
         structural = (codimension(k1) <= 1
@@ -424,3 +437,41 @@ def test_witness_signs_are_checked_or_empty():
         assert (np.abs(k2.generators @ img - 1.0).min(axis=0) < 1e-6).all()
         matched += 1
     assert matched >= 5
+
+
+def _assert_verified_witness(k1, k2):
+    """cones_isomorphic finds a witness S that maps each span onto the
+    other, and each sigma_i S x_i of a matched one is a generator of k2."""
+    out = rc.cones_isomorphic(k1, k2)
+    assert out.status == "isomorphic", out.reason
+    s_mat, sigma = out.witness.s_matrix, out.witness.sigma
+    assert _maps_spans(s_mat, k1, k2)
+    if sigma.size:
+        img = sigma * (s_mat @ k1.generators.T)
+        img /= np.linalg.norm(img, axis=0)
+        assert (np.abs(k2.generators @ img - 1.0).min(axis=0) < 1e-6).all()
+
+
+_CATALOG = catalog_constructions()
+
+
+@pytest.mark.parametrize("name", sorted(_CATALOG))
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_shuffled_congruent_catalog_copies_are_matched(name, seed):
+    rng = np.random.default_rng(seed)
+    cone = _CATALOG[name][0]
+    moved = rc.apply_congruence(cone, random_congruence(rng, cone.n), keep_expr=False)
+    perm = rng.permutation(len(moved.generators))
+    _assert_verified_witness(
+        cone, rc.make_cone(cone.n, moved.span_basis, moved.generators[perm], check=False))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(5, 10), seed=st.integers(0, 2**32 - 1))
+def test_vertex_permuted_chordal_pairs_are_matched(n, seed):
+    rng = np.random.default_rng(seed)
+    graph = random_chordal_graph(rng, n)
+    p = rng.permutation(n)
+    permuted = rc.ChordalGraph(n, [(int(p[u]), int(p[v])) for u, v in graph.edges])
+    _assert_verified_witness(rc.chordal_cone(graph), rc.chordal_cone(permuted))

@@ -173,12 +173,6 @@ def test_peeling_is_scale_free(kind, c):
 # complex cones
 
 
-def test_tangent_space_refuses_complex_cones():
-    cone = rc.block_toeplitz_cone(2, 1)
-    with pytest.raises(rc.InvalidInputError):
-        rc.has_tangent(cone, cone.generators[0])
-
-
 def test_complement_basis_keeps_complex_entries():
     cols = np.array([[1.0], [1j], [0.0]]) / np.sqrt(2)
     comp = symlin.complement_basis(cols, 3)

@@ -129,7 +129,7 @@ def test_sym_matrix_validation():
     assert (a == a.T).all()
 
 
-@pytest.mark.parametrize("make", [symlin.sym_matrix, symlin.herm_matrix])
+@pytest.mark.parametrize("make", [symlin.sym_matrix])
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_matrix_validation_rejects_non_finite(make, bad):
     with pytest.raises(InvalidInputError, match="non-finite"):
@@ -144,10 +144,6 @@ def test_matrix_validation_symmetry_threshold():
     assert (a == a.T).all()
     with pytest.raises(InvalidInputError, match="not symmetric"):
         symlin.sym_matrix([[2.0, 1.0], [1.0 + 4e-12, 0.0]])
-    h = symlin.herm_matrix([[2.0, 1j], [-1j + 2e-12, 0.0]])
-    assert (h == h.conj().T).all()
-    with pytest.raises(InvalidInputError, match="not Hermitian"):
-        symlin.herm_matrix([[2.0, 1j], [1j, 0.0]])
     assert symlin.sym_matrix(np.zeros((0, 0))).shape == (0, 0)
 
 
