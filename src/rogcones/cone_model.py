@@ -13,6 +13,7 @@ of a cone's kind (face certificates, diagonalizing bases) lives in
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -70,6 +71,13 @@ class SpectrahedralCone:
     def complex_field(self) -> bool:
         """True iff the span holds complex Hermitian matrices."""
         return np.iscomplexobj(self.span_basis)
+
+    @cached_property
+    def _codim1_form(self) -> np.ndarray:
+        """:func:`codim1_form`, computed on the first call for this cone."""
+        q = _span_normal(self)
+        q.flags.writeable = False
+        return q
 
     def copy_with(self, **kw) -> "SpectrahedralCone":
         return replace(self, **kw)
@@ -184,7 +192,13 @@ def codim1_form(cone: SpectrahedralCone) -> np.ndarray:
     orthonormal coordinates of the symmetric matrices the squared
     distances of the n(n+1)/2 coordinates add up to the codimension, 1, so
     the farthest is at least 1 / sqrt(n(n+1)/2) away: no cancellation.
+    Each cone computes Q once and returns it read-only after.
     """
+    return cone._codim1_form
+
+
+def _span_normal(cone: SpectrahedralCone) -> np.ndarray:
+    """The Q of :func:`codim1_form`, computed from the span."""
     n = cone.n
     if codimension(cone) != 1:
         raise InvalidInputError("cone is not of codimension 1")

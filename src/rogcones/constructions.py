@@ -37,13 +37,19 @@ def full_psd_cone(n: int) -> SpectrahedralCone:
 
 
 def diagonal_cone(n: int) -> SpectrahedralCone:
-    """Diagonal PSD matrices; the matrix picture of the nonnegative orthant."""
+    """Diagonal PSD matrices; the matrix picture of the nonnegative orthant.
+
+    It is the pattern cone of the graph with no edges, so ``aux`` keeps
+    what :func:`chordal_cone` keeps: an order of the vertices and, for
+    each, its clique, here the vertex alone.
+    """
     if n < 1:
         raise InvalidInputError("n must be >= 1")
     eye = np.eye(n)
     span = [np.diag(eye[i]) for i in range(n)]
+    aux = {"order": list(range(n)), "cliques": [np.array([v]) for v in range(n)]}
     return make_cone(n, span, [eye[i] for i in range(n)],
-                     expr=ConeExpr("diagonal", {"n": n}), check=False)
+                     expr=ConeExpr("diagonal", {"n": n}, aux=aux), check=False)
 
 
 def _moment_vector(t: float, n: int, x: np.ndarray) -> np.ndarray:
@@ -545,7 +551,9 @@ def chordal_cone(graph: ChordalGraph) -> SpectrahedralCone:
     perfect elimination order and zero-fill elimination along it writes
     every member as a sum of rank-1 terms on these cliques
     (Agler-Helton-McCullough-Rodman 1988).  ``aux`` keeps the order and,
-    for each of its vertices, the clique of it and its earlier neighbors.
+    for each of its vertices, the clique of it and its earlier neighbors:
+    ``decompose`` eliminates along them directly, one pivot column per
+    vertex, with no peel.
     """
     n = graph.n
     adj = graph.adjacency()

@@ -6,13 +6,16 @@ codimension 1 is a section {X >= 0 : <Q, X> = 0}, split by the S-lemma
 rotation of Sturm and Zhang with Q the normal of the span.  Both hold
 whatever built the cone: a bare span, a congruence transform or a full
 extension of codimension 1 takes them too.  Every other cone takes one of
-five routes by its kind, all returning a :class:`Decomposition` whose atom
+six routes by its kind, all returning a :class:`Decomposition` whose atom
 count equals the matrix rank:
 
 * a generic peeling loop (``carath_decompose``) that repeatedly extracts
   an extreme ray from the face of the current iterate and steps to the
-  PSD boundary; on chordal patterns the ray is a pivot column, so each
-  step is one step of zero-fill elimination,
+  PSD boundary; only ``ternary_quartic``, ``moment`` and the Hankel
+  fallback still peel,
+* zero-fill elimination for the chordal kinds and ``diagonal``: one
+  pivot column per vertex, in reverse perfect elimination order, with no
+  peel,
 * compositional recursions over the construction tree for direct sums,
   full extensions and intertwinings,
 * a shift-invariance (Prony-type) node solver for block-Hankel matrices;
@@ -119,6 +122,11 @@ def carath_decompose(cone: SpectrahedralCone, x_mat: np.ndarray,
                      tol: float = DEFAULT_TOL) -> Decomposition:
     """Peel extreme rays until nothing is left.
 
+    :func:`decompose` peels only the kinds without a direct route,
+    ``ternary_quartic`` and ``moment`` (whose rules raise
+    OracleUnavailableError), and the Hankel members whose node solve
+    degenerates; called directly, it peels any kind with a rank-1 rule,
+    which makes it the reference the direct routes are tested against.
     Each round finds a rank-1 element E = x x^T of the cone inside the
     face of the current iterate and removes mu* E with the largest mu*
     keeping the iterate PSD (mu* = 1 / x^T X^+ x); the rank then drops by
@@ -269,6 +277,41 @@ def _decompose_cross_ratio(cone, x_mat, tol):
     for z in _factor(symlin.eig_sym(base), cut).T:
         weights.append(1.0)
         vectors.append(_place(cone.n, 0, z))
+    return _as_decomposition(weights, vectors, x_mat)
+
+
+def _decompose_chordal(cone, x_mat, tol):
+    """Zero-fill elimination along the reversed order of ``aux``.
+
+    The last vertex v of the order has only earlier neighbors, which with
+    v form its clique, so column v of X lies on that clique; subtracting
+    x x^T / x_v, x that column, clears row and column v and touches the
+    clique block only, so elimination makes no fill (Rose 1970) and goes
+    on with the next vertex.  Each x lies on a clique, so x x^T is in the
+    cone, and rank(X) columns are nonzero (Vandenberghe and Andersen,
+    Found. Trends Optim. 2015).  The diagonal kind is the pattern with no
+    edges.  A column is nonzero when its norm is above the cut of X's
+    eigenvalues; its pivot can lie far below that cut while the column
+    does not (a pivot of 7e-9 under a column of 1e-4 is an atom of weight
+    about 1.4), so the pivot is not tested.
+    """
+    x_mat, current, dec = _span_member(cone, x_mat, tol)
+    cut = symlin.cut(dec.values, tol)
+    aux = cone.expr.aux
+    weights, vectors = [], []
+    for v, clique in zip(reversed(aux["order"]), reversed(aux["cliques"])):
+        col = current[clique, v]
+        if np.linalg.norm(col) <= cut:
+            continue
+        if col[0] <= 0.0:
+            raise NumericalError(
+                f"zero-fill elimination met the pivot {col[0]:.3e} under a column "
+                f"of norm {np.linalg.norm(col):.3e} at vertex {v}")
+        current[np.ix_(clique, clique)] -= np.outer(col, col) / col[0]
+        x = np.zeros(cone.n)
+        x[clique] = col
+        weights.append(1.0 / col[0])
+        vectors.append(x)
     return _as_decomposition(weights, vectors, x_mat)
 
 
@@ -453,7 +496,10 @@ def _chordal_rays(cone, h, x_current, tol):
     """The iterate's column at the last vertex in MCS order whose column is
     nonzero, zeroed outside that vertex's clique.  Earlier peels cleared the
     columns of the later vertices, so the column already lies on the clique
-    and peeling it is one step of zero-fill elimination."""
+    and peeling it is one step of zero-fill elimination.  :func:`decompose`
+    eliminates with :func:`_decompose_chordal` and never peels these kinds;
+    the rule serves the oracle, and through it :func:`carath_decompose`
+    called directly and the composite kinds' peels."""
     if x_current is None:
         return
     cut = symlin.cut(x_current, tol)
@@ -518,38 +564,41 @@ def decompose_intertwining(cone: SpectrahedralCone, x_mat: np.ndarray,
                            tol: float = DEFAULT_TOL) -> Decomposition:
     """Split along the glued face, then recurse into both children.
 
-    The three-block Schur split writes X as a sum of two matrices living
-    on the child faces; each child decomposes its share and the atoms are
-    lifted back.  Atom counts add up to rank(X) because the split matches
-    the rank split of X across the overlap.  A share at or below the cut
-    of X's eigenvalues is rounding of the split and is skipped.
+    The three-block Schur split (``symlin.schur_shares``) writes the
+    gate's projection as a sum of two matrices living on the child faces;
+    each child decomposes its share and the atoms are lifted back.  The
+    projection onto the glued span has a zero corner and has passed the
+    gate's PSD test, so the split checks neither again, and each share
+    meets its child's gate, whose bound is the stricter one; a share that
+    gate rejects raises NumericalError.  Atom counts add up to rank(X)
+    because the split matches the rank split of X across the overlap.  A
+    share at or below the cut of X's eigenvalues is rounding of the split
+    and is skipped.
     """
     if cone.expr is None or cone.expr.kind != "intertwine":
         raise InvalidInputError("cone was not built by intertwine")
-    a, k, b = cone.expr.aux["blocks"]
-    c1 = cone.expr.aux["c1"]
-    c2 = cone.expr.aux["c2"]
-    f1 = cone.expr.aux["f1"]
-    f2 = cone.expr.aux["f2"]
-    k1, k2 = cone.expr.children
+    aux = cone.expr.aux
+    a, k, _ = aux["blocks"]
     x_mat, current, dec = _span_member(cone, x_mat, tol)
-    c1m, c2m = symlin.schur_split(current, (a, k, b), max(tol, 1e-9))
+    c1m, c2m = symlin.schur_shares(current, aux["blocks"], max(tol, 1e-9))
     x1_block = current[:a + k, :a + k].copy()
     x1_block[a:, a:] = c1m
     x2_block = current[a:, a:].copy()
     x2_block[:k, :k] = c2m
-    m1 = symlin.sym(c1 @ x1_block @ c1.T)
-    m2 = symlin.sym(c2 @ x2_block @ c2.T)
-    for child, m in ((k1, m1), (k2, m2)):
-        if not symlin.span_contains(child.span_basis, m, 1e-6):
-            raise NumericalError("split landed outside a child cone")
+    shares = ((symlin.sym(aux["c1"] @ x1_block @ aux["c1"].T), aux["f1"]),
+              (symlin.sym(aux["c2"] @ x2_block @ aux["c2"].T), aux["f2"]))
     vectors: list[np.ndarray] = []
     weights: list[float] = []
     floor = symlin.cut(dec.values, tol)
-    for child, m, f in ((k1, m1, f1), (k2, m2, f2)):
+    for child, (m, f) in zip(cone.expr.children, shares):
         if np.linalg.norm(m) <= floor:
             continue
-        sub = decompose(child, m, tol)
+        try:
+            sub = decompose(child, m, tol)
+        except OracleUnavailableError:
+            raise
+        except InvalidInputError as exc:
+            raise NumericalError(f"split landed outside a child cone: {exc}") from exc
         for atom in sub.atoms:
             vectors.append(f @ atom.vector)
             weights.append(atom.weight)
@@ -859,17 +908,20 @@ class Family:
     one for a peel first; :func:`extreme_ray_oracle` takes the candidate
     of its attempt and :func:`rays_spanning_face` lists them all
     (``x_current=None``).  ``route(cone, x_mat, tol)`` is a direct
-    decomposition: closed forms for ``full_psd``, ``codim1`` and
-    ``cross_ratio``, the node solve for ``hankel``, the spectral
-    factorization for ``block_toeplitz``, and the recursions of the
-    composite and wrapper kinds.  Without a route (the chordal kinds,
-    ``diagonal``, ``ternary_quartic``, ``moment``), :func:`decompose`
-    peels.  Every route, the peel included, gates X with
-    :func:`_span_member` and reuses its eigendecomposition; a direct route
-    cuts ranks at the scale of X.  A wrapper route hands F X F^* to its
-    child, whose route gates it.  Rules call the public engines by their
-    module names, never through captured function objects, so a patched
-    module attribute sees every call.
+    decomposition: the closed form for ``cross_ratio``, zero-fill
+    elimination for ``chordal``, ``tridiag`` and ``diagonal``, the node
+    solve for ``hankel``, the spectral factorization for
+    ``block_toeplitz``, and the recursions of the composite and wrapper
+    kinds (``full_psd`` and ``codim1`` need none: :func:`decompose` takes
+    the closed form of their codimension first).  Without a route
+    (``ternary_quartic``, ``moment``), :func:`decompose` peels.  Every
+    route, the peel included, gates X with :func:`_span_member` and
+    reuses its eigendecomposition; a direct route cuts ranks at the scale
+    of X.  A wrapper route hands F X F^* to its child, and a composite
+    route each child its share of the gate's projection; the child's
+    route gates it.  Rules call the public engines by their module names,
+    never through captured function objects, so a patched module
+    attribute sees every call.
     """
 
     sample: Callable
@@ -883,13 +935,13 @@ def _wrapper(coords) -> Family:
                   route=partial(_decompose_wrapped, coords))
 
 
-_CHORDAL = Family(sample=_chordal_sample, rays=_chordal_rays)
+_CHORDAL = Family(sample=_chordal_sample, rays=_chordal_rays, route=_decompose_chordal)
 
 _FAMILIES = {
     "full_psd": Family(sample=lambda cone, rng: rng.standard_normal(cone.n),
                        rays=_full_psd_rays),
     "diagonal": Family(sample=lambda cone, rng: np.eye(cone.n)[rng.integers(cone.n)],
-                       rays=_diagonal_rays),
+                       rays=_diagonal_rays, route=_decompose_chordal),
     "hankel": Family(
         sample=_hankel_sample, rays=_hankel_rays,
         route=lambda cone, x, tol: decompose_hankel(cone, x, tol)),

@@ -414,14 +414,30 @@ def _plane_census_label(cone):
 def rank2_face_planes(cone: SpectrahedralCone):
     """Maximal 2-dimensional subspaces carrying full rank-2 faces: the
     planes of the certificate pairs of :func:`cone_model.rank2_pairs`, in
-    pair order."""
+    pair order, each plane once.
+
+    Every pair's projector M^T G^-1 conj(M), for its rows M and their
+    2 x 2 Gram matrix G, comes from one stacked product, and one Gram
+    matrix of the projectors gives their pairwise distances.  A pair whose
+    projector lies within 1e-6 of a plane kept before it is dropped; only
+    the planes kept take an orthonormal basis.
+    """
     gens = cone.generators
-    planes = []
-    for a, b in zip(*rank2_pairs(cone)):
-        basis = symlin.subspace_of_vectors([gens[a], gens[b]])
-        if not any(np.linalg.norm(basis @ basis.T - p @ p.T) < 1e-6 for p in planes):
-            planes.append(basis)
-    return planes
+    i, j = rank2_pairs(cone)
+    if len(i) == 0:
+        return []
+    rows = np.stack([gens[i], gens[j]], axis=1)
+    proj = rows.swapaxes(1, 2) @ np.linalg.inv(rows.conj() @ rows.swapaxes(1, 2)) @ rows.conj()
+    flat = proj.reshape(len(proj), cone.n * cone.n)
+    inner = (flat.conj() @ flat.T).real
+    sq = inner.diagonal()
+    close = sq[:, None] + sq - 2.0 * inner < 1e-12
+    # keep the first pair of each plane, in pair order: only pairs close to
+    # another pair need a look at which were kept before them
+    keep = close.sum(axis=1) == 1
+    for a in np.flatnonzero(~keep):
+        keep[a] = not close[a, :a][keep[:a]].any()
+    return [symlin.subspace_of_vectors(pair) for pair in rows[keep]]
 
 
 def _planes_meet(p1, p2):

@@ -156,13 +156,15 @@ def inertia_split(q: np.ndarray, tol: float = DEFAULT_TOL):
             dec.vectors[:, np.abs(dec.values) <= c])
 
 
-def schur_split(m: np.ndarray, block_sizes: tuple[int, int, int],
-                tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+def schur_split(m: np.ndarray, block_sizes: tuple[int, int, int]
+                ) -> tuple[np.ndarray, np.ndarray]:
     """Split the middle block of a PSD 3x3-block matrix with zero corner.
 
     For M = [[A, B, 0], [B^T, C, D], [0, D^T, E]] positive semidefinite,
     returns (C1, C2) with C1 = B^T A^+ B and C2 = C - C1 such that both
     [[A, B], [B^T, C1]] and [[C2, D], [D^T, E]] are positive semidefinite.
+    The zero corner and the PSD test are checked at DEFAULT_TOL; the split
+    itself is :func:`schur_shares`.
     """
     m = np.asarray(m)
     na, nb, nc = block_sizes
@@ -170,16 +172,24 @@ def schur_split(m: np.ndarray, block_sizes: tuple[int, int, int],
         raise InvalidInputError("block sizes do not match the matrix")
     scale = 1.0 + float(np.linalg.norm(m))
     corner = m[:na, na + nb:]
-    if np.linalg.norm(corner) > tol * scale:
+    if np.linalg.norm(corner) > DEFAULT_TOL * scale:
         raise InvalidInputError("corner block is not zero")
-    if not psd_check(m, tol):
+    if not psd_check(m, DEFAULT_TOL):
         raise InvalidInputError("matrix is not positive semidefinite")
+    return schur_shares(m, block_sizes, DEFAULT_TOL)
+
+
+def schur_shares(m: np.ndarray, block_sizes: tuple[int, int, int],
+                 tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The split (C1, C2) of :func:`schur_split`, unchecked: for a matrix
+    already known to be PSD with a zero corner.  A^+ inverts the
+    eigenvalues of A above cut(lambda, tol)."""
+    na, nb, _ = block_sizes
     a = m[:na, :na]
     b = m[:na, na:na + nb]
     c = m[na:na + nb, na:na + nb]
     c1 = sym(b.conj().T @ pseudo_inverse(a, tol) @ b)
-    c2 = sym(c - c1)
-    return c1, c2
+    return c1, sym(c - c1)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from rogcones.decompose import (decompose_block_toeplitz, decompose_full_extensi
 from rogcones.errors import InvalidInputError, OracleUnavailableError
 from rogcones.qcqp_relax import QcqpProblem, induced_cone
 from conftest import (catalog_constructions, count_calls, family_registry,
-                      random_congruence, rank_r_member)
+                      random_chordal_graph, random_congruence, rank_r_member)
 
 
 def moment(t):
@@ -141,6 +141,77 @@ def test_decompose_intertwining_is_scale_free(c):
         dec = rc.decompose(cone, c * x)
         assert len(dec.atoms) == rc.numeric_rank(x)
         assert dec.residual <= 1e-7 * np.linalg.norm(c * x)
+
+
+_CHORDAL_CONES = {
+    # the chordal cone of tests/test_kinds.py; draw 15 (rank 4) has eigenvalues
+    # from 1.1e-5 to 4.3, so a cut at the scale of a late iterate misreads it
+    "kinds4": rc.chordal_cone(rc.ChordalGraph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])),
+    "tridiag4": rc.tridiagonal_cone(4),
+    "random8": rc.chordal_cone(random_chordal_graph(np.random.default_rng(10), 8)),
+}
+
+
+@pytest.mark.parametrize("c", [1.0, 1e4, 1e8, 1e12])
+@pytest.mark.parametrize("name", sorted(_CHORDAL_CONES))
+def test_chordal_route_is_scale_free(monkeypatch, name, c):
+    # zero-fill elimination tests each column against the cut of X's
+    # eigenvalues, at the scale of X.  c < 1 is left out: the absolute floor
+    # of symlin.cut (tol * max(1, max|v|)) cuts draw 15 of kinds4 wrongly
+    # there, on the peel as on this route
+    cone = _CHORDAL_CONES[name]
+    peels = count_calls(monkeypatch, importlib.import_module("rogcones.decompose"),
+                        "carath_decompose")
+    degree = rc.degree(cone)
+    for i in range(30):
+        x = rank_r_member(cone, np.random.default_rng(i), 1 + i % degree)
+        dec = rc.decompose(cone, c * x)
+        assert len(dec.atoms) == rc.numeric_rank(x)
+        assert dec.residual <= 1e-7 * np.linalg.norm(c * x)
+    assert peels == []
+
+
+@pytest.mark.parametrize("name", ["tridiag4", "chordal6", "diagonal5"])
+def test_chordal_route_reuses_the_gate_eigendecomposition(monkeypatch, name):
+    # one eigh, the gate's, at every rank: the elimination solves nothing
+    cone = family_registry()[name]
+    rng = np.random.default_rng(6)
+    members = [rank_r_member(cone, rng, r) for r in range(1, rc.degree(cone) + 1)]
+    calls = _count_eigensolves(monkeypatch)
+    for x_mat in members:
+        calls.clear()
+        dec = rc.decompose(cone, x_mat)
+        assert calls == ["eigh"]
+        check_decomposition(cone, x_mat, dec)
+
+
+def test_intertwining_split_reuses_the_gate(monkeypatch):
+    # the split neither tests the glued projection for PSD again nor its
+    # shares for span membership: each child's gate does
+    cone = catalog_constructions()["IntertwineHan3S2"][0]
+    rng = np.random.default_rng(7)
+    members = [rank_r_member(cone, rng, r) for r in range(1, rc.degree(cone) + 1)]
+    calls = _count_eigensolves(monkeypatch)
+    spans = count_calls(monkeypatch, symlin, "span_contains")
+    for x_mat in members:
+        calls.clear()
+        dec = rc.decompose(cone, x_mat)
+        assert "eigvalsh" not in calls and spans == []
+        check_decomposition(cone, x_mat, dec)
+
+
+def test_intertwining_share_outside_a_child_raises(monkeypatch):
+    cone = rc.intertwine(rc.full_psd_cone(2), rc.hankel_cone(3),
+                         rc.rank1_glue(None, [1.0, 0.0], None, [0.0, 0.0, 1.0]))
+    x_mat = rank_r_member(cone, np.random.default_rng(1), 3)
+    real = symlin.schur_shares
+
+    def shifted(m, blocks, tol):
+        c1, c2 = real(m, blocks, tol)
+        return c1, c2 - (1.0 + np.linalg.norm(m)) * np.eye(len(c2))
+    monkeypatch.setattr(symlin, "schur_shares", shifted)
+    with pytest.raises(rc.NumericalError, match="split"):
+        rc.decompose(cone, x_mat)
 
 
 def test_decompose_intertwining_counts(rng):

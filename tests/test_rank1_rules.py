@@ -91,9 +91,10 @@ def test_cone_model_imports_no_engine():
 
 
 def test_decompose_tests_membership_only_in_its_gate():
-    # one membership rule for every route: membership and PSD tests are
-    # called from _span_member and nowhere else in the module
-    tests = {"membership", "psd_check", "psd_values"}
+    # one membership rule for every route: membership, PSD and span tests,
+    # and the checked Schur split, are called from _span_member and nowhere
+    # else in the module, so no route can gate X a second time
+    tests = {"membership", "psd_check", "psd_values", "schur_split", "span_contains"}
     tree = ast.parse(pathlib.Path(importlib.import_module("rogcones.decompose").__file__)
                      .read_text())
     gate = next(node for node in ast.walk(tree)
