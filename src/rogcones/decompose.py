@@ -293,20 +293,25 @@ def _decompose_chordal(cone, x_mat, tol):
     edges.  A column is nonzero when its norm is above the cut of X's
     eigenvalues; its pivot can lie far below that cut while the column
     does not (a pivot of 7e-9 under a column of 1e-4 is an atom of weight
-    about 1.4), so the pivot is not tested.
+    about 1.4), so the pivot is not tested against the cut.  A column with
+    a nonpositive pivot is zero too when its norm is within the gate's PSD
+    allowance max(tol, 1e-7) (1 + |P|), P the gate's projection, since the
+    gate admits eigenvalues that far below 0; above it, it raises.
     """
     x_mat, current, dec = _span_member(cone, x_mat, tol)
     cut = symlin.cut(dec.values, tol)
+    allowance = max(tol, 1e-7) * (1.0 + float(np.linalg.norm(current)))
     aux = cone.expr.aux
     weights, vectors = [], []
     for v, clique in zip(reversed(aux["order"]), reversed(aux["cliques"])):
         col = current[clique, v]
-        if np.linalg.norm(col) <= cut:
+        size = np.linalg.norm(col)
+        if size <= cut or (col[0] <= 0.0 and size <= allowance):
             continue
         if col[0] <= 0.0:
             raise NumericalError(
                 f"zero-fill elimination met the pivot {col[0]:.3e} under a column "
-                f"of norm {np.linalg.norm(col):.3e} at vertex {v}")
+                f"of norm {size:.3e} at vertex {v}")
         current[np.ix_(clique, clique)] -= np.outer(col, col) / col[0]
         x = np.zeros(cone.n)
         x[clique] = col

@@ -8,7 +8,11 @@ spectrahedral cone cut out by the A_i, normalized by B.  Its dual is
 ``solve_relaxation`` is a primal-dual interior-point method in this
 standard form (infeasible start, HKM direction, Mehrotra predictor and
 corrector; Helmberg-Rendl-Vanderbei-Wolkowicz 1996, Toh-Todd-Tutuncu
-1999).  Every status it reports carries evidence it checked: ``optimal`` a
+1999), except on codimension 0: with no constraint form and B = L L^T
+positive definite the relaxation is the Rayleigh quotient problem, whose
+value is the smallest eigenvalue of L^-1 S L^-T, attained at a rank-1 X,
+and one eigendecomposition solves it.  Every status the solver reports
+carries evidence it checked: ``optimal`` a
 PSD dual matrix Z recomputed from (y, w) and a measured duality gap,
 ``infeasible`` and ``unbounded`` a ray.  ``certify_exactness`` purifies the
 optimizer to an extreme point of the optimal face and extracts a rank-1
@@ -68,7 +72,8 @@ class SdpSolution:
     cap; ``duality_gap`` is the best measured gap, or inf.  ``y`` and
     ``z_mat`` are None unless optimal, ``ray`` unless infeasible or unbounded.
 
-    ``iterations`` counts interior-point steps; ``primal_residual`` is
+    ``iterations`` counts interior-point steps, 0 on the closed form of an
+    unconstrained relaxation with B PD; ``primal_residual`` is
     ``|b - A(|B'| X)|`` over the rows B' / |B'| and E_k of
     ``solve_relaxation``, and ``dual_residual`` the norm of the part of
     ``S - y B - Z`` on the induced span, at the returned or last iterate
@@ -122,10 +127,14 @@ def solve_relaxation(problem: QcqpProblem, tol: float = DEFAULT_TOL,
     basis E of the span of the A_i (one SVD cut at ``SUBSPACE_TOL``, so
     dependent forms drop out); with B' the part of B off that span, the
     solve runs on the orthonormal rows B' / |B'|, E_k and on |B'| X, so
-    scaling B changes no iterate.  At most ``max_outer`` infeasible-start
-    HKM steps with Mehrotra's predictor and corrector (``_hkm_step``)
-    follow, each side moving 0.95 of the way to the PSD boundary, capped
-    at 1.
+    scaling B changes no iterate.  When no form is left and B is PD,
+    ``_rayleigh_solution`` returns the optimum and its certificate in
+    closed form, after 0 iterations and with ``max_outer`` unused.
+    Otherwise (a form is left, B is singular or indefinite, or the closed
+    form falls short of the evidence below) at most ``max_outer``
+    infeasible-start HKM steps with Mehrotra's predictor and corrector
+    (``_hkm_step``) follow, each side moving 0.95 of the way to the PSD
+    boundary, capped at 1.
 
     At every iterate Z is recomputed from (y, w), or from (y, w) moved
     along the projection P of I on span{B, A_i} when P is PD and Z misses
@@ -142,6 +151,10 @@ def solve_relaxation(problem: QcqpProblem, tol: float = DEFAULT_TOL,
     s, b = problem.cost, problem.normalization
     forms = (symlin.orthonormal_span(problem.constraints)
              if problem.constraints else np.zeros((0, n, n)))
+    if len(forms) == 0:
+        closed = _rayleigh_solution(s, b, tol)
+        if closed is not None:
+            return closed
     outside = _outside_rows(b, forms)
     if outside is None:
         # <B, X> = 1 contradicts <A_i, X> = 0: the ray -(B + sum w_i A_i) = 0
@@ -224,6 +237,58 @@ def solve_relaxation(problem: QcqpProblem, tol: float = DEFAULT_TOL,
     if gap > tol * (1.0 + abs(objective)):
         return result(x, objective, "max-iter", gap, p_res, s - y * b - z_mat)
     return result(x, objective, "optimal", gap, p_res, s - y * b - z_mat, y, z_mat)
+
+
+# the first margin by which the closed form's dual y backs off from the
+# eigenvalue, relative to 1 + |eigenvalue|; each further margin is ten times
+# the last
+_DUAL_BACKOFF = 1e-12
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _rayleigh_solution(s, b, tol):
+    """The closed form of a relaxation with no constraint form and B PD,
+    or None.
+
+    With B = L L^T the relaxation is min <S, X> over PSD X with <B, X> = 1,
+    whose value is the smallest eigenvalue lam of L^-1 S L^-T, attained at
+    X = v v^T for v = L^-T u, u its unit eigenvector.  The dual is y = lam
+    - m for the least margin m in 0, 1e-12 (1 + |lam|), ten times that, ...
+    whose recomputed Z = S - y B passes ``eigvalsh(Z)[0] >= 0``.  The
+    solution comes back, after 0 iterations, when its primal residual
+    |1 - <B, X>| is at most tol and its measured gap at most tol / 10
+    (1 + |objective|), the stop rule of the interior-point loop; None when
+    B is not PD or no margin within that bound gives such evidence, as
+    when L^-1 S L^-T or y B overflows.
+    """
+    try:
+        l_inv = np.linalg.inv(np.linalg.cholesky(b))
+    except np.linalg.LinAlgError:
+        return None
+    w, u = np.linalg.eigh(symlin.sym(l_inv @ s @ l_inv.T))
+    v = l_inv.T @ u[:, 0]
+    x_mat = np.outer(v, v)
+    objective = float(v @ s @ v)
+    p_res = abs(1.0 - float(v @ b @ v))
+    lam = float(w[0])
+    if not (p_res <= tol and np.isfinite(objective) and np.isfinite(lam)):
+        return None
+    bound = 0.1 * tol * (1.0 + abs(objective))
+    margin = 0.0
+    while margin <= bound:
+        y = lam - margin
+        z_mat = s - y * b
+        if not np.isfinite(z_mat).all():
+            return None
+        if np.linalg.eigvalsh(z_mat)[0] >= 0:
+            gap = max(abs(objective - y), float(np.vdot(x_mat, z_mat)))
+            if gap > bound:
+                return None
+            return SdpSolution(x_mat, objective, "optimal", gap, y, z_mat, iterations=0,
+                               primal_residual=p_res,
+                               dual_residual=float(np.linalg.norm(s - y * b - z_mat)))
+        margin = max(10.0 * margin, _DUAL_BACKOFF * (1.0 + abs(lam)))
+    return None
 
 
 def _outside_rows(b, forms):

@@ -209,10 +209,22 @@ def test_cli_qcqp(tmp_path):
     assert report["status"] == "exact-with-solution"
     assert abs(report["relaxed_value"] - 1.0) < 1e-6
     assert abs(report["extracted_value"] - 1.0) < 1e-6
-    assert report["iterations"] >= 1
+    # no constraint form: the relaxation is an eigenvalue problem, solved in
+    # closed form
+    assert report["iterations"] == 0
     assert 0.0 <= report["duality_gap"] <= 1e-8 * (1.0 + abs(report["relaxed_value"]))
     x_opt = np.array(report["x_opt"])
     assert abs(abs(x_opt[0]) - 1.0) < 1e-4 and abs(x_opt[1]) < 1e-4
+    # one form: the interior-point method runs
+    problem = _write(tmp_path, "p1.json", {"S": np.diag([1.0, 2.0, 3.0]).tolist(),
+                                           "B": np.eye(3).tolist(),
+                                           "A": [np.diag([1.0, -1.0, 0.0]).tolist()]})
+    code, report = _run(tmp_path, "qcqp", problem, "--gap-samples", "10")
+    assert code == 0
+    assert report["status"] == "exact-with-solution"
+    assert abs(report["relaxed_value"] - 1.5) < 1e-6
+    assert report["iterations"] >= 1
+    assert 0.0 <= report["duality_gap"] <= 1e-8 * (1.0 + abs(report["relaxed_value"]))
 
 
 @pytest.mark.parametrize("s_mat", [[[1.0, 0.0], [0.0]], [["one", 0.0], [0.0, 1.0]]],

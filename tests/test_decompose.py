@@ -355,6 +355,35 @@ def test_chordal_well_conditioned_member(n, edges, atoms):
     check_decomposition(cone, x, rc.decompose(cone, x))
 
 
+@pytest.mark.parametrize("cone, x_mat, rank", [
+    # the gate admits -3e-8 on the diagonal, within 1e-7 (1 + |X|)
+    (rc.diagonal_cone(3), np.diag([1.0, -3e-8, 1.0]), 2),
+    # a rank-3 tridiagonal member with 1e-7 taken off X_11: elimination along
+    # 3, 2, 1 leaves the pivot -1e-7 at vertex 0, above the cut 3.4e-8
+    (rc.tridiagonal_cone(4), np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 2.0 - 1e-7, 1.0, 0.0],
+                                       [0.0, 1.0, 2.0, 1.0], [0.0, 0.0, 1.0, 1.0]]), 3),
+], ids=["diagonal", "tridiagonal"])
+def test_chordal_route_takes_slightly_negative_pivots_as_zero(cone, x_mat, rank):
+    assert rc.membership(cone, x_mat, 1e-7)
+    dec = rc.decompose(cone, x_mat)
+    assert len(dec.atoms) == rank
+    assert dec.residual <= 1e-7 * (1.0 + np.linalg.norm(x_mat))
+    for atom in dec.atoms:
+        assert atom.weight > 0
+        assert symlin.span_distance(cone.span_basis, symlin.outer(atom.vector)) <= 1e-10
+
+
+def test_chordal_route_rejects_a_pivot_beyond_the_gate_allowance():
+    # the gate admits 1e-6 off X_11 (lambda_min = -2.5e-7), but the pivot
+    # -1e-6 it leaves at vertex 0 is beyond 1e-7 (1 + |X|) = 5.6e-7
+    x_mat = np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 2.0 - 1e-6, 1.0, 0.0],
+                      [0.0, 1.0, 2.0, 1.0], [0.0, 0.0, 1.0, 1.0]])
+    cone = rc.tridiagonal_cone(4)
+    assert rc.membership(cone, x_mat, 1e-7)
+    with pytest.raises(rc.NumericalError, match="pivot -1.000e-06"):
+        rc.decompose(cone, x_mat)
+
+
 def _check_phase_structure(v, n, m, tol=1e-8):
     blocks = v.reshape(n, m)
     norms = np.linalg.norm(blocks, axis=1)

@@ -80,12 +80,16 @@ def test_solver_certificate_only_when_optimal():
     b[0, 0] = 1.0
     sols = [solve_relaxation(QcqpProblem(np.eye(2), np.zeros((2, 2)), [])),
             solve_relaxation(QcqpProblem(np.diag([0.0, -1.0]), b, [])),
-            solve_relaxation(QcqpProblem(np.eye(3), np.eye(3), []), max_outer=1)]
+            solve_relaxation(QcqpProblem(np.eye(3), np.eye(3), [np.diag([1.0, -1.0, 0.0])]),
+                             max_outer=1)]
     assert [sol.status for sol in sols] == ["infeasible", "unbounded", "max-iter"]
     for sol in sols:
         assert sol.y is None and sol.z_mat is None
-    # The solve runs on the row B / |B| = I / sqrt(3), so its iterate
-    # |B| X starts at I / sqrt(3): X = I / 3 is feasible with objective 1,
+    # The form keeps the problem off the closed form of an unconstrained
+    # relaxation.  It is traceless, so B' = B = I and every multiple of I is
+    # orthogonal to the form's row.  The solve runs on the rows
+    # B / |B| = I / sqrt(3) and the form, so its iterate |B| X starts at
+    # I / sqrt(3): X = I / 3 is feasible with objective 1,
     # Z = 3 (1 + sqrt(3)) I and y = 0, and the recomputed Z = S = I is PSD,
     # so y = 0 is the first dual bound, at measured gap max(|1 - 0|,
     # <I / 3, I>) = 1.  Every iterate is a multiple of I.  X is feasible
@@ -228,6 +232,75 @@ def test_trichotomy_statuses():
 def random_sym_stack(rng, k, n):
     a = rng.standard_normal((k, n, n))
     return a + a.transpose(0, 2, 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 16), b_kind=st.sampled_from(["spd", 1e-9, 1e-3, 1.0, 1e3, 1e9]),
+       seed=st.integers(0, 2**32 - 1))
+def test_unconstrained_relaxation_in_closed_form(n, b_kind, seed):
+    # with no form and B = L L^T PD the value is lambda_min(L^-1 S L^-T),
+    # reached at a rank-1 X without an interior-point step; scipy's
+    # generalized eigensolver is the oracle
+    import scipy.linalg
+    rng = np.random.default_rng(seed)
+    s = random_sym_stack(rng, 1, n)[0]
+    if b_kind == "spd":
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        b = (q * 10.0 ** rng.uniform(-2.0, 2.0, n)) @ q.T
+    else:
+        b = b_kind * np.eye(n)
+    p = QcqpProblem(s, b, [])
+    sol = solve_relaxation(p)
+    lam = float(scipy.linalg.eigh(p.cost, p.normalization, eigvals_only=True)[0])
+    assert sol.status == "optimal" and sol.iterations == 0
+    assert abs(sol.objective - lam) <= 1e-10 * (1.0 + abs(lam))
+    assert np.array_equal(sol.z_mat, p.cost - sol.y * p.normalization)
+    assert symlin.psd_check(sol.z_mat, 1e-7)
+    assert sol.duality_gap <= 0.1 * symlin.DEFAULT_TOL * (1.0 + abs(sol.objective))
+    assert np.linalg.matrix_rank(sol.x_mat) == 1
+    assert abs(np.vdot(p.normalization, sol.x_mat) - 1.0) <= 1e-10
+
+
+def test_repeated_eigenvalue_certifies_with_solution():
+    # S = I: every unit vector is optimal, and the closed form picks one
+    cert = certify_exactness(QcqpProblem(np.eye(4), np.eye(4), []), gap_samples=10)
+    assert cert.status == "exact-with-solution"
+    assert cert.solution.iterations == 0
+    assert abs(cert.relaxed_value - 1.0) <= 1e-12
+    assert abs(np.linalg.norm(cert.x_opt) - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("s, b", [(1e10 * np.eye(2), 1e-300 * np.eye(2)),
+                                  (np.diag([1e308, 1.0]), 1e-308 * np.eye(2))],
+                         ids=["tiny-b", "huge-s"])
+def test_closed_form_gives_way_on_overflow(s, b):
+    # L^-1 S L^-T overflows: the closed form has no evidence, stops, warns
+    # of nothing and leaves the problem to the interior-point method, where
+    # a B this small is below the SUBSPACE_TOL cut
+    p = QcqpProblem(s, b, [])
+    assert qcqp_relax._rayleigh_solution(p.cost, p.normalization, symlin.DEFAULT_TOL) is None
+    assert solve_relaxation(p).status == "infeasible"
+
+
+def test_closed_form_near_the_float_range():
+    # the interior-point method stops at max-iter on this problem
+    sol = solve_relaxation(QcqpProblem(np.diag([1e300, -1e300]), np.eye(2), []))
+    assert sol.status == "optimal" and sol.iterations == 0
+    assert sol.objective == -1e300
+
+
+@pytest.mark.parametrize("name, problem", [
+    ("singular-b", QcqpProblem(np.eye(3), np.diag([1.0, 1.0, 0.0]), [])),
+    ("indefinite-b", QcqpProblem(np.eye(3), np.diag([1.0, 1.0, -1.0]), [])),
+    ("one-form", QcqpProblem(np.diag([1.0, 2.0, 3.0]), np.eye(3), [np.diag([1.0, -1.0, 0.0])])),
+])
+def test_interior_point_method_outside_the_closed_form(monkeypatch, name, problem):
+    calls = []
+    step = qcqp_relax._hkm_step
+    monkeypatch.setattr(qcqp_relax, "_hkm_step", lambda *args: calls.append(1) or step(*args))
+    sol = solve_relaxation(problem)
+    assert calls and sol.iterations >= 1
+    assert sol.status == "optimal"
 
 
 @settings(max_examples=40, deadline=None)

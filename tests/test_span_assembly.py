@@ -463,22 +463,25 @@ def _two_sweep_partition(gens, tol=1e-8):
 
 def _block_generators(rng, blocks, complex_field, extra):
     """Generators of a direct sum of random subspaces of the given sizes:
-    a spanning set of each, then dependent, scaled and near-duplicate
-    generators, each inside one block, in random order."""
+    a well-conditioned spanning set of each (its basis mixed by a random
+    orthogonal or unitary matrix), then dependent, scaled and
+    near-duplicate generators, each inside one block, in random order."""
     n = sum(blocks)
     shape = (n, n)
     u = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if complex_field else 0)
     u = np.linalg.qr(u)[0]
     starts = np.cumsum((0,) + blocks)
 
-    def draw(b, k=1):
+    def draw(b, k=1, orthogonal=False):
         cols = u[:, starts[b]:starts[b + 1]]
         c = rng.standard_normal((cols.shape[1], k))
         if complex_field:
             c = c + 1j * rng.standard_normal(c.shape)
+        if orthogonal:
+            c = np.linalg.qr(c)[0]
         return [(b, x) for x in (cols @ c).T]
 
-    gens = [g for b, size in enumerate(blocks) for g in draw(b, size)]
+    gens = [g for b, size in enumerate(blocks) for g in draw(b, size, orthogonal=True)]
     for _ in range(extra):
         kind = rng.integers(4)
         b, x = gens[rng.integers(len(gens))]
@@ -510,6 +513,20 @@ def test_one_sweep_partition_matches_two_sweep_loop(seed, blocks, extra, complex
     assert got == want
     assert sorted(h.dim for h in parts) == sorted(
         symlin.subspace_of_vectors(cone.generators[idx]).shape[1] for idx in want)
+
+
+def test_partition_rejects_a_nearly_degenerate_spanning_set():
+    # the spanning set that a Gaussian mixing matrix gave for seed 782 and
+    # blocks (2, 3, 1): its interior element has lambda_min 6.3e-11, so the
+    # cone is degenerate to the partition
+    rng = np.random.default_rng(782)
+    u = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+    gens = [x for lo, hi in ((0, 2), (2, 5), (5, 6))
+            for x in (u[:, lo:hi] @ rng.standard_normal((hi - lo, hi - lo))).T]
+    gens = [gens[i] for i in rng.permutation(len(gens))]
+    cone = rc.make_cone(6, [symlin.outer(g) for g in gens], gens, check=False)
+    with pytest.raises(rc.InvalidInputError, match="degenerate"):
+        cone_model.simplicity_partition(cone)
 
 
 # ---------------------------------------------------------------------------
