@@ -98,42 +98,20 @@ def codim1_cone(q: np.ndarray) -> SpectrahedralCone:
     """PSD matrices orthogonal to one indefinite quadratic form.
 
     The rank-1 elements are exactly the outer products of the null cone
-    {x : x^T Q x = 0}; the certificate samples it by combining positive
-    and negative eigendirections of Q (with kernel directions mixed in)
-    until the products span the full orthogonal complement of Q.
+    {x : x^T Q x = 0}.  The certificate is the closed form
+    ``symlin.isotropic_vectors(Q)``, whose products span the orthogonal
+    complement of an indefinite Q; for a nondegenerate Q it holds exactly
+    n (n + 1) / 2 - 1 generators, a basis of that complement.
     """
     q = symlin.sym_matrix(q)
     n = q.shape[0]
-    u_dirs, v_dirs, ker = symlin.inertia_split(q)
+    u_dirs, v_dirs, _ = symlin.inertia_split(q)
     if u_dirs.shape[1] == 0 or v_dirs.shape[1] == 0:
         raise InvalidInputError("form must be indefinite")
-    gens = []
-    for a in range(u_dirs.shape[1]):
-        for b in range(v_dirs.shape[1]):
-            gens.append(u_dirs[:, a] + v_dirs[:, b])
-            gens.append(u_dirs[:, a] - v_dirs[:, b])
-    for c in range(ker.shape[1]):
-        gens.append(ker[:, c])
-        gens.append(u_dirs[:, 0] + v_dirs[:, 0] + ker[:, c])
     target = n * (n + 1) // 2 - 1
-    rng = np.random.default_rng(20240314)
-    guard = 0
-    while len(gens) < 4 * target:
-        s = rng.standard_normal(u_dirs.shape[1])
-        r = rng.standard_normal(v_dirs.shape[1])
-        x = u_dirs @ (s / np.linalg.norm(s)) + v_dirs @ (r / np.linalg.norm(r))
-        if ker.shape[1]:
-            x = x + ker @ rng.standard_normal(ker.shape[1]) * 0.5
-        gens.append(x)
-        guard += 1
-        prods = [symlin.outer(g) for g in gens]
-        if symlin.span_dim(prods) == target:
-            break
-        if guard > 40 * target:
-            raise InvalidInputError("could not certify the codimension-1 cone")
     q_hat = q / np.linalg.norm(q)
     span = [s - np.tensordot(s, q_hat) * q_hat for s in symlin.sym_basis(n)]
-    cone = make_cone(n, span, gens,
+    cone = make_cone(n, span, symlin.isotropic_vectors(q, DEFAULT_TOL).T,
                      expr=ConeExpr("codim1", {"Q": q}),
                      check=False)
     assert cone.dim == target

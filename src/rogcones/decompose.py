@@ -35,9 +35,11 @@ of X; the peel makes it at the scale of the iterate it peels.
 What the engines know about each cone kind (its route, its rank-1 rule
 and its sampler) is one :class:`Family` record in ``_FAMILIES`` at the
 end of this module.  The rank-1 rule lists vectors x in a subspace H
-with x x^T in the span: the peeling loop takes its extreme rays from
-it, and :func:`face_of` the certificates of faces, since every face of
-a rank-one-generated cone is again generated by its rank-1 elements.
+with x x^T in the span, as a function of H alone: the peeling loop
+takes its extreme rays from it, and :func:`face_of` the certificates of
+faces, since every face of a rank-one-generated cone is again generated
+by its rank-1 elements.  The kinds routed directly by elimination or
+recursion (the chordal and composite kinds) have no rule.
 """
 
 from __future__ import annotations
@@ -126,9 +128,11 @@ def carath_decompose(cone: SpectrahedralCone, x_mat: np.ndarray,
     ``ternary_quartic`` and ``moment`` (whose rules raise
     OracleUnavailableError), and the Hankel members whose node solve
     degenerates; called directly, it peels any kind with a rank-1 rule,
-    which makes it the reference the direct routes are tested against.
-    Each round finds a rank-1 element E = x x^T of the cone inside the
-    face of the current iterate and removes mu* E with the largest mu*
+    which makes it the reference the direct routes are tested against,
+    and raises OracleUnavailableError naming a kind without one (the
+    chordal and composite kinds among them).  Each round finds a rank-1
+    element E = x x^T of the cone inside the face of the current iterate,
+    from the rule's rays of that face, and removes mu* E with the largest mu*
     keeping the iterate PSD (mu* = 1 / x^T X^+ x); the rank then drops by
     exactly one.  A step that fails to drop the rank is retried with the
     next ray of the kind's rule, up to eight rays a round; a round whose
@@ -144,8 +148,7 @@ def carath_decompose(cone: SpectrahedralCone, x_mat: np.ndarray,
         pinv = dec.pinv(tol)
         accepted = False
         for attempt in range(8):
-            x = extreme_ray_oracle(cone, h, x_current=current, attempt=attempt,
-                                   tol=tol)
+            x = extreme_ray_oracle(cone, h, attempt=attempt, tol=tol)
             if x is None:
                 break
             x = x / np.linalg.norm(x)
@@ -324,26 +327,24 @@ def _decompose_chordal(cone, x_mat, tol):
 # rank-1 rules: the extreme-ray oracle and face certificates
 
 
-def extreme_ray_oracle(cone: SpectrahedralCone, h: np.ndarray,
-                       x_current: np.ndarray | None = None, attempt: int = 0,
+def extreme_ray_oracle(cone: SpectrahedralCone, h: np.ndarray, attempt: int = 0,
                        tol: float = DEFAULT_TOL) -> np.ndarray | None:
     """The ``attempt``-th candidate x in col(h) with x x^T in the cone's
     span, or None when there are no more.
 
     ``h`` is an orthonormal column basis of the face image.  The
     candidates are those of :func:`rays_spanning_face`, in the same
-    order, except for the kinds whose one ray is read off the current
-    iterate: the chordal kinds take a pivot column of ``x_current`` and
-    the composite kinds (``full_ext``, ``intertwine``) the atoms of its
-    compositional decomposition.  Without ``x_current`` these have no
-    candidate and the oracle returns None.  OracleUnavailableError: the
-    kind, or a summand or wrapped cone reached first, has no rule.
+    order: a function of the face alone.  OracleUnavailableError: the
+    kind, or a summand or wrapped cone reached first, has no rule, as
+    for the kinds that :func:`decompose` routes directly without one
+    (the chordal kinds, ``full_ext``, ``intertwine``, ``block_toeplitz``)
+    and for ``ternary_quartic`` and ``moment``.
     """
     if cone.expr is None:
         raise OracleUnavailableError("cone carries no construction expression")
     if h.shape[1] == 0:
         raise InvalidInputError("face is zero")
-    for i, x in enumerate(_rays(cone, h, x_current, tol)):
+    for i, x in enumerate(_rays(cone, h, tol)):
         if isinstance(x, OracleUnavailableError):
             raise x
         if i == attempt:
@@ -355,24 +356,24 @@ def rays_spanning_face(cone: SpectrahedralCone, h: np.ndarray) -> list[np.ndarra
     """Every candidate x in col(h) with x x^T in the cone's span, by the
     rule of the cone's kind (none for kinds, summands or wrapped cones
     without one)."""
-    return [x for x in _rays(cone, h, None, DEFAULT_TOL)
+    return [x for x in _rays(cone, h, DEFAULT_TOL)
             if not isinstance(x, OracleUnavailableError)]
 
 
-def _rays(cone, h, x_current, tol):
+def _rays(cone, h, tol):
     """The candidates of the cone's rule.  A cone without one yields the
     error that says so: the oracle raises it, the face listing skips it."""
     rays = _rule(cone, "rays")
     if rays is not None:
-        return rays(cone, h, x_current, tol)
+        return rays(cone, h, tol)
     kind = None if cone.expr is None else cone.expr.kind
     return iter((OracleUnavailableError(f"no extreme-ray rule for cone kind {kind!r}"),))
 
 
-def _child_rays(child, h, x_current, tol, lift):
+def _child_rays(child, h, tol, lift):
     """A summand's or wrapped cone's candidates, mapped into the parent's
     coordinates by ``lift``; the error of a child without a rule passes."""
-    for x in _rays(child, h, x_current, tol):
+    for x in _rays(child, h, tol):
         yield x if isinstance(x, OracleUnavailableError) else lift(x)
 
 
@@ -382,9 +383,13 @@ def face_of(cone: SpectrahedralCone, handle: FaceHandle) -> SpectrahedralCone:
     When the kept generators do not span the face, the candidates of
     :func:`rays_spanning_face` top up the certificate.  On the ranges of
     members it comes out complete for the kinds ``full_psd``,
-    ``diagonal``, ``codim1`` and ``cross_ratio`` and for congruence
-    transforms of them; on ``hankel``, the chordal kinds and the
-    composite kinds it can fall short of the face.
+    ``diagonal`` and ``cross_ratio`` and for congruence transforms of
+    them, and for ``codim1`` by construction: the face of a member's
+    range H is the section of PSD(H) by the form of Q on H, which is
+    indefinite or zero, and its isotropic vectors span that section
+    (``symlin.isotropic_vectors``).  On ``hankel``, and on the kinds
+    without a rule (the chordal and composite kinds), it can fall short
+    of the face.
     """
     h = np.asarray(handle.image_basis, dtype=cone.span_basis.dtype)
     basis = face_span(cone, h)
@@ -419,50 +424,33 @@ def diagonalizing_basis(cone: SpectrahedralCone, x_mat: np.ndarray) -> np.ndarra
     return basis
 
 
-def _full_psd_rays(cone, h, x_current, tol):
+def _full_psd_rays(cone, h, tol):
     """The columns of h, then their pairwise sums."""
     k = h.shape[1]
     yield from h.T
     yield from (h[:, i] + h[:, j] for i in range(k) for j in range(i + 1, k))
 
 
-def _diagonal_rays(cone, h, x_current, tol):
+def _diagonal_rays(cone, h, tol):
     p = h @ h.conj().T
     eye = np.eye(cone.n)
     return [eye[i] for i in range(cone.n) if abs(p[i, i] - 1.0) <= 1e2 * tol]
 
 
-def _hankel_rays(cone, h, x_current, tol):
+def _hankel_rays(cone, h, tol):
     finite, inf_dirs = _hankel_candidates(h, *_block_size(cone))
     p = h @ h.T
     return [v for v in [v for _, v in finite] + inf_dirs
             if np.linalg.norm(v - p @ v) <= 1e-6 * np.linalg.norm(v)]
 
 
-def _codim1_rays(cone, h, x_current, tol):
-    """With u_a, v_b the directions where the form of Q on col(h) is +1
-    and -1: each u_a + v_b and u_a - v_b, then the kernel of the form,
-    then seeded random null vectors of it."""
-    u_dirs, v_dirs, ker = symlin.inertia_split(
-        symlin.sym(h.T @ cone.expr.params["Q"] @ h), tol)
-    for a in range(u_dirs.shape[1]):
-        for b in range(v_dirs.shape[1]):
-            yield h @ (u_dirs[:, a] + v_dirs[:, b])
-            yield h @ (u_dirs[:, a] - v_dirs[:, b])
-    yield from (h @ ker[:, i] for i in range(ker.shape[1]))
-    if not (u_dirs.shape[1] and v_dirs.shape[1]):
-        return
-    rng = np.random.default_rng(777)
-    for _ in range(4 * h.shape[1] * h.shape[1]):
-        s = rng.standard_normal(u_dirs.shape[1])
-        r = rng.standard_normal(v_dirs.shape[1])
-        x = u_dirs @ (s / np.linalg.norm(s)) + v_dirs @ (r / np.linalg.norm(r))
-        if ker.shape[1]:
-            x = x + ker @ rng.standard_normal(ker.shape[1]) * 0.5
-        yield h @ x
+def _codim1_rays(cone, h, tol):
+    """h times the isotropic vectors of the form h^T Q h of Q on col(h)
+    (``symlin.isotropic_vectors``): their products span the face."""
+    return (h @ symlin.isotropic_vectors(symlin.sym(h.T @ cone.expr.params["Q"] @ h), tol)).T
 
 
-def _cross_ratio_rays(cone, h, x_current, tol):
+def _cross_ratio_rays(cone, h, tol):
     """Per plane of the cone: its basis vectors and their sum when col(h)
     holds the whole plane, else a vector where the two meet."""
     p = h @ h.T
@@ -486,40 +474,14 @@ def _subspace_intersection_vector(h, plane):
     return v / np.linalg.norm(v)
 
 
-def _direct_sum_rays(cone, h, x_current, tol):
+def _direct_sum_rays(cone, h, tol):
     """Each summand's rays on the part of col(h) inside its block."""
     n1, n = cone.expr.params["sizes"][0], cone.n
     for lo, hi, child, other in ((0, n1, cone.expr.children[0], slice(n1, n)),
                                  (n1, n, cone.expr.children[1], slice(0, n1))):
         sub = symlin.subspace_of_vectors((h @ symlin.nullspace(h[other, :]))[lo:hi].T)
         if sub.shape[1]:
-            x_child = None if x_current is None else x_current[lo:hi, lo:hi]
-            yield from _child_rays(child, sub, x_child, tol, partial(_place, n, lo))
-
-
-def _chordal_rays(cone, h, x_current, tol):
-    """The iterate's column at the last vertex in MCS order whose column is
-    nonzero, zeroed outside that vertex's clique.  Earlier peels cleared the
-    columns of the later vertices, so the column already lies on the clique
-    and peeling it is one step of zero-fill elimination.  :func:`decompose`
-    eliminates with :func:`_decompose_chordal` and never peels these kinds;
-    the rule serves the oracle, and through it :func:`carath_decompose`
-    called directly and the composite kinds' peels."""
-    if x_current is None:
-        return
-    cut = symlin.cut(x_current, tol)
-    aux = cone.expr.aux
-    for v, clique in zip(reversed(aux["order"]), reversed(aux["cliques"])):
-        if np.linalg.norm(x_current[:, v]) > cut:
-            x = np.zeros(cone.n)
-            x[clique] = x_current[clique, v]
-            yield x
-            return
-
-
-def _composite_rays(cone, h, x_current, tol):
-    if x_current is not None:
-        yield from (a.vector for a in decompose(cone, x_current, tol).atoms)
+            yield from _child_rays(child, sub, tol, partial(_place, n, lo))
 
 
 # ---------------------------------------------------------------------------
@@ -542,21 +504,39 @@ def decompose_full_extension(cone: SpectrahedralCone, x_mat: np.ndarray,
                              tol: float = DEFAULT_TOL) -> Decomposition:
     """Decompose along a full extension: child block, coupled strip, tail.
 
-    The leading block is decomposed by the child cone; the off-diagonal
-    strip is matched by a least-squares lift of the child atoms; what the
-    lift leaves in the trailing block is the PSD Schur complement, whose
-    eigenvectors above the cut of X are the tail atoms.  For a member the
-    strip lies in the range of the head, so the lift matches it; a
-    non-member raises InvalidInputError at the gate.
+    The head is decided at the scale of F_1, the head rows of the factor
+    X = F F^T over the eigenpairs above tol lambda_max(X), not at the scale
+    of the head block F_1 F_1^T, which squares it.  F_1 = X_1 V L^-1/2 is
+    read off the head rows X_1 of the gate's projection, so it keeps their
+    relative accuracy on a small head.  The head is zero when F_1 F_1^T is
+    within ten roundings of X (|F_1|^2 <= 10 eps |X|); otherwise the child
+    decomposes F_1 F_1^T / |F_1|^2, at its own scale, and its atoms are
+    scaled back by |F_1|.  The off-diagonal strip is matched by a
+    least-squares lift of the child atoms; what the lift leaves in the
+    trailing block is the PSD Schur complement, whose eigenvectors above
+    the cut of X are the tail atoms.  For a member the strip lies in the
+    range of the head, so the lift matches it; a non-member raises
+    InvalidInputError at the gate, and a head block that the child's gate
+    rejects raises NumericalError.
     """
     if cone.expr is None or cone.expr.kind != "full_ext":
         raise InvalidInputError("cone was not built by full_extension")
     x_mat, current, dec = _span_member(cone, x_mat, tol)
     child = cone.expr.children[0]
     n1 = child.n
-    child_dec = decompose(child, current[:n1, :n1], tol)
-    v_cols = np.array([a.vector * np.sqrt(a.weight)
-                       for a in child_dec.atoms]).reshape(-1, n1).T
+    keep = dec.values > tol * max(float(dec.values[0]), 0.0)
+    head = current[:n1] @ (dec.vectors[:, keep] / np.sqrt(dec.values[keep]))
+    scale = float(np.linalg.norm(head))
+    v_cols = np.zeros((n1, 0))
+    if scale * scale > 10 * np.finfo(float).eps * np.linalg.norm(current):
+        try:
+            child_dec = decompose(child, head @ head.T / (scale * scale), tol)
+        except OracleUnavailableError:
+            raise
+        except InvalidInputError as exc:
+            raise NumericalError(f"head block landed outside the child cone: {exc}") from exc
+        v_cols = scale * np.array([a.vector * np.sqrt(a.weight)
+                                   for a in child_dec.atoms]).reshape(-1, n1).T
     w_cols = (np.linalg.pinv(v_cols) @ current[:n1, n1:]).T
     tail = _factor(symlin.eig_sym(current[n1:, n1:] - w_cols @ w_cols.T),
                    symlin.cut(dec.values, tol))
@@ -888,11 +868,9 @@ def _decompose_wrapped(coords, cone, x_mat, tol):
                              [back @ a.vector for a in inner.atoms], x_mat)
 
 
-def _wrapped_rays(coords, cone, h, x_current, tol):
+def _wrapped_rays(coords, cone, h, tol):
     fwd, back = coords(cone)
-    x_child = None if x_current is None else _into(fwd, x_current)
-    yield from _child_rays(cone.expr.children[0], _face_into(fwd, h), x_child, tol,
-                           back.__matmul__)
+    yield from _child_rays(cone.expr.children[0], _face_into(fwd, h), tol, back.__matmul__)
 
 
 def _wrapped_sample(coords, cone, rng):
@@ -908,11 +886,13 @@ class Family:
     """What the engines know about one cone kind.
 
     ``sample(cone, rng)`` draws a point of the rank-1 variety.
-    ``rays(cone, h, x_current, tol)`` is the kind's one rank-1 rule: it
-    yields candidate vectors x in col(h) with x x^T in the span, the best
-    one for a peel first; :func:`extreme_ray_oracle` takes the candidate
-    of its attempt and :func:`rays_spanning_face` lists them all
-    (``x_current=None``).  ``route(cone, x_mat, tol)`` is a direct
+    ``rays(cone, h, tol)`` is the kind's one rank-1 rule, a function of
+    the face col(h) alone: it yields candidate vectors x in col(h) with
+    x x^T in the span, the best one for a peel first;
+    :func:`extreme_ray_oracle` takes the candidate of its attempt and
+    :func:`rays_spanning_face` lists them all.  The chordal and composite
+    kinds have none, so :func:`carath_decompose` called on them raises
+    OracleUnavailableError.  ``route(cone, x_mat, tol)`` is a direct
     decomposition: the closed form for ``cross_ratio``, zero-fill
     elimination for ``chordal``, ``tridiag`` and ``diagonal``, the node
     solve for ``hankel``, the spectral factorization for
@@ -940,7 +920,7 @@ def _wrapper(coords) -> Family:
                   route=partial(_decompose_wrapped, coords))
 
 
-_CHORDAL = Family(sample=_chordal_sample, rays=_chordal_rays, route=_decompose_chordal)
+_CHORDAL = Family(sample=_chordal_sample, route=_decompose_chordal)
 
 _FAMILIES = {
     "full_psd": Family(sample=lambda cone, rng: rng.standard_normal(cone.n),
@@ -963,10 +943,10 @@ _FAMILIES = {
     "direct_sum": Family(sample=_direct_sum_sample, rays=_direct_sum_rays,
                          route=_decompose_direct_sum),
     "full_ext": Family(
-        sample=_full_ext_sample, rays=_composite_rays,
+        sample=_full_ext_sample,
         route=lambda cone, x, tol: decompose_full_extension(cone, x, tol)),
     "intertwine": Family(
-        sample=_intertwine_sample, rays=_composite_rays,
+        sample=_intertwine_sample,
         route=lambda cone, x, tol: decompose_intertwining(cone, x, tol)),
     "transform": _wrapper(_congruence_coords),
     "reduce": _wrapper(_reduce_coords),

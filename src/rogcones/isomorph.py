@@ -269,7 +269,7 @@ def _reconstruct_core(xs: np.ndarray, ys: np.ndarray, basis_idx: list[int]):
     rank 1, e f^T; then S = Y_b diag(e) X_b^-1.
     """
     xb, yb = xs[:, basis_idx], ys[:, basis_idx]
-    if abs(np.linalg.det(yb)) < 1e-12:
+    if not symlin.invertible(yb):
         return "matched basis is singular"
     m_x = np.linalg.solve(xb, xs)
     m_y = np.linalg.solve(yb, ys)
@@ -434,12 +434,15 @@ def _visit_order(adj, deg):
 
 def _span_coords(basis, vecs):
     """Coordinates of the rows of vecs on the columns of basis, padded to
-    length n, their zero patterns, and whether each row lies in the span."""
+    length n, their zero patterns, and whether each row lies in the span:
+    every row does once the basis has n columns, however ill-conditioned
+    (a residual read against it would grow the basis past n)."""
     c = np.linalg.lstsq(basis, vecs.T)[0].T
     coef = np.zeros(vecs.shape)
     coef[:, :basis.shape[1]] = c
     pats = np.abs(coef) > np.array([symlin.cut(r, 1e-6) for r in coef])[:, None]
-    return coef, pats, np.linalg.norm(vecs - c @ basis.T, axis=1) <= _IN_SPAN
+    inside = np.linalg.norm(vecs - c @ basis.T, axis=1) <= _IN_SPAN
+    return coef, pats, inside | (basis.shape[1] == vecs.shape[1])
 
 
 def _search_matching(k1, k2, basis_idx):

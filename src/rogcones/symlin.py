@@ -156,6 +156,41 @@ def inertia_split(q: np.ndarray, tol: float = DEFAULT_TOL):
             dec.vectors[:, np.abs(dec.values) <= c])
 
 
+def isotropic_vectors(q: np.ndarray, tol: float) -> np.ndarray:
+    """Columns x with x^T q x = 0 whose products x x^T span the cone
+    {X >= 0 : <q, X> = 0}, in closed form from the directions u_a, v_b, k_c
+    of :func:`inertia_split`:
+
+    * u_a + v_b, and u_a - v_b where a = 0 or b = 0;
+    * u_a + u_c + sqrt(2) v_0 and v_a + v_c + sqrt(2) u_0 (a < c);
+    * k_c and k_c + k_d (c < d);
+    * k_c + u_a +- v_0 and k_c + u_0 +- v_b (b > 0).
+
+    In the frame (u, v, k), where q reads diag(I, -I, 0), the products
+    give the kernel block, every cross term (u_a v_b^T, u_a u_c^T,
+    v_a v_c^T, k_c u_a^T, k_c v_b^T) and every u_a u_a^T + v_b v_b^T.  So
+    an indefinite q gets the whole hyperplane q^perp, of dimension
+    n (n + 1) / 2 - 1, which is exactly the count when q is nondegenerate;
+    a semidefinite q gets the symmetric matrices on its kernel, where that
+    cone lives.
+    """
+    u, v, k = inertia_split(q, tol)
+    p, m, z = u.shape[1], v.shape[1], k.shape[1]
+    root2 = np.sqrt(2.0)
+    cols = [u[:, a] + v[:, b] for a in range(p) for b in range(m)]
+    cols += [u[:, a] - v[:, b] for a in range(p) for b in range(m) if a == 0 or b == 0]
+    if m:
+        cols += [u[:, a] + u[:, c] + root2 * v[:, 0] for a in range(p) for c in range(a + 1, p)]
+    if p:
+        cols += [v[:, a] + v[:, c] + root2 * u[:, 0] for a in range(m) for c in range(a + 1, m)]
+    for c in range(z):
+        cols += [k[:, c]] + [k[:, c] + k[:, d] for d in range(c + 1, z)]
+        if p and m:
+            cols += [k[:, c] + u[:, a] + s * v[:, 0] for a in range(p) for s in (1.0, -1.0)]
+            cols += [k[:, c] + u[:, 0] + s * v[:, b] for b in range(1, m) for s in (1.0, -1.0)]
+    return np.array(cols).reshape(len(cols), q.shape[0]).T
+
+
 def schur_split(m: np.ndarray, block_sizes: tuple[int, int, int]
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Split the middle block of a PSD 3x3-block matrix with zero corner.

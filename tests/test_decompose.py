@@ -61,6 +61,10 @@ def test_carath_codim1():
     assert np.allclose([a.weight for a in dec.atoms], [1.0, 1.0], atol=1e-8)
 
 
+# kinds that decompose routes by elimination or recursion, with no rank-1 rule
+_NO_RULE = {"tridiag4": "tridiag", "chordal6": "chordal", "full_ext_han3": "full_ext"}
+
+
 @pytest.mark.parametrize("name", sorted(family_registry()))
 def test_carath_families(name, rng):
     cone = family_registry()[name]
@@ -68,6 +72,10 @@ def test_carath_families(name, rng):
     for _ in range(10):
         r = int(rng.integers(1, deg + 1))
         x = rank_r_member(cone, rng, r)
+        if name in _NO_RULE:
+            with pytest.raises(OracleUnavailableError, match=f"'{_NO_RULE[name]}'"):
+                rc.carath_decompose(cone, x)
+            continue
         dec = rc.carath_decompose(cone, x)
         check_decomposition(cone, x, dec)
         for atom in dec.atoms:
@@ -127,6 +135,38 @@ def test_decompose_full_extension_is_scale_free(child, c):
         dec = rc.decompose(cone, c * x)
         assert len(dec.atoms) == rc.numeric_rank(x)
         assert dec.residual <= 1e-7 * np.linalg.norm(c * x)
+
+
+def test_full_extension_keeps_a_small_head():
+    # a rank-1 member whose vector lies almost on the two extension
+    # coordinates: its head block h h^T (9e-10) fell under the child's rank
+    # cut, and the strip h t^T (2.2e-5) was dropped with it
+    v = np.array([4.5540898631286087e-06, 9.0096838620823405e-06, 1.7824506263198529e-05,
+                  3.5263504069878859e-05, -1.9529583053639848e-01, -9.8074437898565425e-01])
+    x = 0.5422273939862787 * np.outer(v, v)
+    cone = rc.full_extension(rc.hankel_cone(4), 6)
+    dec = rc.decompose(cone, x)
+    check_decomposition(cone, x, dec)
+    assert dec.residual <= 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(child=st.sampled_from(["hankel4", "tridiag4", "diagonal5"]), rank=st.integers(1, 2),
+       log_norm=st.floats(-8.0, -2.0), seed=st.integers(0, 2**32 - 1))
+def test_full_extension_decomposes_members_with_a_small_child_part(child, rank, log_norm,
+                                                                   seed):
+    # the child part of each atom has a norm from 1e-8 to 1e-2 against a
+    # unit tail, so the head block is 1e-16 to 1e-4 of X
+    base = family_registry()[child]
+    cone = rc.full_extension(base, base.n + 2)
+    rng = np.random.default_rng(seed)
+    x = np.zeros((cone.n, cone.n))
+    for _ in range(rank):
+        tail = rng.standard_normal(2)
+        v = np.concatenate([10.0 ** log_norm * rc.random_extreme_ray(base, rng),
+                            tail / np.linalg.norm(tail)])
+        x += rng.uniform(0.5, 2.0) * np.outer(v, v)
+    check_decomposition(cone, x, rc.decompose(cone, x))
 
 
 @pytest.mark.parametrize("c", [1.0, 1e4, 1e8, 1e12])
@@ -432,20 +472,6 @@ def test_oracle_unavailable_for_ternary_quartic():
     k = rc.ternary_quartic_cone()
     with pytest.raises(OracleUnavailableError):
         rc.carath_decompose(k, sum(np.outer(g, g) for g in k.generators[:3]))
-
-
-def test_compositional_matches_carath(rng):
-    s2 = rc.full_psd_cone(2)
-    han = rc.hankel_cone(3)
-    cones = [rc.full_extension(han, 4),
-             rc.intertwine(han, s2, rc.rank1_glue(han, [1, 0, 0], s2, [1, 0]))]
-    for cone in cones:
-        for _ in range(10):
-            r = int(rng.integers(1, rc.degree(cone) + 1))
-            x = rank_r_member(cone, rng, r)
-            d1 = rc.decompose(cone, x)
-            d2 = rc.carath_decompose(cone, x)
-            assert len(d1.atoms) == len(d2.atoms) == r
 
 
 def _count_eigensolves(monkeypatch):

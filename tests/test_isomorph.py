@@ -475,3 +475,28 @@ def test_vertex_permuted_chordal_pairs_are_matched(n, seed):
     p = rng.permutation(n)
     permuted = rc.ChordalGraph(n, [(int(p[u]), int(p[v])) for u, v in graph.edges])
     _assert_verified_witness(rc.chordal_cone(graph), rc.chordal_cone(permuted))
+
+
+_HANKEL12 = rc.hankel_cone(12)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_ill_conditioned_congruent_hankel_copy_is_matched(seed):
+    # the moment generators of hankel_cone(12) are far from orthogonal: the
+    # matched basis has a determinant near 1e-12 at a condition number near
+    # 4e3, and a residual read against n matched columns used to grow the
+    # search's basis past n
+    moved = rc.apply_congruence(_HANKEL12, random_congruence(np.random.default_rng(seed), 12),
+                                keep_expr=False)
+    _assert_verified_witness(_HANKEL12, moved)
+
+
+def test_capped_search_on_an_ill_conditioned_copy_is_inconclusive(monkeypatch):
+    rng = np.random.default_rng(3)
+    moved = rc.apply_congruence(_HANKEL12, random_congruence(rng, 12), keep_expr=False)
+    shuffled = moved.copy_with(
+        generators=moved.generators[rng.permutation(len(moved.generators))])
+    monkeypatch.setattr(isomorph, "_SEARCH_NODES", 10)
+    out = rc.cones_isomorphic(_HANKEL12, shuffled)
+    assert out.status == "inconclusive"
+    assert "cap of 10 nodes" in out.reason

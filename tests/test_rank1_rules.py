@@ -8,6 +8,7 @@ same order.
 
 import ast
 import importlib
+import inspect
 import pathlib
 
 import numpy as np
@@ -59,13 +60,61 @@ def test_first_codim1_candidate_is_a_plus_pair():
     assert np.array_equal(extreme_ray_oracle(cone, np.eye(3)), u[:, 0] + v[:, 0])
 
 
-def test_iterate_kinds_have_no_candidate_without_the_iterate():
-    for cone in (rc.tridiagonal_cone(4), rc.full_extension(rc.hankel_cone(3), 5)):
+def test_iterate_kinds_have_no_rule():
+    # the chordal and composite kinds are routed by elimination and
+    # recursion; a rule read off an iterate would re-run those routes
+    glued = rc.intertwine(rc.hankel_cone(3), rc.full_psd_cone(2),
+                          rc.rank1_glue(None, [1.0, 0.0, 0.0], None, [1.0, 0.0]))
+    for cone in (rc.tridiagonal_cone(4), rc.full_extension(rc.hankel_cone(3), 5), glued):
         h = np.eye(cone.n)
         assert rays_spanning_face(cone, h) == []
-        assert extreme_ray_oracle(cone, h) is None
-        x = rank_r_member(cone, np.random.default_rng(1), 2)
-        assert extreme_ray_oracle(cone, _range(x), x_current=x) is not None
+        with pytest.raises(rc.OracleUnavailableError, match=repr(cone.expr.kind)):
+            extreme_ray_oracle(cone, h)
+
+
+def test_rank1_rules_read_the_face_alone():
+    # a rule sees the cone, the face and the tolerance, nothing else, and
+    # neither the rules nor the certificates draw random vectors
+    families = importlib.import_module("rogcones.decompose")._FAMILIES
+    for kind, family in families.items():
+        if family.rays is not None:
+            assert list(inspect.signature(family.rays).parameters) == ["cone", "h", "tol"], kind
+    for name in ("constructions", "decompose"):
+        path = pathlib.Path(importlib.import_module(f"rogcones.{name}").__file__)
+        assert [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Attribute) and node.attr == "default_rng"] == [], name
+
+
+def _random_form(rng, n):
+    # an indefinite form with a kernel of dimension 0..n-2 in a random basis
+    d = rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 0.0, 1.0], n)
+    d[0], d[1] = rng.uniform(0.5, 2.0), -rng.uniform(0.5, 2.0)
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return symlin.sym(u @ np.diag(d) @ u.T), int(np.count_nonzero(d == 0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 7))
+def test_codim1_certificate_is_the_closed_form(seed, n):
+    # a nondegenerate form gets a basis of Q^perp: n (n + 1) / 2 - 1
+    # generators; the faces of the ranges of members are complete
+    rng = np.random.default_rng(seed)
+    q, kernel = _random_form(rng, n)
+    cone = rc.codim1_cone(q)
+    assert rc.certificate_complete(cone)
+    if kernel == 0:
+        assert len(cone.generators) == n * (n + 1) // 2 - 1
+    moved = rc.apply_congruence(cone, random_congruence(rng, n))
+    for k in (cone, moved):
+        h = _range(rank_r_member(k, rng, int(rng.integers(1, n + 1))))
+        assert rc.certificate_complete(rc.face_of(k, rc.FaceHandle(h)))
+
+
+def test_codim1_cone_is_the_same_on_every_call():
+    q = np.array([[0.0, 1.0, 0.5], [1.0, -1.0, 0.0], [0.5, 0.0, 2.0]])
+    first, again = rc.codim1_cone(q), rc.codim1_cone(q)
+    assert np.array_equal(first.generators, again.generators)
+    assert np.array_equal(first.span_basis, again.span_basis)
 
 
 def test_summand_without_a_rule_is_named_by_the_peel_and_skipped_by_the_face():

@@ -369,3 +369,29 @@ def test_orthonormal_span_still_symmetrizes_other_rows(mats):
     assert np.array_equal(basis, symlin.sym(basis))
     unit = mats / np.linalg.norm(mats, axis=(1, 2))[:, None, None]
     assert np.abs(basis - symlin.sym(unit)).max() <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# isotropic vectors of a form, in closed form
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8),
+       signs=st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=8, max_size=8))
+def test_isotropic_vectors_span_the_section_of_any_form(seed, n, signs):
+    # q = U diag(d) U^T in a random orthonormal basis; d has exact zeros, so
+    # kernels, semidefinite and zero forms all occur
+    rng = np.random.default_rng(seed)
+    d = np.array(signs[:n]) * rng.uniform(0.5, 2.0, n)
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    q = symlin.sym(u @ np.diag(d) @ u.T)
+    x = symlin.isotropic_vectors(q, symlin.DEFAULT_TOL)
+    assert x.shape[0] == n
+    values = np.einsum("ik,ij,jk->k", x, q, x)
+    assert (np.abs(values) <= 1e-12 * np.linalg.norm(q) * (x * x).sum(axis=0)).all()
+    p, m, z = (d > 0).sum(), (d < 0).sum(), (d == 0).sum()
+    indefinite = p > 0 and m > 0
+    dim = symlin.span_dim(np.einsum("ik,jk->kij", x, x)) if x.shape[1] else 0
+    assert dim == (n * (n + 1) // 2 - 1 if indefinite else z * (z + 1) // 2)
+    if indefinite and z == 0:
+        assert x.shape[1] == n * (n + 1) // 2 - 1
