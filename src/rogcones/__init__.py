@@ -23,14 +23,14 @@ from .constructions import (ChordalGraph, GlueSpec, block_toeplitz_cone,
 from .decompose import (Decomposition, RankOneAtom, carath_decompose,
                         decompose, decompose_block_toeplitz,
                         decompose_full_extension, decompose_hankel,
-                        decompose_intertwining, diagonalizing_basis,
-                        extreme_ray_oracle, face_of, random_extreme_ray)
+                        decompose_intertwining, extreme_ray_oracle,
+                        face_of, random_extreme_ray)
 from .errors import (InvalidInputError, MissingCertificateError,
                      NumericalError, OracleUnavailableError)
 from .isomorph import (IsoOutcome, IsoWitness, PartialMatrix,
                        Rank1Completion, cones_isomorphic, cross_ratio,
                        rank1_complete, rank1_complete_signs,
-                       reconstruct_isomorphism, same_s4_orbit)
+                       same_s4_orbit)
 from .pencil_struct import (ClassLabel, Codim2Structure, Pencil,
                             PencilBlock, PencilDecomposition, biquartic_p,
                             classify_small, codim2_structure,
@@ -38,6 +38,6 @@ from .pencil_struct import (ClassLabel, Codim2Structure, Pencil,
 from .qcqp_relax import (ExactnessCertificate, QcqpProblem, SdpSolution,
                          certify_exactness, induced_cone, solve_relaxation)
 from .symlin import (EigDecomp, eig_sym, numeric_rank, pseudo_inverse,
-                     psd_check, schur_split, sym_matrix)
+                     psd_check, sym_matrix)
 
 __version__ = "0.1.0"

@@ -5,9 +5,9 @@ pencil.  All inputs and outputs are JSON; ``-`` reads stdin / writes
 stdout.  Reports are compact, one-line JSON (``python -m json.tool``
 pretty-prints them).  Exit codes: 0 success, 1 domain errors (infeasible
 completion, non-chordal graph, ...), 2 I/O or parse errors.  ``--seed``
-feeds the randomized routines of ``qcqp`` (the gap sampler) and
-``pencil``, so identical inputs give byte-identical reports; the other
-subcommands are deterministic and ignore it.  The import path of ``rog`` loads numpy and nothing heavier;
+feeds only the gap sampler of ``qcqp``, so identical inputs give
+byte-identical reports; the other subcommands are deterministic and
+ignore it.  The import path of ``rog`` loads numpy and nothing heavier;
 ``scipy.linalg`` loads on first use, by the block-Toeplitz decomposition
 and by ``pencil``.
 """
@@ -139,7 +139,7 @@ def _cmd_pencil(args) -> int:
     data = _read_json(args.pencil)
     pencil = pencil_struct.Pencil(from_json_array(data["Q1"], 2),
                                   from_json_array(data["Q2"], 2))
-    dec = pencil_struct.pencil_decompose(pencil, seed=args.seed)
+    dec = pencil_struct.pencil_decompose(pencil)
     report = {
         "kernel": to_json_array(dec.kernel.image_basis),
         "blocks": [
@@ -153,6 +153,24 @@ def _cmd_pencil(args) -> int:
     return 0
 
 
+def _tolerance(text: str) -> float:
+    """The ``--tol`` value: a finite float > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not (np.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
+
+
+def _sample_count(text: str) -> int:
+    """The ``--gap-samples`` value: an integer >= 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 @functools.cache
 def make_parser() -> argparse.ArgumentParser:
     """The ``rog`` argument parser, built once per process and shared by
@@ -162,10 +180,10 @@ def make_parser() -> argparse.ArgumentParser:
         description="Build, analyze and decompose rank-one-generated "
                     "spectrahedral cones.")
     parser.add_argument("--seed", type=int, default=0,
-                        help="seed of the randomized routines of qcqp and pencil "
-                             "(default 0)")
-    parser.add_argument("--tol", type=float, default=1e-8,
-                        help="relative numeric tolerance (default 1e-8)")
+                        help="seed of the gap sampler of qcqp (default 0)")
+    parser.add_argument("--tol", type=_tolerance, default=1e-8,
+                        help="relative numeric tolerance, finite and > 0 "
+                             "(default 1e-8)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="build a cone from an expression")
@@ -202,7 +220,9 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("qcqp", help="solve a relaxation and certify exactness")
     p.add_argument("problem", help="problem JSON path")
-    p.add_argument("--gap-samples", type=int, default=100_000)
+    p.add_argument("--gap-samples", type=_sample_count, default=100_000,
+                   help="rank-1 feasible samples drawn when the optimum is "
+                        "not rank 1, >= 0 (default 100000)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_qcqp)
 

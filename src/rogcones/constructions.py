@@ -18,7 +18,7 @@ from .cone_model import (ConeExpr, SpectrahedralCone, apply_congruence,
                          certificate_complete, make_cone,
                          reduce_nondegenerate)
 from .errors import InvalidInputError
-from .symlin import DEFAULT_TOL, from_json_array
+from .symlin import DEFAULT_TOL, from_json_array, from_json_int
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +353,6 @@ def rank1_glue(k1: SpectrahedralCone, x1, k2: SpectrahedralCone, x2) -> GlueSpec
 
 def _validate_full_face(cone: SpectrahedralCone, iota: np.ndarray,
                         tol: float) -> np.ndarray:
-    iota = np.asarray(iota, dtype=float)
-    if iota.ndim != 2 or iota.shape[0] != cone.n:
-        raise InvalidInputError("glue injection has the wrong shape")
     h = symlin.subspace_of_vectors(iota.T)
     if h.shape[1] != iota.shape[1]:
         raise InvalidInputError("glue injection is not of full column rank")
@@ -376,10 +373,13 @@ def intertwine(k1: SpectrahedralCone, k2: SpectrahedralCone, glue: GlueSpec,
     k = glue.rank
     if k < 1:
         raise InvalidInputError("glue rank must be >= 1 (use direct_sum)")
-    if glue.iota1.shape[1] != k or glue.iota2.shape[1] != k:
-        raise InvalidInputError("glue rank does not match the injections")
     if k >= min(k1.n, k2.n) + 1:
         raise InvalidInputError("glue rank too large")
+    for name, iota, cone in (("iota1", glue.iota1, k1), ("iota2", glue.iota2, k2)):
+        if np.shape(iota) != (cone.n, k):
+            raise InvalidInputError(
+                f"glue injection {name} must be a {cone.n} x {k} matrix, "
+                f"got shape {np.shape(iota)}")
     _validate_full_face(k1, glue.iota1, tol)
     _validate_full_face(k2, glue.iota2, tol)
     n1, n2 = k1.n, k2.n
@@ -422,10 +422,17 @@ class ChordalGraph:
     edges: list[tuple[int, int]]
 
     def __post_init__(self):
-        self.edges = sorted({(min(i, j), max(i, j)) for i, j in self.edges})
-        for i, j in self.edges:
+        if not isinstance(self.edges, (list, tuple)):
+            raise InvalidInputError("edges must be a list of vertex pairs")
+        pairs = set()
+        for e in self.edges:
+            if not (isinstance(e, (list, tuple)) and len(e) == 2):
+                raise InvalidInputError(f"edge {e!r} is not a pair of vertices")
+            i, j = from_json_int(e[0], "edge vertex"), from_json_int(e[1], "edge vertex")
             if not (0 <= i < self.n and 0 <= j < self.n) or i == j:
                 raise InvalidInputError(f"bad edge ({i}, {j})")
+            pairs.add((min(i, j), max(i, j)))
+        self.edges = sorted(pairs)
         cycle = chordless_cycle(self.n, self.edges)
         if cycle is not None:
             raise InvalidInputError(
@@ -576,22 +583,21 @@ def tridiagonal_cone(n: int) -> SpectrahedralCone:
 # The builders look the constructors up by name when called, so patching a
 # module attribute (as the benchmark tracer does) reaches these calls too.
 _BUILDERS = {
-    "full_psd": (None, lambda p, c: full_psd_cone(int(p["n"]))),
-    "diagonal": (None, lambda p, c: diagonal_cone(int(p["n"]))),
-    "hankel": (None, lambda p, c: hankel_cone(int(p["n"]), int(p.get("m", 1)))),
-    "tridiag": (None, lambda p, c: tridiagonal_cone(int(p["n"]))),
-    "chordal": (None, lambda p, c: chordal_cone(
-        ChordalGraph(int(p["n"]), [tuple(e) for e in p["edges"]]))),
+    "full_psd": (None, lambda p, c: full_psd_cone(p.integer("n"))),
+    "diagonal": (None, lambda p, c: diagonal_cone(p.integer("n"))),
+    "hankel": (None, lambda p, c: hankel_cone(p.integer("n"), p.integer("m", 1))),
+    "tridiag": (None, lambda p, c: tridiagonal_cone(p.integer("n"))),
+    "chordal": (None, lambda p, c: chordal_cone(ChordalGraph(p.integer("n"), p["edges"]))),
     "codim1": (None, lambda p, c: codim1_cone(from_json_array(p["Q"], 2))),
     "ternary_quartic": (None, lambda p, c: ternary_quartic_cone()),
     "cross_ratio": (None, lambda p, c: cross_ratio_cone(p["angles"])),
     "moment": (None, lambda p, c: _moment_from_params(p)),
-    "block_toeplitz": (None, lambda p, c: block_toeplitz_cone(int(p["n"]),
-                                                              int(p.get("m", 1)))),
+    "block_toeplitz": (None, lambda p, c: block_toeplitz_cone(p.integer("n"),
+                                                              p.integer("m", 1))),
     "direct_sum": (2, lambda p, c: direct_sum(c[0], c[1])),
-    "full_ext": (1, lambda p, c: full_extension(c[0], int(p["n"]))),
+    "full_ext": (1, lambda p, c: full_extension(c[0], p.integer("n"))),
     "intertwine": (2, lambda p, c: intertwine(
-        c[0], c[1], GlueSpec(int(p["rank"]), from_json_array(p["iota1"], 2),
+        c[0], c[1], GlueSpec(p.integer("rank"), from_json_array(p["iota1"], 2),
                              from_json_array(p["iota2"], 2)))),
     "transform": (1, lambda p, c: apply_congruence(c[0], from_json_array(p["matrix"], 2))),
     "reduce": (1, lambda p, c: reduce_nondegenerate(c[0])[0]),
@@ -607,8 +613,9 @@ def _moment_from_params(params: dict) -> SpectrahedralCone:
 
 
 class _Params(dict):
-    """An expression's parameters; reading a missing one raises
-    InvalidInputError naming the kind and the parameter."""
+    """An expression's parameters; reading a missing one, or an integer
+    one that is not an integer, raises InvalidInputError naming the kind
+    and the parameter."""
 
     def __init__(self, kind: str, params: dict):
         super().__init__(params)
@@ -616,6 +623,12 @@ class _Params(dict):
 
     def __missing__(self, key):
         raise InvalidInputError(f"{self.kind} expression is missing parameter {key!r}")
+
+    def integer(self, key: str, default: int | None = None) -> int:
+        """The parameter ``key`` (``default`` when given and it is
+        absent), which must be an integer."""
+        value = self[key] if default is None else self.get(key, default)
+        return from_json_int(value, f"{self.kind} parameter {key!r}")
 
 
 def build(expr: dict) -> SpectrahedralCone:

@@ -406,24 +406,6 @@ def face_of(cone: SpectrahedralCone, handle: FaceHandle) -> SpectrahedralCone:
     return make_cone(cone.n, basis, gens, expr=None, check=False)
 
 
-def diagonalizing_basis(cone: SpectrahedralCone, x_mat: np.ndarray) -> np.ndarray:
-    """Basis of R^n or C^n (columns) in which X reads diag(1,..,1,0,..,0).
-
-    The leading k columns b_i carry rank-1 elements b_i b_i^T of K, so all
-    diag(d_1..d_k, 0..0) with d_i >= 0 stay inside the cone in these
-    coordinates.  Built from the rank-1 decomposition of X.
-    """
-    result = decompose(cone, x_mat)
-    cols = [atom.vector * np.sqrt(atom.weight) for atom in result.atoms]
-    if len(cols) < cone.n:
-        head = symlin.subspace_of_vectors(cols) if cols else np.zeros((cone.n, 0))
-        cols.extend(symlin.complement_basis(head, cone.n).T)
-    basis = np.array(cols).T
-    if not symlin.invertible(basis / np.linalg.norm(basis, axis=0)):
-        raise InvalidInputError("decomposition vectors do not extend to a basis")
-    return basis
-
-
 def _full_psd_rays(cone, h, tol):
     """The columns of h, then their pairwise sums."""
     k = h.shape[1]

@@ -4,15 +4,13 @@ Linearly isomorphic ROG cones are congruent, and the congruence can be
 recovered from matched generator lists: solved into the coordinates of a
 basis drawn from each list, the two coordinate matrices have a rank-1
 ratio matrix e f^T, and S = Y_b diag(e) X_b^-1 maps x_j to y_j / f_j.
-One private core does this for both entry points: ``reconstruct_isomorphism``
-(given matched lists) and ``cones_isomorphic`` (which finds the matching
-by a deterministic depth-first search over generator assignments, in the
-spirit of VF2, pruned by the graph of generator pairs spanning rank-2
-faces and by the coordinates of each generator on the independent ones
-matched before it).  Cones of codimension <= 1 need no matching:
-Sylvester's law of inertia gives their congruence in closed form.  The
-module also holds the completion solvers and the projective cross-ratio
-invariant of the gluing family.
+``cones_isomorphic`` finds the matching by a deterministic depth-first
+search over generator assignments, in the spirit of VF2, pruned by the
+graph of generator pairs spanning rank-2 faces and by the coordinates of
+each generator on the independent ones matched before it.  Cones of
+codimension <= 1 need no matching: Sylvester's law of inertia gives their
+congruence in closed form.  The module also holds the completion solvers
+and the projective cross-ratio invariant of the gluing family.
 """
 
 from __future__ import annotations
@@ -24,15 +22,11 @@ from typing import Optional
 import numpy as np
 
 from . import symlin
-# _signature lives in cone_model and stays importable from here
-from .cone_model import (SpectrahedralCone, _signature, codim1_form,  # noqa: F401
-                         codimension, inertia_normal_form, rank2_pairs,
-                         reduce_nondegenerate)
+from .cone_model import (SpectrahedralCone, codim1_form, codimension,
+                         inertia_normal_form, rank2_pairs, reduce_nondegenerate)
 from .errors import InvalidInputError
 
 _ENTRY_TOL = 1e-9
-# a witness must reproduce each matched generator to this relative error
-_WITNESS_TOL = 1e-7
 # a unit generator within this distance of a span of generators lies in it
 _IN_SPAN = 1e-8
 # the matching search visits at most this many partial assignments
@@ -217,9 +211,9 @@ class IsoWitness:
     """Invertible S with S L_1 S^T = L_2, the spans of the two cones.
 
     A witness read off a generator matching also has y_i = sigma_i S x_i
-    over the matched generators, one sign per generator.  A structural
-    witness (codimension <= 1, cross-ratio cones) matches no generators,
-    and its ``sigma`` is empty.
+    / |S x_i| over the matched unit generators, one sign per generator.
+    A structural witness (codimension <= 1, cross-ratio cones) matches no
+    generators, and its ``sigma`` is empty.
     """
 
     s_matrix: np.ndarray
@@ -232,10 +226,9 @@ class IsoOutcome:
     rests on an invariant (degree, dimension, codimension-1 signature,
     cross-ratio orbit); "inconclusive" means no witness was found and no
     invariant tells the cones apart, and its reason says whether the
-    matching search was exhausted, stopped at its cap or could not start.
-    "incompatible" is the verdict of ``reconstruct_isomorphism``."""
+    matching search was exhausted, stopped at its cap or could not start."""
 
-    status: str  # "isomorphic" | "not_isomorphic" | "incompatible" | "inconclusive"
+    status: str  # "isomorphic" | "not_isomorphic" | "inconclusive"
     witness: Optional[IsoWitness] = None
     reason: Optional[str] = None
 
@@ -258,65 +251,6 @@ def _greedy_basis(cols: np.ndarray) -> list[int]:
         chosen.append(best)
         basis = np.vstack([basis, r[best] / res[best]])
     return chosen
-
-
-def _reconstruct_core(xs: np.ndarray, ys: np.ndarray, basis_idx: list[int]):
-    """(S, f) with y_j = f_j S x_j over the matched columns, or a reason.
-
-    Both n x m column arrays are solved into the coordinates of their
-    basis columns ``basis_idx`` (independent in xs).  Matched columns need
-    equal zero patterns, and the ratio matrix of the coordinates must be
-    rank 1, e f^T; then S = Y_b diag(e) X_b^-1.
-    """
-    xb, yb = xs[:, basis_idx], ys[:, basis_idx]
-    if not symlin.invertible(yb):
-        return "matched basis is singular"
-    m_x = np.linalg.solve(xb, xs)
-    m_y = np.linalg.solve(yb, ys)
-    pattern = np.abs(m_x) > symlin.cut(m_x, 1e-6)
-    if np.any(np.abs(m_y[~pattern]) > symlin.cut(m_y, 1e-5)):
-        return "zero patterns differ"
-    ratios = np.where(pattern, m_y / np.where(pattern, m_x, 1.0), 0.0)
-    comp = rank1_complete(PartialMatrix.from_dense(ratios, pattern), tol=1e-6)
-    if not comp.feasible:
-        return f"ratio completion failed: {comp.violation}"
-    if np.any(np.abs(comp.e) < 1e-10):
-        return "singular coefficient matrix"
-    return yb @ np.diag(comp.e) @ np.linalg.inv(xb), comp.f
-
-
-def reconstruct_isomorphism(x_gens, y_gens) -> IsoOutcome:
-    """Recover S with y_i = +-S x_i from index-matched generator lists.
-
-    The first list must span and both must have the same length.  Both
-    are solved against a basis of the first, and the rank-1 completion
-    of their coordinate ratios gives S with y_i = f_i S x_i.  S is scaled
-    by the median |f_i|, and every generator must then satisfy
-    y_i = +-S x_i within ``_WITNESS_TOL``; this also enforces determinant
-    compatibility (|det| of matched n-column subsets agree up to one
-    common factor).
-    """
-    xs = np.array([np.asarray(v, dtype=float) for v in x_gens]).T
-    ys = np.array([np.asarray(v, dtype=float) for v in y_gens]).T
-    if xs.shape != ys.shape:
-        raise InvalidInputError("generator lists must have equal shape")
-    n, mm = xs.shape
-    if mm < n:
-        raise InvalidInputError("need at least n generators")
-    basis_idx = _greedy_basis(xs)
-    if len(basis_idx) < n:
-        raise InvalidInputError("first list does not span")
-    out = _reconstruct_core(xs, ys, basis_idx)
-    if isinstance(out, str):
-        return IsoOutcome("incompatible", reason=out)
-    s_mat, f = out
-    s_mat = s_mat * float(np.median(np.abs(f)))
-    sigma = np.where(f < 0, -1.0, 1.0)
-    err = np.linalg.norm(ys - sigma * (s_mat @ xs), axis=0)
-    bad = np.flatnonzero(err > _WITNESS_TOL * (1.0 + np.linalg.norm(ys, axis=0)))
-    if bad.size:
-        return IsoOutcome("incompatible", reason=f"generator {bad[0]} not reproduced")
-    return IsoOutcome("isomorphic", witness=IsoWitness(s_matrix=s_mat, sigma=sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -519,22 +453,38 @@ def _ratio_consistent(col_x, cols_y, pat, matched):
 
 
 def _try_matching(k1, k2, perm, basis_idx):
-    """Attempt a witness from the given generator assignment, or None."""
+    """A witness from the generator assignment x_i -> y_perm[i], or None.
+
+    Both generator lists are solved into the coordinates of their basis
+    generators ``basis_idx`` (independent in k1).  Matched generators need
+    equal zero patterns, and the ratio matrix of the coordinates must be
+    rank 1, e f^T; then S = Y_b diag(e) X_b^-1 has y_j = f_j S x_j.  S must
+    map each span onto the other and send every unit generator to its
+    match up to sign.
+    """
     xs = k1.generators.T
     ys = k2.generators[np.array(perm)].T
-    out = _reconstruct_core(xs, ys, basis_idx)
-    if isinstance(out, str):
+    xb, yb = xs[:, basis_idx], ys[:, basis_idx]
+    if not symlin.invertible(yb):
         return None
-    s_mat = out[0]
+    m_x = np.linalg.solve(xb, xs)
+    m_y = np.linalg.solve(yb, ys)
+    pattern = np.abs(m_x) > symlin.cut(m_x, 1e-6)
+    if np.any(np.abs(m_y[~pattern]) > symlin.cut(m_y, 1e-5)):
+        return None
+    ratios = np.where(pattern, m_y / np.where(pattern, m_x, 1.0), 0.0)
+    comp = rank1_complete(PartialMatrix.from_dense(ratios, pattern), tol=1e-6)
+    if not comp.feasible or np.any(np.abs(comp.e) < 1e-10):
+        return None
+    s_mat = yb @ np.diag(comp.e) @ np.linalg.inv(xb)
     if not _span_maps_onto(s_mat, k1.span_basis, k2.span_basis):
         return None
     if not _span_maps_onto(np.linalg.inv(s_mat), k2.span_basis, k1.span_basis):
         return None
-    # projective per-generator verification (certificate generators are unit)
     img = s_mat @ xs
     img = img / np.linalg.norm(img, axis=0)
     sigma = np.where(np.sum(img * ys, axis=0) < 0, -1.0, 1.0)
-    if np.any(np.linalg.norm(sigma * img - ys, axis=0) > 10 * _WITNESS_TOL):
+    if np.any(np.linalg.norm(sigma * img - ys, axis=0) > 1e-6):
         return None
     return IsoOutcome("isomorphic", witness=IsoWitness(s_matrix=s_mat, sigma=sigma))
 

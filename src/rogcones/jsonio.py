@@ -25,7 +25,7 @@ from .decompose import Decomposition
 from .errors import InvalidInputError
 from .isomorph import IsoWitness, PartialMatrix
 from .qcqp_relax import QcqpProblem
-from .symlin import from_json_array, to_json_array
+from .symlin import from_json_array, from_json_int, to_json_array
 
 
 # ---------------------------------------------------------------------------
@@ -58,13 +58,20 @@ def cone_to_json(cone: SpectrahedralCone) -> dict:
     return out
 
 
+def _object(data, what: str) -> dict:
+    """data, when it is a JSON object; InvalidInputError otherwise."""
+    if not isinstance(data, dict):
+        raise InvalidInputError(f"{what} must be a JSON object")
+    return data
+
+
 def cone_from_json(data: dict) -> SpectrahedralCone:
-    if "expr" in data and data["expr"] is not None:
+    n = from_json_int(_object(data, "a cone")["n"], "cone n")
+    if data.get("expr") is not None:
         cone = build_expr(data["expr"])
-        if cone.n != int(data["n"]):
+        if cone.n != n:
             raise InvalidInputError("expression size disagrees with the stored cone")
         return cone
-    n = int(data["n"])
     complex_field = bool(data.get("complex", False))
     rows = from_json_array(data.get("span_basis", []), 2)
     if len(rows) == 0:
@@ -76,6 +83,8 @@ def cone_from_json(data: dict) -> SpectrahedralCone:
     span[:, iu, ju] = rows
     span[:, ju, iu] = span[:, iu, ju].conj()  # second: the diagonal holds the conjugate
     gens = from_json_array(data.get("generators", []), 2)
+    if len(gens) and (gens.ndim != 2 or gens.shape[1] != n):
+        raise InvalidInputError(f"generators must be vectors of length {n}")
     # input from outside: make_cone checks each generator against the span
     return make_cone(n, span, gens, expr=None)
 
@@ -85,8 +94,11 @@ def build_expr(expr_json: dict) -> SpectrahedralCone:
         raise InvalidInputError("a cone expression must be a JSON object")
     if expr_json.get("kind") == "raw":
         return cone_from_json(expr_json["params"]["cone"])
+    children = expr_json.get("children", [])
+    if not isinstance(children, list):
+        raise InvalidInputError("expression children must be a list")
     node = dict(expr_json)
-    node["children"] = [build_expr(c) for c in expr_json.get("children", [])]
+    node["children"] = [build_expr(c) for c in children]
     return constructions.build(node)
 
 
@@ -108,16 +120,28 @@ def witness_to_json(w: IsoWitness) -> dict:
 
 
 def partial_from_json(data: dict) -> PartialMatrix:
-    n, m = data["shape"]
-    entries = {(int(e["i"]), int(e["j"])): float(e["v"])
-               for e in data.get("entries", [])}
-    return PartialMatrix(int(n), int(m), entries)
+    shape, items = _object(data, "a partial matrix")["shape"], data.get("entries", [])
+    if not (isinstance(shape, list) and len(shape) == 2):
+        raise InvalidInputError("shape must be a pair [rows, cols]")
+    if not isinstance(items, list):
+        raise InvalidInputError("entries must be a list")
+    entries = {}
+    for e in items:
+        v = _object(e, "an entry")["v"]
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise InvalidInputError(f"entry value must be a number, got {v!r}")
+        entries[from_json_int(e["i"], "entry i"), from_json_int(e["j"], "entry j")] = v
+    return PartialMatrix(from_json_int(shape[0], "shape"), from_json_int(shape[1], "shape"),
+                         entries)
 
 
 def qcqp_from_json(data: dict) -> QcqpProblem:
+    forms = _object(data, "a problem").get("A", [])
+    if not isinstance(forms, list):
+        raise InvalidInputError('"A" must be a list of matrices')
     return QcqpProblem(cost=from_json_array(data["S"], 2),
                        normalization=from_json_array(data["B"], 2),
-                       constraints=[from_json_array(a, 2) for a in data.get("A", [])])
+                       constraints=[from_json_array(a, 2) for a in forms])
 
 
 def matrix_argument(data) -> np.ndarray:

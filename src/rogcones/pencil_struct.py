@@ -77,13 +77,19 @@ def _angle_mod_pi(c: float, s: float) -> float:
     return phi
 
 
-def pencil_decompose(pencil: Pencil, seed: int = 7) -> PencilDecomposition:
+def pencil_decompose(pencil: Pencil) -> PencilDecomposition:
     """Joint block decomposition of a pencil with n real eigenvectors.
 
     Writes Q1 = sum_k cos(phi_k) Phi_k and Q2 = sum_k sin(phi_k) Phi_k
     over a direct-sum decomposition, after deflating the joint kernel.
-    Raises when the pencil is defective or has complex eigenstructure
-    (checked a posteriori through the reconstruction residual).
+    Off the kernel, det(cos t Q1 + sin t Q2) is a form of degree nc in
+    (cos t, sin t), so at most nc of the nc + 1 angles t = k pi / (nc + 1)
+    make it singular: the best-conditioned of those combinations, A, and
+    the orthogonal one, B = -sin t Q1 + cos t Q2, give the eigenvalues
+    tan(phi_k - t) of the pencil (B, A).  Raises when no combination is
+    invertible, or when the pencil is defective or has complex
+    eigenstructure (checked a posteriori through the reconstruction
+    residual).
     """
     q1, q2 = pencil.q1, pencil.q2
     n = q1.shape[0]
@@ -95,18 +101,15 @@ def pencil_decompose(pencil: Pencil, seed: int = 7) -> PencilDecomposition:
     nc = comp.shape[1]
     if nc == 0:
         return PencilDecomposition(kernel=FaceHandle(kernel), blocks=[])
-    rng = np.random.default_rng(seed)
-    a_mat = None
-    for _ in range(20):
-        theta = rng.uniform(0, np.pi)
-        cand = np.cos(theta) * q1c + np.sin(theta) * q2c
-        if symlin.numeric_rank(cand) == nc:
-            a_mat = cand
-            break
-    if a_mat is None:
+    thetas = np.pi * np.arange(nc + 1) / (nc + 1)
+    combos = np.cos(thetas)[:, None, None] * q1c + np.sin(thetas)[:, None, None] * q2c
+    sv = np.linalg.svd(combos, compute_uv=False)
+    best = int(np.argmax(sv[:, -1] / np.maximum(sv[:, 0], np.finfo(float).tiny)))
+    if sv[best, -1] <= symlin.cut(sv[best], DEFAULT_TOL):
         raise NumericalError("pencil has no invertible combination off its kernel")
-    phi2 = rng.uniform(0, np.pi)
-    b_mat = np.cos(phi2) * q1c + np.sin(phi2) * q2c
+    theta = thetas[best]
+    a_mat = combos[best]
+    b_mat = -np.sin(theta) * q1c + np.cos(theta) * q2c
     import scipy.linalg  # local: keeps scipy.linalg off the start-up path of `rog`
     vals = scipy.linalg.eigvals(b_mat, a_mat)
     if np.abs(vals.imag).max(initial=0.0) > 1e-6 * (1.0 + np.abs(vals.real).max(initial=0.0)):

@@ -293,11 +293,12 @@ def _rayleigh_solution(s, b, tol):
 
 def _outside_rows(b, forms):
     """The orthonormal stack B' / |B'|, E spanning span{B, E}, for E the
-    orthonormal stack `forms` and B' = B - proj_E B, or None when B' is
-    below the ``SUBSPACE_TOL`` cut."""
+    orthonormal stack `forms` and B' = B - proj_E B, or None when
+    |B'| <= SUBSPACE_TOL |B|: relative to B alone, so that the answer does
+    not change when B is scaled."""
     b_off = b - symlin.span_project(forms, b)
     off = float(np.linalg.norm(b_off))
-    if off <= symlin.cut(np.linalg.norm(b), symlin.SUBSPACE_TOL):
+    if off <= symlin.SUBSPACE_TOL * float(np.linalg.norm(b)):
         return None
     return np.concatenate([b_off[None] / off, forms])
 

@@ -3,7 +3,8 @@
 Everything else in the package is built on the helpers here: spectral
 decompositions with deterministic ordering, tolerance-based rank and
 positive-semidefiniteness decisions, Moore-Penrose inverses, the
-three-block Schur splitting used by the gluing construction, and a small
+unchecked three-block Schur split used by the intertwining decomposition
+(whose gate has already checked the zero corner and PSD), and a small
 toolbox for working with linear subspaces of matrix space (spans of
 symmetric or Hermitian matrices under the Frobenius inner product).
 
@@ -191,34 +192,15 @@ def isotropic_vectors(q: np.ndarray, tol: float) -> np.ndarray:
     return np.array(cols).reshape(len(cols), q.shape[0]).T
 
 
-def schur_split(m: np.ndarray, block_sizes: tuple[int, int, int]
-                ) -> tuple[np.ndarray, np.ndarray]:
+def schur_shares(m: np.ndarray, block_sizes: tuple[int, int, int],
+                 tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Split the middle block of a PSD 3x3-block matrix with zero corner.
 
     For M = [[A, B, 0], [B^T, C, D], [0, D^T, E]] positive semidefinite,
     returns (C1, C2) with C1 = B^T A^+ B and C2 = C - C1 such that both
     [[A, B], [B^T, C1]] and [[C2, D], [D^T, E]] are positive semidefinite.
-    The zero corner and the PSD test are checked at DEFAULT_TOL; the split
-    itself is :func:`schur_shares`.
-    """
-    m = np.asarray(m)
-    na, nb, nc = block_sizes
-    if na + nb + nc != m.shape[0] or m.shape[0] != m.shape[1]:
-        raise InvalidInputError("block sizes do not match the matrix")
-    scale = 1.0 + float(np.linalg.norm(m))
-    corner = m[:na, na + nb:]
-    if np.linalg.norm(corner) > DEFAULT_TOL * scale:
-        raise InvalidInputError("corner block is not zero")
-    if not psd_check(m, DEFAULT_TOL):
-        raise InvalidInputError("matrix is not positive semidefinite")
-    return schur_shares(m, block_sizes, DEFAULT_TOL)
-
-
-def schur_shares(m: np.ndarray, block_sizes: tuple[int, int, int],
-                 tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The split (C1, C2) of :func:`schur_split`, unchecked: for a matrix
-    already known to be PSD with a zero corner.  A^+ inverts the
-    eigenvalues of A above cut(lambda, tol)."""
+    M is not checked: the caller knows it is PSD with a zero corner.  A^+
+    inverts the eigenvalues of A above cut(lambda, tol)."""
     na, nb, _ = block_sizes
     a = m[:na, :na]
     b = m[:na, na:na + nb]
@@ -268,6 +250,15 @@ def from_json_array(data, ndim: int) -> np.ndarray:
     if not a[..., 1].any():
         return a[..., 0]
     return a.view(complex)[..., 0]
+
+
+def from_json_int(value, name: str) -> int:
+    """An integer read from JSON (a numpy integer passes too); a bool, a
+    float, a string or anything else raises InvalidInputError naming the
+    field."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _vec_stack(a: np.ndarray) -> np.ndarray:

@@ -37,6 +37,11 @@ def random_chordal_graph(rng, n, connect=0.8):
     return rc.ChordalGraph(n, edges)
 
 
+def atom_columns(dec):
+    """The columns sqrt(w_i) v_i of a decomposition's atoms: X = B B^*."""
+    return np.array([a.vector * np.sqrt(a.weight) for a in dec.atoms]).T
+
+
 def rank_r_member(cone, rng, r, scale=(0.5, 2.0)):
     """Random element of the cone with known rank r (resampled until exact)."""
     for _ in range(60):

@@ -83,6 +83,33 @@ def test_cli_build_rejects_malformed_expressions(tmp_path, capsys, expr, message
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+_INTERTWINE_S2 = {"kind": "intertwine", "params": {"rank": 1, "iota1": [1.0, 0.0],
+                                                  "iota2": [[1.0], [0.0]]},
+                  "children": [{"kind": "full_psd", "params": {"n": 2}}] * 2}
+
+
+@pytest.mark.parametrize("command, data", [
+    ("complete", {"shape": [2, 2, 2], "entries": []}),
+    ("complete", {"shape": [2, 2], "entries": [{"i": "a", "j": 0, "v": 1.0}]}),
+    ("qcqp", {"S": np.eye(2).tolist(), "B": np.eye(2).tolist(), "A": 3}),
+    ("analyze", {"n": "x", "span_basis": [[1, 0, 0]], "generators": []}),
+    ("analyze", {"n": 2, "span_basis": [[1, 0, 0]], "generators": [[1, 0, 0]]}),
+    ("build", {"kind": "full_psd", "params": {"n": "x"}}),
+    ("build", {"kind": "chordal", "params": {"n": 3, "edges": [[0]]}}),
+    ("build", {"kind": "direct_sum", "params": {}, "children": 3}),
+    ("build", _INTERTWINE_S2),
+    ("build", {"kind": "hankel", "params": {"n": 2.5}}),
+], ids=["complete-shape", "complete-index", "qcqp-forms", "analyze-n", "analyze-generator",
+        "build-n", "build-edge", "build-children", "build-iota", "build-float-n"])
+def test_cli_rejects_malformed_json(tmp_path, capsys, command, data):
+    # the readers check what they read: one error line, no traceback
+    path = _write(tmp_path, "in.json", data)
+    argv = ["build", "--expr", path] if command == "build" else [command, path]
+    assert cli.run(argv) in (1, 2)
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_cli_analyze_checks_raw_generators(tmp_path, capsys):
     cone = _write(tmp_path, "raw.json",
                   {"n": 2, "span_basis": [[1, 0, 0]], "generators": [[1, 1]]})
@@ -179,6 +206,20 @@ def test_cli_iso(tmp_path):
     assert report["status"] == "not_isomorphic" and "signature" in report["reason"]
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "x"])
+def test_cli_tol_must_be_finite_and_positive(tmp_path, capsys, value):
+    path = _cone_path(tmp_path, rc.full_psd_cone(2))
+    assert cli.run(["--tol", value, "decompose", path, path]) == 2
+    assert "argument --tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["-5", "1.5", "x"])
+def test_cli_gap_samples_must_be_a_count(tmp_path, capsys, value):
+    problem = _write(tmp_path, "p.json", {"S": np.eye(2).tolist(), "B": np.eye(2).tolist()})
+    assert cli.run(["qcqp", problem, "--gap-samples", value]) == 2
+    assert "argument --gap-samples" in capsys.readouterr().err
+
+
 def test_cli_iso_ignores_the_seed(tmp_path):
     # a shuffled congruent copy of Han4 reaches the matching search
     rng = np.random.default_rng(4)
@@ -263,3 +304,18 @@ def test_cli_pencil(tmp_path):
     for blk in report["blocks"]:
         assert np.array(blk["basis"]).shape == (2, 1)
         assert np.array(blk["form"]).shape == (1, 1)
+
+
+def test_cli_pencil_ignores_the_seed(tmp_path):
+    rng = np.random.default_rng(5)
+    t = random_congruence(rng, 4)
+    q1 = t.T @ np.diag([1.0, 2.0, -1.0, 0.0]) @ t
+    q2 = t.T @ np.diag([0.5, -1.0, 3.0, 0.0]) @ t
+    pencil = _write(tmp_path, "pencil.json", {"Q1": q1.tolist(), "Q2": q2.tolist()})
+    reports = []
+    for seed in ("0", "7"):
+        out = tmp_path / f"pencil{seed}.json"
+        assert cli.run(["--seed", seed, "pencil", pencil, "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert len(json.loads(reports[0])["blocks"]) == 3

@@ -5,6 +5,8 @@ import rogcones as rc
 from rogcones import jsonio, symlin
 from rogcones.errors import InvalidInputError, MissingCertificateError
 
+from conftest import atom_columns
+
 
 def moment(t):
     return np.array([1.0, t, t * t])
@@ -178,19 +180,22 @@ def test_isolated_ray_of_a_complex_congruent_direct_sum():
     assert abs(abs(np.vdot(x, y)) - np.linalg.norm(y)) < 1e-10
 
 
+# the atom columns sqrt(w_i) v_i of a decomposition are independent and
+# reconstruct X: a basis in which X reads diag(1, .., 1, 0, .., 0)
+
+
 def test_diagonalizing_basis_full_psd():
-    k = rc.full_psd_cone(3)
-    b = rc.diagonalizing_basis(k, np.eye(3))
-    binv = np.linalg.inv(b)
-    assert np.allclose(binv @ np.eye(3) @ binv.T, np.eye(3), atol=1e-8)
+    b = atom_columns(rc.decompose(rc.full_psd_cone(3), np.eye(3)))
+    assert b.shape == (3, 3)
+    assert np.allclose(b @ b.T, np.eye(3), atol=1e-8)
+    assert symlin.invertible(b / np.linalg.norm(b, axis=0))
 
 
 def test_diagonalizing_basis_hankel():
-    k = rc.hankel_cone(3)
     x = np.outer(moment(0.0), moment(0.0)) + np.outer(moment(1.0), moment(1.0))
-    b = rc.diagonalizing_basis(k, x)
-    binv = np.linalg.inv(b)
-    assert np.allclose(binv @ x @ binv.T, np.diag([1.0, 1.0, 0.0]), atol=1e-7)
+    b = atom_columns(rc.decompose(rc.hankel_cone(3), x))
+    assert b.shape == (3, 2)
+    assert np.allclose(b @ b.T, x, atol=1e-7)
     cols = [b[:, i] / np.linalg.norm(b[:, i]) for i in range(2)]
     targets = [moment(0.0) / np.sqrt(1), moment(1.0) / np.sqrt(3)]
     for t in targets:
@@ -198,11 +203,11 @@ def test_diagonalizing_basis_hankel():
 
 
 def test_diagonalizing_basis_diagonal_cone():
-    k = rc.diagonal_cone(3)
     x = np.diag([2.0, 3.0, 0.0])
-    b = rc.diagonalizing_basis(k, x)
-    binv = np.linalg.inv(b)
-    assert np.allclose(binv @ x @ binv.T, np.diag([1.0, 1.0, 0.0]), atol=1e-8)
+    b = atom_columns(rc.decompose(rc.diagonal_cone(3), x))
+    assert b.shape == (3, 2)
+    assert np.allclose(b @ b.T, x, atol=1e-8)
+    assert symlin.subspace_of_vectors(b.T).shape[1] == 2
 
 
 def test_dimension_degree_inequalities():

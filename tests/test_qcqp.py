@@ -67,6 +67,18 @@ def test_solver_infeasible_negative_b():
     assert sol.status == "infeasible"
 
 
+def test_solver_feasibility_does_not_depend_on_the_scale_of_b():
+    # X = I / (3c) is feasible for B = c I: the part of B off the forms'
+    # span is cut relative to |B|, so a small c is no reason for
+    # "infeasible"; a B inside that span is infeasible at every scale
+    form = np.diag([1.0, -1.0, 0.0])
+    for c in 10.0 ** -np.arange(101):
+        sol = solve_relaxation(QcqpProblem(np.eye(3), c * np.eye(3), [form]))
+        assert sol.status == "optimal", c
+        assert abs(sol.objective * c - 1.0) <= 1e-7, c
+        assert solve_relaxation(QcqpProblem(np.eye(3), c * form, [form])).status == "infeasible"
+
+
 def test_solver_unbounded():
     b = np.zeros((2, 2))
     b[0, 0] = 1.0
@@ -276,7 +288,7 @@ def test_repeated_eigenvalue_certifies_with_solution():
 def test_closed_form_gives_way_on_overflow(s, b):
     # L^-1 S L^-T overflows: the closed form has no evidence, stops, warns
     # of nothing and leaves the problem to the interior-point method, where
-    # a B this small is below the SUBSPACE_TOL cut
+    # the norm of a B this small underflows to zero
     p = QcqpProblem(s, b, [])
     assert qcqp_relax._rayleigh_solution(p.cost, p.normalization, symlin.DEFAULT_TOL) is None
     assert solve_relaxation(p).status == "infeasible"

@@ -19,7 +19,7 @@ import rogcones as rc
 from rogcones import symlin
 from rogcones.decompose import extreme_ray_oracle, rays_spanning_face
 
-from conftest import random_congruence, rank_r_member
+from conftest import atom_columns, random_congruence, rank_r_member
 
 _CODIM = rc.codim1_cone(np.diag([1.0, 2.0, 1.5, -1.0, -0.5]))
 RULE_CONES = {
@@ -72,17 +72,36 @@ def test_iterate_kinds_have_no_rule():
             extreme_ray_oracle(cone, h)
 
 
+# the only functions of the package that draw random numbers: the QCQP
+# feasibility sampler, the gap test that calls it, and the sampled
+# codimension-2 structure test
+_RANDOMIZED = {("qcqp_relax", "rank1_feasible_samples"), ("qcqp_relax", "certify_exactness"),
+               ("pencil_struct", "codim2_structure")}
+
+
 def test_rank1_rules_read_the_face_alone():
     # a rule sees the cone, the face and the tolerance, nothing else, and
-    # neither the rules nor the certificates draw random vectors
+    # no rule, certificate or other engine outside _RANDOMIZED draws
+    # random vectors
     families = importlib.import_module("rogcones.decompose")._FAMILIES
     for kind, family in families.items():
         if family.rays is not None:
             assert list(inspect.signature(family.rays).parameters) == ["cone", "h", "tol"], kind
-    for name in ("constructions", "decompose"):
-        path = pathlib.Path(importlib.import_module(f"rogcones.{name}").__file__)
-        assert [node.lineno for node in ast.walk(ast.parse(path.read_text()))
-                if isinstance(node, ast.Attribute) and node.attr == "default_rng"] == [], name
+
+    def draws(tree):
+        return {id(node) for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "default_rng"}
+
+    found = set()
+    for path in sorted(pathlib.Path(rc.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        outside = draws(tree)
+        for func in tree.body:
+            if isinstance(func, ast.FunctionDef) and draws(func):
+                found.add((path.stem, func.name))
+                outside -= draws(func)
+        assert not outside, f"{path.name} draws outside a module-level function"
+    assert found == _RANDOMIZED
 
 
 def _random_form(rng, n):
@@ -185,20 +204,19 @@ def test_congruence_rejects_a_singular_or_non_square_matrix(a):
 
 
 def test_diagonalizing_basis_of_a_small_member():
+    # the atom columns sqrt(w_i) v_i are a basis in which X reads I
     x = 1e-6 * np.eye(5)
-    b = rc.diagonalizing_basis(rc.full_psd_cone(5), x)
-    b_inv = np.linalg.inv(b)
-    assert np.allclose(b_inv @ x @ b_inv.T, np.eye(5), atol=1e-9)
+    b = atom_columns(rc.decompose(rc.full_psd_cone(5), x))
+    assert b.shape == (5, 5)
+    assert np.linalg.norm(b @ b.T - x) <= 1e-9 * np.linalg.norm(x)
+    assert symlin.invertible(b / np.linalg.norm(b, axis=0))
 
 
 def test_diagonalizing_basis_of_a_large_rank_one_member():
-    # one column of norm 4e12 next to three unit columns
     x = 1e25 * symlin.outer(np.array([1.0, 0.5, 0.25, 0.125]))
-    b = rc.diagonalizing_basis(rc.hankel_cone(4), x)
-    head, rest = b[:, 0], b[:, 1:]
-    assert np.linalg.norm(symlin.outer(head) - x) <= 1e-9 * np.linalg.norm(x)
-    assert np.allclose(rest.T @ rest, np.eye(3))
-    assert np.linalg.norm(rest.T @ head) <= 1e-9 * np.linalg.norm(head)
+    b = atom_columns(rc.decompose(rc.hankel_cone(4), x))
+    assert b.shape == (4, 1)
+    assert np.linalg.norm(b @ b.T - x) <= 1e-9 * np.linalg.norm(x)
 
 
 @pytest.mark.parametrize("c", [1.0, 1e12, 1e20, 1e25])
@@ -210,13 +228,12 @@ def test_peeling_is_scale_free(kind, c):
     cone, x = ((rc.full_psd_cone(4), symlin.outer(v)) if kind == "full_psd"
                else (rc.diagonal_cone(4), np.diag(v)))
     rank = 1 if kind == "full_psd" else 3
-    b = rc.diagonalizing_basis(cone, c * x)
-    head = b[:, :rank]
-    assert np.linalg.norm(head @ head.T - c * x) <= 1e-9 * c * np.linalg.norm(x)
-    assert symlin.invertible(b / np.linalg.norm(b, axis=0))
     dec = rc.decompose(cone, c * x)
     assert len(dec.atoms) == rank
     assert dec.residual <= 1e-12 * c
+    head = atom_columns(dec)
+    assert np.linalg.norm(head @ head.T - c * x) <= 1e-9 * c * np.linalg.norm(x)
+    assert symlin.subspace_of_vectors(head.T).shape[1] == rank
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +252,7 @@ def test_complement_basis_keeps_complex_entries():
 def test_diagonalizing_basis_of_block_toeplitz_members(rank):
     cone = rc.block_toeplitz_cone(3, 1)
     x = rank_r_member(cone, np.random.default_rng(rank), rank)
-    b = rc.diagonalizing_basis(cone, x)
-    b_inv = np.linalg.inv(b)
-    expected = np.diag([1.0] * rank + [0.0] * (3 - rank))
-    assert np.linalg.norm(b_inv @ x @ b_inv.conj().T - expected) < 1e-9
+    b = atom_columns(rc.decompose(cone, x))
+    assert b.shape == (3, rank)
+    assert np.linalg.norm(b @ b.conj().T - x) < 1e-9
+    assert symlin.subspace_of_vectors(b.T).shape[1] == rank

@@ -321,8 +321,7 @@ def test_span_coords_matches_vec_rows():
 # attribute ``rogcones.decompose`` is the function, not the module
 _GLUING = ((constructions, "intertwine"), (constructions, "direct_sum"),
            (constructions, "apply_congruence"), (cone_model, "apply_congruence"),
-           (importlib.import_module("rogcones.decompose"), "decompose_intertwining"),
-           (symlin, "schur_split"))
+           (importlib.import_module("rogcones.decompose"), "decompose_intertwining"))
 
 
 def _count_calls(monkeypatch, targets):
