@@ -137,6 +137,8 @@ def _cmd_complete(args) -> int:
 
 def _cmd_pencil(args) -> int:
     data = _read_json(args.pencil)
+    if not isinstance(data, dict):
+        raise InvalidInputError("a pencil must be a JSON object")
     pencil = pencil_struct.Pencil(from_json_array(data["Q1"], 2),
                                   from_json_array(data["Q2"], 2))
     dec = pencil_struct.pencil_decompose(pencil)

@@ -590,7 +590,7 @@ _BUILDERS = {
     "chordal": (None, lambda p, c: chordal_cone(ChordalGraph(p.integer("n"), p["edges"]))),
     "codim1": (None, lambda p, c: codim1_cone(from_json_array(p["Q"], 2))),
     "ternary_quartic": (None, lambda p, c: ternary_quartic_cone()),
-    "cross_ratio": (None, lambda p, c: cross_ratio_cone(p["angles"])),
+    "cross_ratio": (None, lambda p, c: cross_ratio_cone(p.numbers("angles", 1))),
     "moment": (None, lambda p, c: _moment_from_params(p)),
     "block_toeplitz": (None, lambda p, c: block_toeplitz_cone(p.integer("n"),
                                                               p.integer("m", 1))),
@@ -604,12 +604,12 @@ _BUILDERS = {
 }
 
 
-def _moment_from_params(params: dict) -> SpectrahedralCone:
+def _moment_from_params(params: _Params) -> SpectrahedralCone:
     if "powers" not in params:
         raise InvalidInputError(
             "moment expressions are only serializable with monomial powers")
-    return moment_cone_from_samples(None, params["samples"],
-                                    powers=params["powers"])
+    return moment_cone_from_samples(None, params.numbers("samples", 1, 2).tolist(),
+                                    powers=params.numbers("powers", 2))
 
 
 class _Params(dict):
@@ -629,6 +629,19 @@ class _Params(dict):
         absent), which must be an integer."""
         value = self[key] if default is None else self.get(key, default)
         return from_json_int(value, f"{self.kind} parameter {key!r}")
+
+    def numbers(self, key: str, *ndims: int) -> np.ndarray:
+        """The parameter ``key`` as a float array with one of the given
+        numbers of axes: a list of numbers for 1, of number lists for 2."""
+        try:
+            value = np.asarray(self[key], dtype=float)
+        except (TypeError, ValueError):
+            value = None
+        if value is None or value.ndim not in ndims:
+            raise InvalidInputError(f"{self.kind} parameter {key!r} must be a list of "
+                                    + " or of ".join(("numbers", "number lists")[d - 1]
+                                                     for d in ndims))
+        return value
 
 
 def build(expr: dict) -> SpectrahedralCone:

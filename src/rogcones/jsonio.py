@@ -93,7 +93,10 @@ def build_expr(expr_json: dict) -> SpectrahedralCone:
     if not isinstance(expr_json, dict):
         raise InvalidInputError("a cone expression must be a JSON object")
     if expr_json.get("kind") == "raw":
-        return cone_from_json(expr_json["params"]["cone"])
+        params = expr_json.get("params")
+        if not isinstance(params, dict):
+            raise InvalidInputError("raw params must be an object")
+        return cone_from_json(params["cone"])
     children = expr_json.get("children", [])
     if not isinstance(children, list):
         raise InvalidInputError("expression children must be a list")

@@ -8,16 +8,24 @@ spectrahedral cone cut out by the A_i, normalized by B.  Its dual is
 ``solve_relaxation`` is a primal-dual interior-point method in this
 standard form (infeasible start, HKM direction, Mehrotra predictor and
 corrector; Helmberg-Rendl-Vanderbei-Wolkowicz 1996, Toh-Todd-Tutuncu
-1999), except on codimension 0: with no constraint form and B = L L^T
-positive definite the relaxation is the Rayleigh quotient problem, whose
-value is the smallest eigenvalue of L^-1 S L^-T, attained at a rank-1 X,
-and one eigendecomposition solves it.  Every status the solver reports
-carries evidence it checked: ``optimal`` a
-PSD dual matrix Z recomputed from (y, w) and a measured duality gap,
-``infeasible`` and ``unbounded`` a ray.  ``certify_exactness`` purifies the
-optimizer to an extreme point of the optimal face and extracts a rank-1
-solution when there is one.  A cone whose construction tree proves it
-rank-one generated makes the relaxation exact, and is reported as such.
+1999), except where the induced cone is rank-one generated by theorem
+and B = L L^T is positive definite.  Two such structures are solved in
+closed form, at a rank-1 X and with ``iterations`` 0:
+
+* forms x_i x_j = 0 whose other pairs make a chordal graph (no form at
+  all is the complete graph): the value is the least lambda_min(S_CC,
+  B_CC) over the maximal cliques C, and Z is S - y B on the pattern,
+  completed along a perfect elimination order;
+* one indefinite form A: the value is max over w of lambda_min(S - w A,
+  B) (the S-lemma), found by a safeguarded Newton search on w.
+
+Every status the solver reports carries evidence it checked: ``optimal``
+a PSD dual matrix Z recomputed from (y, w), or completed, and a measured
+duality gap, ``infeasible`` and ``unbounded`` a ray.  ``certify_exactness``
+reads a rank-1 optimum off one eigendecomposition of X*; a higher-rank
+one it purifies to an extreme point of the optimal face first.  A cone
+whose construction tree proves it rank-one generated makes the
+relaxation exact, and is reported as such.
 """
 
 from __future__ import annotations
@@ -72,12 +80,14 @@ class SdpSolution:
     cap; ``duality_gap`` is the best measured gap, or inf.  ``y`` and
     ``z_mat`` are None unless optimal, ``ray`` unless infeasible or unbounded.
 
-    ``iterations`` counts interior-point steps, 0 on the closed form of an
-    unconstrained relaxation with B PD; ``primal_residual`` is
+    ``iterations`` counts interior-point steps: 0 on the two closed forms
+    of ``solve_relaxation`` (a chordal coordinate pattern, no form at all
+    included, or one indefinite form, with B PD).  ``primal_residual`` is
     ``|b - A(|B'| X)|`` over the rows B' / |B'| and E_k of
-    ``solve_relaxation``, and ``dual_residual`` the norm of the part of
-    ``S - y B - Z`` on the induced span, at the returned or last iterate
-    (nan when no iterate was formed).
+    ``solve_relaxation``, or ``|(<B, X> - 1, <E_k, X>)|`` on a closed form,
+    and ``dual_residual`` the norm of the part of ``S - y B - Z`` on the
+    induced span, at the returned or last iterate (nan when no iterate
+    was formed).
     """
     x_mat: Optional[np.ndarray]
     objective: float
@@ -127,14 +137,23 @@ def solve_relaxation(problem: QcqpProblem, tol: float = DEFAULT_TOL,
     basis E of the span of the A_i (one SVD cut at ``SUBSPACE_TOL``, so
     dependent forms drop out); with B' the part of B off that span, the
     solve runs on the orthonormal rows B' / |B'|, E_k and on |B'| X, so
-    scaling B changes no iterate.  When no form is left and B is PD,
-    ``_rayleigh_solution`` returns the optimum and its certificate in
-    closed form, after 0 iterations and with ``max_outer`` unused.
-    Otherwise (a form is left, B is singular or indefinite, or the closed
-    form falls short of the evidence below) at most ``max_outer``
-    infeasible-start HKM steps with Mehrotra's predictor and corrector
-    (``_hkm_step``) follow, each side moving 0.95 of the way to the PSD
-    boundary, capped at 1.
+    scaling B changes no iterate.
+
+    When B is PD (one Cholesky), two structures come first, each in
+    closed form, with ``iterations`` 0 and ``max_outer`` unused:
+
+    * every A_i a multiple of some x_i x_j, i != j (no form at all
+      included), and the other pairs a chordal graph: ``_clique_solution``,
+      before E is formed;
+    * one form left in E, and it is indefinite: ``_s_lemma_solution``.
+
+    Each returns ``optimal`` only on the evidence of
+    ``_closed_form_evidence``, the stop rule of the loop below.  Every
+    other problem (a cycle pattern, two general forms, one semidefinite
+    form, B singular or indefinite, or a closed form that falls short of
+    that evidence) takes at most ``max_outer`` infeasible-start HKM steps
+    with Mehrotra's predictor and corrector (``_hkm_step``), each side
+    moving 0.95 of the way to the PSD boundary, capped at 1.
 
     At every iterate Z is recomputed from (y, w), or from (y, w) moved
     along the projection P of I on span{B, A_i} when P is PD and Z misses
@@ -149,10 +168,18 @@ def solve_relaxation(problem: QcqpProblem, tol: float = DEFAULT_TOL,
     """
     n = problem.n
     s, b = problem.cost, problem.normalization
+    try:
+        chol = np.linalg.cholesky(b)
+    except np.linalg.LinAlgError:
+        chol = None
+    pairs = None if chol is None else _coordinate_pairs(problem.constraints)
+    closed = None if pairs is None else _clique_solution(s, b, pairs, tol)
+    if closed is not None:
+        return closed
     forms = (symlin.orthonormal_span(problem.constraints)
              if problem.constraints else np.zeros((0, n, n)))
-    if len(forms) == 0:
-        closed = _rayleigh_solution(s, b, tol)
+    if chol is not None and len(forms) == 1:
+        closed = _s_lemma_solution(s, b, forms[0], chol, tol)
         if closed is not None:
             return closed
     outside = _outside_rows(b, forms)
@@ -239,54 +266,226 @@ def solve_relaxation(problem: QcqpProblem, tol: float = DEFAULT_TOL,
     return result(x, objective, "optimal", gap, p_res, s - y * b - z_mat, y, z_mat)
 
 
-# the first margin by which the closed form's dual y backs off from the
-# eigenvalue, relative to 1 + |eigenvalue|; each further margin is ten times
-# the last
+# the first margin by which a closed form's dual y backs off from its bound,
+# relative to 1 + |bound|; each further margin is ten times the last
 _DUAL_BACKOFF = 1e-12
+# evaluations of lambda_min(S - w A, B) the one-form search may take
+_S_LEMMA_STEPS = 100
+
+
+def _coordinate_pairs(mats):
+    """The set of pairs (i, j), i < j, when each matrix is zero or a
+    multiple of a coordinate unit e_i e_j^T + e_j e_i^T (repeats allowed;
+    no matrix at all gives no pair); otherwise None."""
+    pairs = set()
+    for a in mats:
+        nonzeros = np.count_nonzero(a)
+        if nonzeros == 0:
+            continue
+        # the first of two nonzeros of a symmetric matrix, in row-major
+        # order, is off the diagonal exactly when the two mirror each other
+        i, j = divmod(int((a != 0).argmax()), len(a))
+        if nonzeros != 2 or i == j:
+            return None
+        pairs.add((i, j))
+    return pairs
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _rayleigh_solution(s, b, tol):
-    """The closed form of a relaxation with no constraint form and B PD,
-    or None.
+def _clique_solution(s, b, pairs, tol):
+    """The closed form when the forms span the coordinate units of
+    ``pairs`` and the graph of the other pairs is chordal, or None.
 
-    With B = L L^T the relaxation is min <S, X> over PSD X with <B, X> = 1,
-    whose value is the smallest eigenvalue lam of L^-1 S L^-T, attained at
-    X = v v^T for v = L^-T u, u its unit eigenvector.  The dual is y = lam
-    - m for the least margin m in 0, 1e-12 (1 + |lam|), ten times that, ...
-    whose recomputed Z = S - y B passes ``eigvalsh(Z)[0] >= 0``.  The
-    solution comes back, after 0 iterations, when its primal residual
-    |1 - <B, X>| is at most tol and its measured gap at most tol / 10
-    (1 + |objective|), the stop rule of the interior-point loop; None when
-    B is not PD or no margin within that bound gives such evidence, as
-    when L^-1 S L^-T or y B overflows.
+    The pattern cone of a chordal graph is ROG (Agler-Helton-McCullough-
+    Rodman 1988) and its rank-1 elements are supported on cliques, so the
+    value is y = min over the maximal cliques C of lambda_min(S_CC, B_CC),
+    attained at X = x x^T on the best clique.  Maximum-cardinality search
+    orders the vertices so that the earlier neighbours K of each vertex v
+    form a clique exactly when the graph is chordal (Tarjan-Yannakakis
+    1984); every maximal clique is then some {v} + K, and {v} + K is not
+    maximal when the next vertex has one earlier neighbour more.  The dual
+    Z is S - y B on the pattern, which is PSD on every clique, completed
+    along that order with Z[v, u] = Z[v, K] Z[K, K]^-1 Z[K, u] for the
+    earlier non-neighbours u of v (Grone-Johnson-Sa-Wolkowicz 1984); with
+    no form the graph is complete, one clique, and nothing is filled.
     """
-    try:
-        l_inv = np.linalg.inv(np.linalg.cholesky(b))
-    except np.linalg.LinAlgError:
+    from .constructions import mcs_order
+    n = len(s)
+    adj = [set(range(n)) - {v} for v in range(n)]
+    for i, j in pairs:
+        adj[i].discard(j)
+        adj[j].discard(i)
+    order = mcs_order(n, adj)
+    fills = []
+    for idx, v in enumerate(order):
+        kk = [u for u in order[:idx] if u in adj[v]]
+        # the latest earlier neighbour must see the others (Tarjan-Yannakakis)
+        if kk and not set(kk[:-1]) <= adj[kk[-1]]:
+            return None
+        fills.append((v, kk, [u for u in order[:idx] if u not in adj[v]]))
+    best = None
+    for idx, (v, kk, _) in enumerate(fills):
+        if idx + 1 < n and len(fills[idx + 1][1]) == len(kk) + 1:
+            continue
+        clique = kk + [v]
+        try:
+            l_inv = np.linalg.inv(np.linalg.cholesky(b[np.ix_(clique, clique)]))
+        except np.linalg.LinAlgError:
+            return None
+        m = symlin.sym(l_inv @ s[np.ix_(clique, clique)] @ l_inv.T)
+        if not np.isfinite(m).all():
+            return None
+        w, u = np.linalg.eigh(m)
+        if best is None or w[0] < best[0]:
+            best = (float(w[0]), clique, l_inv.T @ u[:, 0])
+    lam, clique, x_c = best
+    x = np.zeros(n)
+    x[clique] = x_c
+
+    def dual(y):
+        z = s - y * b
+        for v, kk, rest in fills:
+            if not rest:
+                continue
+            if kk:
+                try:
+                    fill = z[v, kk] @ np.linalg.solve(z[np.ix_(kk, kk)], z[np.ix_(kk, rest)])
+                except np.linalg.LinAlgError:
+                    return None
+            else:
+                fill = 0.0
+            z[v, rest] = fill
+            z[rest, v] = fill
+        return z
+
+    rows, cols = np.array(sorted(pairs), dtype=int).reshape(-1, 2).T
+
+    def project(m):
+        out = np.zeros_like(m)
+        out[rows, cols] = m[rows, cols]
+        out[cols, rows] = m[cols, rows]
+        return out
+    return _closed_form_evidence(s, b, x, lam, dual, project, tol)
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _s_lemma_solution(s, b, form, chol, tol):
+    """The closed form with one indefinite form A, or None.
+
+    With B = L L^T, f(w) = lambda_min(L^-1 (S - w A) L^-T) is concave and
+    its maximum is the relaxed value (the S-lemma; Sturm-Zhang 2003).  A
+    safeguarded Newton search (Numerical Recipes' rtsafe) runs on the
+    bracket [lo, hi] of the maximiser: at each w one ``eigh`` gives f,
+    f' = -v^T A v and f'' = 2 sum_j (v^T A v_j)^2 / (mu_0 - mu_j) for the
+    eigenpairs (mu_j, v_j), v = v_0.  A step outside the bracket or not
+    half the size of the step before last gives way to the crossing of the
+    tangents at lo and hi, then to bisection.  The search stops once some
+    unit vector of the bottom eigenspace (eigenvalues within
+    tol / 100 (1 + |mu_0|) of mu_0) is isotropic for A: v itself where f
+    is smooth, the best column of ``symlin.isotropic_vectors`` of A on
+    that eigenspace at a kink, where the bottom eigenvalue is multiple.
+    Near an avoided crossing f' swings from one sign to the other within
+    rounding of w; once the bracket has shrunk that far, the best
+    isotropic vector of the bottom two eigenvectors is taken.  A
+    semidefinite A, a search that does not stop within
+    ``_S_LEMMA_STEPS`` evaluations, or a point
+    ``_closed_form_evidence`` rejects gives None.
+    """
+    l_inv = np.linalg.inv(chol)
+    s_t = symlin.sym(l_inv @ s @ l_inv.T)
+    a_t = symlin.sym(l_inv @ form @ l_inv.T)
+    if not (np.isfinite(s_t).all() and np.isfinite(a_t).all()):
         return None
-    w, u = np.linalg.eigh(symlin.sym(l_inv @ s @ l_inv.T))
-    v = l_inv.T @ u[:, 0]
-    x_mat = np.outer(v, v)
-    objective = float(v @ s @ v)
-    p_res = abs(1.0 - float(v @ b @ v))
-    lam = float(w[0])
+    ends = np.linalg.eigvalsh(a_t)[[0, -1]]
+    if not (ends[0] < -symlin.cut(ends, tol) and ends[1] > symlin.cut(ends, tol)):
+        return None
+    # f(w) <= |S~| - |w| |lambda_min(A~)| for w < 0 and f(0) >= -|S~|, so
+    # f(lo) < f(0) and, f being concave, the maximiser lies above lo;
+    # likewise below hi
+    reach = 2.0 * (np.linalg.norm(s_t) + 1.0)
+    lo, hi = reach / ends[0], reach / ends[1]
+    tangents = {}
+    w, step, step_old = 0.0, hi - lo, hi - lo
+
+    def isotropic(k):
+        """The unit isotropic vector of A on the bottom k eigenvectors
+        of least value under S - w A, or None."""
+        block = q[:k, :k]
+        cols = symlin.isotropic_vectors(block, flat / max(1.0, np.abs(block).max()))
+        if not cols.shape[1]:
+            return None
+        cols = cols / np.linalg.norm(cols, axis=0)
+        return cols[:, np.argmin(np.einsum("ij,i,ij->j", cols, mu[:k], cols))]
+
+    for _ in range(_S_LEMMA_STEPS):
+        mu, v = np.linalg.eigh(s_t - w * a_t)
+        q = v.T @ a_t @ v
+        near = 0.01 * tol * (1.0 + abs(mu[0]))
+        flat = min(0.1 * tol, near / (1.0 + abs(w)))
+        k = int(np.count_nonzero(mu - mu[0] <= near))
+        c = isotropic(k) if k > 1 else (np.ones(1) if abs(q[0, 0]) <= flat else None)
+        if c is None:
+            slope = -q[0, 0]
+            if slope > 0:
+                lo = w
+            else:
+                hi = w
+            tangents[slope > 0] = (w, mu[0], slope)
+            curv = 2.0 * np.sum(q[0, 1:] ** 2 / (mu[0] - mu[1:]))
+            moves = [-slope / curv] if curv < 0 else []
+            if len(tangents) == 2:
+                (w_hi, f_hi, g_hi), (w_lo, f_lo, g_lo) = tangents[False], tangents[True]
+                moves.append((f_hi - f_lo + g_lo * w_lo - g_hi * w_hi) / (g_lo - g_hi) - w)
+            move = next((d for d in moves
+                         if lo < w + d < hi and 2.0 * abs(d) <= abs(step_old)), None)
+            if move is None:
+                move = 0.5 * (lo + hi) - w
+            step_old, step = step, move
+            if lo < w + move < hi:
+                w += move
+                continue
+            c = isotropic(2)
+            if c is None:
+                return None
+        x = l_inv.T @ (v[:, :len(c)] @ c)
+        return _closed_form_evidence(s, b, x, float(mu[0]), lambda y: s - y * b - w * form,
+                                     lambda m: np.vdot(form, m) * form, tol)
+    return None
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _closed_form_evidence(s, b, x, lam, dual, project, tol):
+    """``optimal`` with 0 iterations for X = x x^T, or None.
+
+    The dual is y = lam - m for the least margin m in 0, _DUAL_BACKOFF
+    (1 + |lam|), ten times that, ... up to tol / 10 (1 + |objective|)
+    whose Z = dual(y) (None when it cannot be formed) passes
+    ``eigvalsh(Z)[0] >= 0``.  ``project`` maps a matrix to its orthogonal
+    projection on the span of the constraint forms.  The solution comes
+    back when the primal residual |(<B, X> - 1, project(X))| is at most
+    tol and the measured gap max(|objective - y|, <X, Z>) at most tol / 10
+    (1 + |objective|), the stop rule of the interior-point loop; None when
+    no margin gives that evidence, as when lam, the objective or Z
+    overflows.  The dual residual is |M - project(M)| for M = S - y B - Z.
+    """
+    x_mat = np.outer(x, x)
+    objective = float(x @ s @ x)
+    p_res = float(np.hypot(float(x @ b @ x) - 1.0, np.linalg.norm(project(x_mat))))
     if not (p_res <= tol and np.isfinite(objective) and np.isfinite(lam)):
         return None
     bound = 0.1 * tol * (1.0 + abs(objective))
     margin = 0.0
     while margin <= bound:
         y = lam - margin
-        z_mat = s - y * b
-        if not np.isfinite(z_mat).all():
-            return None
-        if np.linalg.eigvalsh(z_mat)[0] >= 0:
+        z_mat = dual(y)
+        if z_mat is not None and np.isfinite(z_mat).all() and np.linalg.eigvalsh(z_mat)[0] >= 0:
             gap = max(abs(objective - y), float(np.vdot(x_mat, z_mat)))
             if gap > bound:
                 return None
+            mismatch = s - y * b - z_mat
             return SdpSolution(x_mat, objective, "optimal", gap, y, z_mat, iterations=0,
                                primal_residual=p_res,
-                               dual_residual=float(np.linalg.norm(s - y * b - z_mat)))
+                               dual_residual=float(np.linalg.norm(mismatch - project(mismatch))))
         margin = max(10.0 * margin, _DUAL_BACKOFF * (1.0 + abs(lam)))
     return None
 
@@ -538,17 +737,22 @@ def certify_exactness(problem: QcqpProblem,
                       tol: float = DEFAULT_TOL) -> ExactnessCertificate:
     """Solve the relaxation and certify whether it is exact.
 
-    The optimizer is purified to an extreme point of the optimal face; a
-    rank-1 extreme point yields the solution vector directly.  When
-    ``cone`` (spanning the induced cone) is proved ROG by its construction
-    tree, an expression on every node and no ``moment`` kind, exactness
-    holds structurally and the status says so; spanning rank-1 generators
-    are no proof (the raw 4-cycle pattern cone has them, and a gap).  A
-    higher-rank extreme point triggers sampling of the rank-1 feasible set
-    with ``rank1_feasible_samples``, whose values x^T S x come from one
-    ``einsum`` over the stacked samples: "gap-detected" is a sampled
-    claim, never a proof, and "inconclusive" is returned when sampling
-    cannot tell.
+    A rank-1 optimizer X* (numeric rank at tol), as both closed forms of
+    ``solve_relaxation`` return (``iterations`` 0), yields the solution
+    vector from one eigendecomposition of X*; with no ``cone`` given,
+    neither the induced cone is built nor X* purified.  A higher-rank X*
+    is purified to an extreme point of the optimal face, over ``cone`` or
+    else the induced cone, and a rank-1 extreme point yields the solution
+    vector the same way.  A given ``cone`` must span the induced cone.
+    When it is proved ROG by its construction tree, an expression on
+    every node and no ``moment`` kind, exactness holds structurally and
+    the status says so (a raw induced cone never is); spanning rank-1
+    generators are no proof (the raw 4-cycle pattern cone has them, and a
+    gap).  A higher-rank extreme point triggers sampling of the rank-1
+    feasible set with ``rank1_feasible_samples``, whose values x^T S x
+    come from one ``einsum`` over the stacked samples: "gap-detected" is a
+    sampled claim, never a proof, and "inconclusive" is returned when
+    sampling cannot tell.
     """
     sol = solve_relaxation(problem, tol)
 
@@ -557,17 +761,19 @@ def certify_exactness(problem: QcqpProblem,
 
     if sol.status != "optimal":
         return result("inconclusive" if sol.status == "max-iter" else sol.status)
-    if cone is None:
-        cone = induced_cone(problem)
-    else:
+    if cone is not None:
         work = induced_cone(problem)
         if (cone.dim != work.dim
                 or symlin.span_distances(work.span_basis, cone.span_basis).max(initial=0.0) > 1e-7):
             raise InvalidInputError("provided cone does not match the constraints")
-    certified = _proved_rog(cone)
-    x_pure = purify_to_extreme(problem, cone, sol.x_mat, tol)
-    dec = symlin.eig_sym(x_pure)
+    certified = cone is not None and _proved_rog(cone)
+    dec = symlin.eig_sym(sol.x_mat)
     rank = int(np.count_nonzero(dec.values > symlin.cut(dec.values, tol)))
+    if rank > 1:
+        x_pure = purify_to_extreme(problem, induced_cone(problem) if cone is None else cone,
+                                   sol.x_mat, tol)
+        dec = symlin.eig_sym(x_pure)
+        rank = int(np.count_nonzero(dec.values > symlin.cut(dec.values, tol)))
     if rank == 1:
         x_opt = dec.vectors[:, 0] * np.sqrt(max(dec.values[0], 0.0))
         return result("exact-by-rog" if certified else "exact-with-solution", x_opt,

@@ -99,8 +99,13 @@ _INTERTWINE_S2 = {"kind": "intertwine", "params": {"rank": 1, "iota1": [1.0, 0.0
     ("build", {"kind": "direct_sum", "params": {}, "children": 3}),
     ("build", _INTERTWINE_S2),
     ("build", {"kind": "hankel", "params": {"n": 2.5}}),
+    ("pencil", [1, 2]),
+    ("build", {"kind": "raw", "params": [1]}),
+    ("build", {"kind": "cross_ratio", "params": {"angles": "abcd"}}),
+    ("build", {"kind": "moment", "params": {"samples": 3, "powers": [[2]]}}),
 ], ids=["complete-shape", "complete-index", "qcqp-forms", "analyze-n", "analyze-generator",
-        "build-n", "build-edge", "build-children", "build-iota", "build-float-n"])
+        "build-n", "build-edge", "build-children", "build-iota", "build-float-n",
+        "pencil-array", "build-raw-params", "build-angles", "build-samples"])
 def test_cli_rejects_malformed_json(tmp_path, capsys, command, data):
     # the readers check what they read: one error line, no traceback
     path = _write(tmp_path, "in.json", data)
@@ -256,7 +261,8 @@ def test_cli_qcqp(tmp_path):
     assert 0.0 <= report["duality_gap"] <= 1e-8 * (1.0 + abs(report["relaxed_value"]))
     x_opt = np.array(report["x_opt"])
     assert abs(abs(x_opt[0]) - 1.0) < 1e-4 and abs(x_opt[1]) < 1e-4
-    # one form: the interior-point method runs
+    # one indefinite form: the S-lemma search, in closed form too; its
+    # optimum x = (1, 1, 0) / sqrt(2) sits at a kink of lambda_min(S - w A)
     problem = _write(tmp_path, "p1.json", {"S": np.diag([1.0, 2.0, 3.0]).tolist(),
                                            "B": np.eye(3).tolist(),
                                            "A": [np.diag([1.0, -1.0, 0.0]).tolist()]})
@@ -264,8 +270,26 @@ def test_cli_qcqp(tmp_path):
     assert code == 0
     assert report["status"] == "exact-with-solution"
     assert abs(report["relaxed_value"] - 1.5) < 1e-6
+    assert report["iterations"] == 0
+    assert 0.0 <= report["duality_gap"] <= 1e-8 * (1.0 + abs(report["relaxed_value"]))
+    # the 4-cycle pattern X_02 = X_13 = 0 is not chordal: the interior-point
+    # method runs.  <S, X> >= tr X = 1 with equality only at X = e0 e0^T,
+    # which the pattern allows, so the relaxation is exact with value 1
+    forms = []
+    for i, j in ((0, 2), (1, 3)):
+        a = np.zeros((4, 4))
+        a[i, j] = a[j, i] = 1.0
+        forms.append(a.tolist())
+    problem = _write(tmp_path, "p2.json", {"S": np.diag([1.0, 2.0, 3.0, 4.0]).tolist(),
+                                           "B": np.eye(4).tolist(), "A": forms})
+    code, report = _run(tmp_path, "qcqp", problem, "--gap-samples", "10")
+    assert code == 0
+    assert report["status"] == "exact-with-solution"
+    assert abs(report["relaxed_value"] - 1.0) < 1e-6
     assert report["iterations"] >= 1
     assert 0.0 <= report["duality_gap"] <= 1e-8 * (1.0 + abs(report["relaxed_value"]))
+    x_opt = np.array(report["x_opt"])
+    assert abs(abs(x_opt[0]) - 1.0) < 1e-4 and np.abs(x_opt[1:]).max() < 1e-4
 
 
 @pytest.mark.parametrize("s_mat", [[[1.0, 0.0], [0.0]], [["one", 0.0], [0.0, 1.0]]],

@@ -1,8 +1,11 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import rogcones as rc
+from conftest import random_congruence
 from rogcones import qcqp_relax, symlin
 from rogcones.qcqp_relax import (QcqpProblem, certify_exactness, induced_cone,
                                  purify_to_extreme, solve_relaxation)
@@ -92,15 +95,17 @@ def test_solver_certificate_only_when_optimal():
     b[0, 0] = 1.0
     sols = [solve_relaxation(QcqpProblem(np.eye(2), np.zeros((2, 2)), [])),
             solve_relaxation(QcqpProblem(np.diag([0.0, -1.0]), b, [])),
-            solve_relaxation(QcqpProblem(np.eye(3), np.eye(3), [np.diag([1.0, -1.0, 0.0])]),
+            solve_relaxation(QcqpProblem(np.eye(3), np.eye(3), [np.diag([1.0, -1.0, 0.0]),
+                                                                np.diag([0.0, 1.0, -1.0])]),
                              max_outer=1)]
     assert [sol.status for sol in sols] == ["infeasible", "unbounded", "max-iter"]
     for sol in sols:
         assert sol.y is None and sol.z_mat is None
-    # The form keeps the problem off the closed form of an unconstrained
-    # relaxation.  It is traceless, so B' = B = I and every multiple of I is
-    # orthogonal to the form's row.  The solve runs on the rows
-    # B / |B| = I / sqrt(3) and the form, so its iterate |B| X starts at
+    # Two forms with diagonal entries keep the problem off every closed form
+    # (a coordinate pattern needs off-diagonal forms, the S-lemma one form).
+    # They are traceless, so B' = B = I and every multiple of I is
+    # orthogonal to their rows E_k.  The solve runs on the rows
+    # B / |B| = I / sqrt(3) and E_k, so its iterate |B| X starts at
     # I / sqrt(3): X = I / 3 is feasible with objective 1,
     # Z = 3 (1 + sqrt(3)) I and y = 0, and the recomputed Z = S = I is PSD,
     # so y = 0 is the first dual bound, at measured gap max(|1 - 0|,
@@ -273,6 +278,138 @@ def test_unconstrained_relaxation_in_closed_form(n, b_kind, seed):
     assert abs(np.vdot(p.normalization, sol.x_mat) - 1.0) <= 1e-10
 
 
+def generalized_min(s, b):
+    """lambda_min(S, B) for B PD, by scipy's generalized eigensolver."""
+    import scipy.linalg
+    return float(scipy.linalg.eigh(s, b, eigvals_only=True)[0])
+
+
+def random_spd(rng, n, log_spread=1.0):
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    return (q * 10.0 ** rng.uniform(-log_spread, log_spread, n)) @ q.T
+
+
+def assert_closed_form(p, sol, oracle):
+    """``optimal`` after 0 iterations at the oracle's value, with the
+    evidence of the interior-point loop's stop rule."""
+    assert sol.status == "optimal" and sol.iterations == 0
+    assert abs(sol.objective - oracle) <= 1e-10 * (1.0 + abs(sol.y))
+    assert symlin.psd_check(sol.z_mat, 1e-7)
+    assert sol.duality_gap <= 0.1 * symlin.DEFAULT_TOL * (1.0 + abs(sol.objective))
+    assert sol.primal_residual <= symlin.DEFAULT_TOL
+    assert np.linalg.matrix_rank(sol.x_mat) == 1
+    for a in p.constraints:
+        assert abs(np.vdot(a, sol.x_mat)) <= 1e-8 * np.linalg.norm(a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 60), clique_max=st.integers(1, 6), b_kind=st.sampled_from(["I", "spd"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_chordal_pattern_relaxation_in_closed_form(n, clique_max, b_kind, seed):
+    # x_i x_j = 0 off a chordal graph whose vertices are shuffled: each new
+    # vertex joins a clique of the earlier ones, so those cliques and the
+    # new vertex give every maximal clique, and the value is the least
+    # lambda_min(S_CC, B_CC) over them
+    rng = np.random.default_rng(seed)
+    label = rng.permutation(n)
+    cliques, adj = [], [set() for _ in range(n)]
+    for v in range(n):
+        clique = []
+        if v and rng.random() < 0.9:
+            clique = [int(rng.integers(v))]
+            for c in rng.permutation(sorted(adj[clique[0]])):
+                if len(clique) < clique_max and all(c in adj[u] for u in clique):
+                    clique.append(int(c))
+        for u in clique:
+            adj[u].add(v)
+            adj[v].add(u)
+        cliques.append([int(label[u]) for u in clique + [v]])
+    edges = {(min(label[u], label[v]), max(label[u], label[v]))
+             for v in range(n) for u in adj[v]}
+    forms = [coordinate_unit(n, i, j) for i in range(n) for j in range(i + 1, n)
+             if (i, j) not in edges]
+    s = random_sym_stack(rng, 1, n)[0]
+    b = np.eye(n) if b_kind == "I" else random_spd(rng, n)
+    p = QcqpProblem(s, b, forms)
+    oracle = min(generalized_min(s[np.ix_(c, c)], b[np.ix_(c, c)]) for c in cliques)
+    assert_closed_form(p, solve_relaxation(p), oracle)
+
+
+def test_chordal_pattern_on_sixty_vertices_is_fast():
+    # a path of triangles on 60 shuffled vertices leaves 1,653 forms; the
+    # interior-point method took 14 s on a chordal pattern of this size
+    rng = np.random.default_rng(11)
+    label = rng.permutation(60)
+    edges = {tuple(sorted((int(label[v]), int(label[v - d])))) for v in range(60)
+             for d in (1, 2) if v >= d}
+    forms = [coordinate_unit(60, i, j) for i in range(60) for j in range(i + 1, 60)
+             if (i, j) not in edges]
+    p = QcqpProblem(random_sym_stack(rng, 1, 60)[0], np.eye(60), forms)
+    cliques = [[int(label[v - 2]), int(label[v - 1]), int(label[v])] for v in range(2, 60)]
+    oracle = min(float(np.linalg.eigvalsh(p.cost[np.ix_(c, c)])[0]) for c in cliques)
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        sol = solve_relaxation(p)
+        times.append(time.perf_counter() - start)
+    assert_closed_form(p, sol, oracle)
+    assert min(times) < 0.05
+
+
+def s_lemma_value(s, a, b):
+    """max over w of lambda_min(S - w A, B) by golden-section search.  The
+    function f is concave, and at the ends w of the bracket, where |w|
+    times an extreme generalized eigenvalue of (A, B) is 4 (|S|_2 /
+    lambda_min(B) + 1), f(w) < f(0): the maximiser lies between them."""
+    import scipy.linalg
+    ends = scipy.linalg.eigh(a, b, eigvals_only=True)[[0, -1]]
+    reach = 4.0 * (np.linalg.norm(s, 2) / np.linalg.eigvalsh(b)[0] + 1.0)
+    lo, hi = reach / ends[0], reach / ends[1]
+    phi = 0.5 * (np.sqrt(5.0) - 1.0)
+    c, d = hi - phi * (hi - lo), lo + phi * (hi - lo)
+    gc, gd = generalized_min(s - c * a, b), generalized_min(s - d * a, b)
+    while hi - lo > 1e-13 * (1.0 + abs(lo)):
+        if gc >= gd:
+            hi, d, gd = d, c, gc
+            c = hi - phi * (hi - lo)
+            gc = generalized_min(s - c * a, b)
+        else:
+            lo, c, gc = c, d, gd
+            d = lo + phi * (hi - lo)
+            gd = generalized_min(s - d * a, b)
+    return max(gc, gd)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, 7), kind=st.sampled_from(["generic", "kink"]),
+       b_kind=st.sampled_from(["I", "spd"]), seed=st.integers(0, 2**32 - 1))
+def test_one_form_relaxation_in_closed_form(n, kind, b_kind, seed):
+    # one indefinite form: the value is max over w of lambda_min(S - w A, B)
+    # (the S-lemma).  A kink: S, A and B congruent to diagonal matrices by
+    # one R, so that lambda_min(S - w A, B) = min_i (s_i - w a_i) / b_i is
+    # piecewise linear and its maximum sits where two pieces cross, with a
+    # double bottom eigenvalue; the value is the best crossing
+    rng = np.random.default_rng(seed)
+    signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    a_diag = rng.permutation(signs * rng.uniform(0.2, 5.0, n))
+    if kind == "generic":
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        a = (q * a_diag) @ q.T
+        s = random_sym_stack(rng, 1, n)[0]
+        b = np.eye(n) if b_kind == "I" else random_spd(rng, n)
+        oracle = s_lemma_value(s, a, b)
+    else:
+        r = random_congruence(rng, n) if b_kind == "spd" else np.linalg.qr(
+            rng.standard_normal((n, n)))[0]
+        s_diag = rng.standard_normal(n)
+        s, a, b = (r.T * d @ r for d in (s_diag, a_diag, np.ones(n)))
+        ups, downs = np.flatnonzero(a_diag > 0), np.flatnonzero(a_diag < 0)
+        crossings = [(s_diag[i] - s_diag[j]) / (a_diag[i] - a_diag[j]) for i in ups for j in downs]
+        oracle = max(float(np.min(s_diag - w * a_diag)) for w in crossings)
+    p = QcqpProblem(s, b, [a])
+    assert_closed_form(p, solve_relaxation(p), oracle)
+
+
 def test_repeated_eigenvalue_certifies_with_solution():
     # S = I: every unit vector is optimal, and the closed form picks one
     cert = certify_exactness(QcqpProblem(np.eye(4), np.eye(4), []), gap_samples=10)
@@ -290,7 +427,9 @@ def test_closed_form_gives_way_on_overflow(s, b):
     # of nothing and leaves the problem to the interior-point method, where
     # the norm of a B this small underflows to zero
     p = QcqpProblem(s, b, [])
-    assert qcqp_relax._rayleigh_solution(p.cost, p.normalization, symlin.DEFAULT_TOL) is None
+    no_pairs = qcqp_relax._coordinate_pairs([])
+    assert qcqp_relax._clique_solution(p.cost, p.normalization, no_pairs,
+                                       symlin.DEFAULT_TOL) is None
     assert solve_relaxation(p).status == "infeasible"
 
 
@@ -301,10 +440,39 @@ def test_closed_form_near_the_float_range():
     assert sol.objective == -1e300
 
 
+def coordinate_unit(n, i, j):
+    """The form x_i x_j: e_i e_j^T + e_j e_i^T."""
+    a = np.zeros((n, n))
+    a[i, j] = a[j, i] = 1.0
+    return a
+
+
+def cycle_problem(s):
+    """x_i x_j = 0 off the cycle 0 - 1 - ... - (n - 1) - 0, with B = I."""
+    n = len(s)
+    edges = {(i, i + 1) for i in range(n - 1)} | {(0, n - 1)}
+    return QcqpProblem(s, np.eye(n), [coordinate_unit(n, i, j) for i in range(n)
+                                      for j in range(i + 1, n) if (i, j) not in edges])
+
+
 @pytest.mark.parametrize("name, problem", [
     ("singular-b", QcqpProblem(np.eye(3), np.diag([1.0, 1.0, 0.0]), [])),
     ("indefinite-b", QcqpProblem(np.eye(3), np.diag([1.0, 1.0, -1.0]), [])),
-    ("one-form", QcqpProblem(np.diag([1.0, 2.0, 3.0]), np.eye(3), [np.diag([1.0, -1.0, 0.0])])),
+    # one semidefinite form: the S-lemma search needs an indefinite one
+    ("one-form", QcqpProblem(np.diag([1.0, 2.0, 3.0]), np.eye(3), [np.diag([1.0, 1.0, 0.0])])),
+    # cycles of 4 and 5 vertices are not chordal
+    ("four-cycle", cycle_problem(np.array([[1.5791, 0.733, 0.1551, -0.5412],
+                                           [0.733, 0.2194, 0.5624, 1.3786],
+                                           [0.1551, 0.5624, 0.1832, 0.2496],
+                                           [-0.5412, 1.3786, 0.2496, -0.1795]]))),
+    ("five-cycle", cycle_problem(random_sym_stack(np.random.default_rng(4), 1, 5)[0] / 2.0)),
+    # a coordinate pattern's forms are off the diagonal
+    ("diagonal-form", QcqpProblem(np.diag([1.0, 2.0, 3.0]), np.eye(3),
+                                  [np.diag([0.0, 0.0, 1.0]), coordinate_unit(3, 0, 1)])),
+    ("singular-b-with-forms", QcqpProblem(np.diag([1.0, 2.0, 3.0]), np.diag([1.0, 1.0, 0.0]),
+                                          [np.diag([1.0, -1.0, 0.0])])),
+    ("two-forms", QcqpProblem(np.diag([1.0, 2.0, 3.0]), np.eye(3),
+                              [np.diag([1.0, -1.0, 0.0]), np.diag([0.0, 1.0, -1.0])])),
 ])
 def test_interior_point_method_outside_the_closed_form(monkeypatch, name, problem):
     calls = []
@@ -469,13 +637,45 @@ def test_certify_builds_induced_cone_once(monkeypatch):
         return real(problem)
 
     monkeypatch.setattr(qcqp_relax, "induced_cone", counted)
-    p = QcqpProblem(np.diag([1.0, 2.0, 3.0]), np.eye(3), [np.diag([1.0, -1.0, 0.0])])
-    cert = certify_exactness(p, gap_samples=100)
+    # X* has rank 2 on the 4-cycle, so purification needs the cone
+    cert = certify_exactness(four_cycle_problem(), gap_samples=100)
     assert len(calls) == 1
+    assert cert.status in ("gap-detected", "inconclusive")
     # the certificate keeps the solve it came from
     assert cert.solution.status == "optimal"
     assert cert.relaxed_value == cert.solution.objective
-    assert abs(cert.relaxed_value - 1.5) < 1e-7
+
+
+@pytest.mark.parametrize("name, problem", [
+    ("no-form", QcqpProblem(np.diag([3.0, 1.0, 2.0]), np.eye(3), [])),
+    ("chordal", QcqpProblem(random_sym_stack(np.random.default_rng(1), 1, 4)[0], np.eye(4),
+                            [coordinate_unit(4, 0, 2), coordinate_unit(4, 0, 3),
+                             coordinate_unit(4, 1, 3)])),
+    ("one-form", QcqpProblem(random_sym_stack(np.random.default_rng(2), 1, 4)[0], np.eye(4),
+                             [np.diag([1.0, -2.0, 0.5, -0.5]) + coordinate_unit(4, 0, 1)])),
+])
+def test_certify_takes_a_rank_one_optimum_from_one_decomposition(monkeypatch, name, problem):
+    # a closed-form optimum has rank 1: one eig_sym of X* gives x_opt, and
+    # no cone is built or purified
+    counts = {"eig_sym": 0, "make_cone": 0}
+
+    def counted(module, attr):
+        real = getattr(module, attr)
+
+        def wrapper(*args, **kwargs):
+            counts[attr] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, attr, wrapper)
+    counted(symlin, "eig_sym")
+    counted(qcqp_relax, "make_cone")
+    cert = certify_exactness(problem, gap_samples=100)
+    assert counts == {"eig_sym": 1, "make_cone": 0}
+    assert cert.status == "exact-with-solution" and cert.solution.iterations == 0
+    x = cert.x_opt
+    assert abs(x @ problem.normalization @ x - 1.0) <= 1e-8
+    assert abs(cert.extracted_value - cert.relaxed_value) <= 1e-8 * (1.0 + abs(cert.relaxed_value))
+    for a in problem.constraints:
+        assert abs(x @ a @ x) <= 1e-8
 
 
 def four_cycle_problem():

@@ -6,7 +6,8 @@ since the modules an import pulls in only show in a process that has not
 loaded them yet.  ``import rogcones`` and the ``build``, ``analyze`` and
 ``qcqp`` subcommands must not load ``scipy.linalg``, not even when ``qcqp``
 reaches the rank-1 sampler; it loads on first use by the block-Toeplitz
-decomposition and ``pencil_decompose``.
+decomposition and ``pencil_decompose``.  No closed form of ``qcqp`` (a
+chordal coordinate pattern, one indefinite form) loads ``scipy.optimize``.
 """
 
 import json
@@ -20,7 +21,7 @@ import rogcones as rc
 from rogcones import jsonio
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(rc.__file__)))
-HEAVY = ("scipy.linalg", "networkx", "sympy", "hypothesis")
+HEAVY = ("scipy.linalg", "scipy.optimize", "networkx", "sympy", "hypothesis")
 
 CHILD = """
 import json, sys
@@ -40,6 +41,8 @@ report["codes"] = [
     cli.run(["analyze", {cone!r}, "--out", {analysis!r}]),
     cli.run(["qcqp", {problem!r}, "--gap-samples", "10", "--out", {solution!r}]),
     cli.run(["qcqp", {cycle!r}, "--gap-samples", "100", "--out", {cycle_solution!r}]),
+    cli.run(["qcqp", {path!r}, "--gap-samples", "10", "--out", {path_solution!r}]),
+    cli.run(["qcqp", {one_form!r}, "--gap-samples", "10", "--out", {one_form_solution!r}]),
 ]
 report["after_cli"] = loaded()
 
@@ -77,18 +80,25 @@ def _problem(tmp_path, name, s_mat):
     return _write(tmp_path, name, {"S": s_mat, "B": np.eye(2).tolist(), "A": []})
 
 
-def _four_cycle():
-    """The 4-cycle problem of ``test_qcqp.test_certify_four_cycle_gap``."""
-    s_mat = [[1.5791, 0.733, 0.1551, -0.5412],
-             [0.733, 0.2194, 0.5624, 1.3786],
-             [0.1551, 0.5624, 0.1832, 0.2496],
-             [-0.5412, 1.3786, 0.2496, -0.1795]]
+FOUR_CYCLE_S = [[1.5791, 0.733, 0.1551, -0.5412],
+                [0.733, 0.2194, 0.5624, 1.3786],
+                [0.1551, 0.5624, 0.1832, 0.2496],
+                [-0.5412, 1.3786, 0.2496, -0.1795]]
+
+
+def _pattern(pairs):
+    """x_i x_j = 0 for each pair, with the cost of the 4-cycle problem."""
     forms = []
-    for i, j in ((0, 2), (1, 3)):
+    for i, j in pairs:
         a = np.zeros((4, 4))
         a[i, j] = a[j, i] = 1.0
         forms.append(a.tolist())
-    return {"S": s_mat, "B": np.eye(4).tolist(), "A": forms}
+    return {"S": FOUR_CYCLE_S, "B": np.eye(4).tolist(), "A": forms}
+
+
+def _four_cycle():
+    """The 4-cycle problem of ``test_qcqp.test_certify_four_cycle_gap``."""
+    return _pattern([(0, 2), (1, 3)])
 
 
 def test_cold_start_keeps_heavy_modules_off_the_cli_path(tmp_path):
@@ -101,12 +111,19 @@ def test_cold_start_keeps_heavy_modules_off_the_cli_path(tmp_path):
         problem=_problem(tmp_path, "p.json", np.diag([1.0, 2.0]).tolist()),
         solution=str(tmp_path / "solution.json"),
         cycle=_write(tmp_path, "cycle.json", _four_cycle()),
-        cycle_solution=str(tmp_path / "cycle_solution.json"))
+        cycle_solution=str(tmp_path / "cycle_solution.json"),
+        # the path 0 - 1 - 2 - 3 is chordal
+        path=_write(tmp_path, "path.json", _pattern([(0, 2), (0, 3), (1, 3)])),
+        path_solution=str(tmp_path / "path_solution.json"),
+        one_form=_write(tmp_path, "one_form.json", {
+            "S": FOUR_CYCLE_S, "B": np.eye(4).tolist(),
+            "A": [np.diag([1.0, -2.0, 0.5, -0.5]).tolist()]}),
+        one_form_solution=str(tmp_path / "one_form_solution.json"))
     proc = _python("-c", script, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["after_import"] == []
-    assert report["codes"] == [0, 0, 0, 0]
+    assert report["codes"] == [0, 0, 0, 0, 0, 0]
     assert report["after_cli"] == []
     assert json.loads((tmp_path / "analysis.json").read_text())["degree"] == 4
     assert json.loads((tmp_path / "solution.json").read_text())["status"] \
@@ -115,6 +132,11 @@ def test_cold_start_keeps_heavy_modules_off_the_cli_path(tmp_path):
     # and the sampler runs
     assert json.loads((tmp_path / "cycle_solution.json").read_text())["status"] \
         == "gap-detected"
+    # the chordal pattern and the one form take their closed forms
+    for name in ("path_solution.json", "one_form_solution.json"):
+        solution = json.loads((tmp_path / name).read_text())
+        assert solution["status"] == "exact-with-solution"
+        assert solution["iterations"] == 0
     # the two routines that need scipy.linalg load it themselves
     assert report["toeplitz_atoms"] == 2
     assert report["toeplitz_residual"] < 1e-10
