@@ -7,9 +7,9 @@ pretty-prints them).  Exit codes: 0 success, 1 domain errors (infeasible
 completion, non-chordal graph, ...), 2 I/O or parse errors.  ``--seed``
 feeds only the gap sampler of ``qcqp``, so identical inputs give
 byte-identical reports; the other subcommands are deterministic and
-ignore it.  The import path of ``rog`` loads numpy and nothing heavier;
-``scipy.linalg`` loads on first use, by the block-Toeplitz decomposition
-and by ``pencil``.
+ignore it.  ``rog`` runs on numpy alone: no subcommand loads scipy.
+Reports go through ``tolist()`` and ``json``, so ``run`` leaves numpy's
+print options as it found them.
 """
 
 from __future__ import annotations
@@ -248,7 +248,6 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    np.set_printoptions(precision=17)
     try:
         return args.func(args)
     except (OSError, json.JSONDecodeError, KeyError) as exc:

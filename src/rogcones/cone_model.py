@@ -103,13 +103,16 @@ def _normalize_generators(generators, n: int, complex_field: bool) -> np.ndarray
         return rays
     # row by row, these are the bits of np.linalg.norm(x), x / nrm and the
     # canonical phase x[i] / abs(x[i]): vecdot takes norm's dot products and
-    # hypot the scalar abs (np.abs of a complex array rounds differently)
+    # hypot the scalar abs (np.abs of a complex array rounds differently);
+    # a ray already normalized up to rounding is not divided again
     nrm = np.sqrt(np.vecdot(rays.real, rays.real) + np.vecdot(rays.imag, rays.imag))
     live = ~(nrm < 1e-14)
-    rays = rays[live] / nrm[live, None]
-    # canonical sign so that certificates are deterministic
+    rays = rays[live] / symlin.snap_to_one(nrm[live])[:, None]
+    # canonical sign so that certificates are deterministic; a real phase
+    # is +-1 exactly, a complex one is snapped like the norm
     lead = rays[np.arange(len(rays)), np.argmax(np.abs(rays), axis=1)]
-    rays = rays / (lead / np.hypot(lead.real, lead.imag))[:, None]
+    phase = lead / np.hypot(lead.real, lead.imag)
+    rays = rays / (symlin.snap_to_one(phase) if complex_field else phase)[:, None]
     # keep the first ray of each near-duplicate group, in input order: a
     # row is dropped when it matches an earlier kept row, so only rows that
     # match some row besides themselves need a look at which were kept

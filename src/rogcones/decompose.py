@@ -697,7 +697,7 @@ def decompose_block_toeplitz(cone: SpectrahedralCone, t_mat: np.ndarray,
 
     Factor T = W W^*, solve the block shift W_lower = W_upper U for a
     unitary U (least squares followed by the polar projection), and
-    diagonalize U; in the rotated factor every column has the geometric
+    diagonalize U in a unitary eigenbasis; in the rotated factor every column has the geometric
     structure (v, v q, ..., v q^{n-1}) with |q| = 1.  A cone of another
     kind, or a non-member, raises InvalidInputError.
     """
@@ -719,9 +719,7 @@ def decompose_block_toeplitz(cone: SpectrahedralCone, t_mat: np.ndarray,
     if shift_err > 1e-6 * (1.0 + np.linalg.norm(w_lo)):
         raise NumericalError(
             f"unitary shift recovery failed (residual {shift_err:.2e})")
-    import scipy.linalg  # local: keeps scipy.linalg off the start-up path of `rog`
-    tri, v = scipy.linalg.schur(u, output="complex")
-    w_rot = w_full @ v
+    w_rot = w_full @ symlin.unitary_eigenbasis(u)
     return _as_decomposition(np.ones(w_rot.shape[1]), list(w_rot.T), t_mat)
 
 

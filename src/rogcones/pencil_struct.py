@@ -86,10 +86,10 @@ def pencil_decompose(pencil: Pencil) -> PencilDecomposition:
     (cos t, sin t), so at most nc of the nc + 1 angles t = k pi / (nc + 1)
     make it singular: the best-conditioned of those combinations, A, and
     the orthogonal one, B = -sin t Q1 + cos t Q2, give the eigenvalues
-    tan(phi_k - t) of the pencil (B, A).  Raises when no combination is
-    invertible, or when the pencil is defective or has complex
-    eigenstructure (checked a posteriori through the reconstruction
-    residual).
+    tan(phi_k - t) of the pencil (B, A), those of A^{-1} B.  Raises when
+    no combination is invertible, or when the pencil is defective or has
+    complex eigenstructure (checked a posteriori through the
+    reconstruction residual).
     """
     q1, q2 = pencil.q1, pencil.q2
     n = q1.shape[0]
@@ -110,8 +110,7 @@ def pencil_decompose(pencil: Pencil) -> PencilDecomposition:
     theta = thetas[best]
     a_mat = combos[best]
     b_mat = -np.sin(theta) * q1c + np.cos(theta) * q2c
-    import scipy.linalg  # local: keeps scipy.linalg off the start-up path of `rog`
-    vals = scipy.linalg.eigvals(b_mat, a_mat)
+    vals = np.linalg.eigvals(np.linalg.solve(a_mat, b_mat))
     if np.abs(vals.imag).max(initial=0.0) > 1e-6 * (1.0 + np.abs(vals.real).max(initial=0.0)):
         raise NumericalError("pencil eigenvalues are not all real")
     vals = np.sort(vals.real)

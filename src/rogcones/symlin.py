@@ -30,6 +30,7 @@ full set of right singular vectors only for a wide input.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,6 +121,28 @@ def eig_sym(a: np.ndarray) -> EigDecomp:
     w, v = np.linalg.eigh(sym(a))
     order = np.argsort(w)[::-1]
     return EigDecomp(values=w[order], vectors=v[:, order])
+
+
+def unitary_eigenbasis(u: np.ndarray) -> np.ndarray:
+    """Unitary V with V^* U V diagonal, for a unitary U.
+
+    U is turned to R = e^{ia} U with -1 mid-way in the widest gap of its
+    spectrum, so that every phase t of R has |t| <= pi - gap / 2.  The
+    Cayley transform H = i (I - R)(I + R)^{-1} is then a well-conditioned
+    Hermitian matrix with the eigenvectors of R and eigenvalue tan(t / 2)
+    for each phase t: distinct phases give distinct eigenvalues, and a
+    repeated phase an orthonormal eigenspace, both from Hermitian eigh.
+    """
+    # a handful of phases: plain floats cost less than numpy calls here
+    phases = sorted(np.angle(np.linalg.eigvals(u)).tolist())
+    ends = phases[1:] + [phases[0] + 2.0 * math.pi]
+    gap, start = max((end - t, t) for t, end in zip(phases, ends))
+    turn = math.pi - start - 0.5 * gap
+    r = complex(math.cos(turn), math.sin(turn)) * u
+    eye = np.eye(len(u))
+    # (I - R) and (I + R)^{-1} commute, so H = i (I + R)^{-1} (I - R); eigh
+    # reads one triangle of H, which is Hermitian up to rounding
+    return np.linalg.eigh(1j * np.linalg.solve(eye + r, eye - r))[1]
 
 
 def numeric_rank(a: np.ndarray, tol: float = DEFAULT_TOL) -> int:
@@ -277,7 +300,8 @@ def _svd_cut(a: np.ndarray, tol: float, full_matrices: bool):
 
 
 # rows whose pairwise inner products are at most this times the product of
-# their norms are orthogonal up to rounding: their SVD is known in closed form
+# their norms are orthogonal up to rounding: their SVD is known in closed
+# form; a norm or phase within this of 1 is 1 up to rounding
 _ORTHOGONAL = 1e-14
 
 
@@ -316,22 +340,23 @@ def orthonormal_span(mats) -> np.ndarray:
     orthogonal up to rounding (coordinate patterns, Hankel anti-diagonals,
     Toeplitz diagonals, direct sums, an orthonormal basis read back), the
     SVD is known in closed form: the singular values are the row norms and
-    the right singular vectors the normalized rows.  Those rows then come
-    back in input order, normalized, the ones at or below the cut dropped,
-    and are not symmetrized again when they are real and exactly
-    symmetric already; any other input takes the SVD, whose rows come in
-    descending order of singular value.
+    the right singular vectors the normalized rows.  Rows with disjoint
+    supports are told orthogonal without their Gram matrix.  Those rows
+    then come back in input order, normalized, the ones at or below the
+    cut dropped, and are not symmetrized again when they are real and
+    exactly symmetric already; a row of unit norm up to rounding is kept
+    as it is, so that a basis read back gives itself bit for bit.  Any
+    other input takes the SVD, whose rows come in descending order of
+    singular value.
     """
     rows, support, width, n, complex_field = _span_rows(mats)
-    gram = rows @ rows.T
-    norms = np.sqrt(gram.diagonal())
-    np.fill_diagonal(gram, 0.0)
-    if (np.abs(gram) <= _ORTHOGONAL * norms[:, None] * norms).all():
+    norms = np.sqrt(np.vecdot(rows, rows))
+    if _disjoint_supports(rows) or _gram_orthogonal(rows, norms):
         # exactly symmetric rows stay so under the division by their norms
         symmetric = not complex_field and _rows_symmetric(rows, support, n)
         live = norms > cut(norms, SUBSPACE_TOL)
         vt = rows if live.all() else rows[live]
-        vt /= norms[live, None]
+        vt /= snap_to_one(norms[live])[:, None]
         rank = len(vt)
     else:
         symmetric = False
@@ -342,6 +367,31 @@ def orthonormal_span(mats) -> np.ndarray:
         keep = keep[:, :n * n] + 1j * keep[:, n * n:]
     keep = keep.reshape(-1, n, n)
     return keep if symmetric else sym(keep)
+
+
+def _disjoint_supports(rows) -> bool:
+    """True iff no column is nonzero in two rows, as in coordinate
+    patterns, chordal spans and Hankel anti-diagonals: such rows are
+    exactly orthogonal, which this tells without the Gram matrix.  Every
+    column of rows restricted to their support holds a nonzero, so that
+    is one nonzero per column."""
+    return np.count_nonzero(rows) == rows.shape[1]
+
+
+def _gram_orthogonal(rows, norms) -> bool:
+    """True iff the rows are pairwise orthogonal up to rounding, by their
+    Gram matrix."""
+    gram = rows @ rows.T
+    np.fill_diagonal(gram, 0.0)
+    return bool((np.abs(gram) <= _ORTHOGONAL * norms[:, None] * norms).all())
+
+
+def snap_to_one(x: np.ndarray) -> np.ndarray:
+    """x with each entry within rounding (1e-14) of 1 set to 1: the norms
+    or phases to divide by when normalizing, so that a vector already
+    normalized, one read back from JSON for instance, stays bit for bit
+    as it is and normalizing twice gives what normalizing once gave."""
+    return np.where(np.abs(x - 1.0) <= _ORTHOGONAL, 1.0, x)
 
 
 def _rows_symmetric(rows, support, n) -> bool:

@@ -160,6 +160,18 @@ def test_cli_parser_reused_across_runs(tmp_path):
     assert cli.make_parser.cache_info().misses == 1
 
 
+def test_cli_leaves_numpy_print_options_alone(tmp_path):
+    # reports go through tolist() and json; a caller in the same process
+    # keeps the print options it set
+    cone = _cone_path(tmp_path, rc.hankel_cone(3))
+    problem = _write(tmp_path, "p.json", {"S": np.diag([1.0, 2.0]).tolist(),
+                                          "B": np.eye(2).tolist(), "A": []})
+    before = np.get_printoptions()
+    for argv in (["analyze", cone], ["qcqp", problem, "--gap-samples", "10"]):
+        assert _run(tmp_path, *argv)[0] == 0
+        assert np.get_printoptions() == before
+
+
 def test_cli_decompose(tmp_path):
     cone = rc.tridiagonal_cone(3)
     x_mat = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])

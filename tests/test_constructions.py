@@ -127,12 +127,10 @@ def test_chordal_complete_graph():
 ])
 def test_chordal_certificate_in_mcs_order(n, edges, rays):
     """e_v, then (e_u + e_v) / sqrt(2) for each earlier neighbor u, vertex
-    by vertex in MCS order; the bit-exact JSON round trip depends on it."""
+    by vertex in MCS order; the bit-exact JSON round trip depends on it.
+    Those rays are unit up to rounding, so make_cone keeps them as built."""
     eye = np.eye(n)
-    expected = []
-    for ray in rays:
-        x = eye[list(ray)].sum(axis=0) / np.sqrt(len(ray))
-        expected.append(x / np.linalg.norm(x))
+    expected = [eye[list(ray)].sum(axis=0) / np.sqrt(len(ray)) for ray in rays]
     cone = rc.chordal_cone(rc.ChordalGraph(n, edges))
     assert np.array_equal(cone.generators, np.array(expected))
     assert rc.certificate_complete(cone)

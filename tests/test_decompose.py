@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rogcones as rc
-from rogcones import cone_model, symlin
+from rogcones import cone_model, constructions, symlin
 from rogcones.decompose import (decompose_block_toeplitz, decompose_full_extension,
                                 decompose_hankel, decompose_intertwining,
                                 extreme_ray_oracle)
@@ -367,6 +367,30 @@ def test_decompose_toeplitz_rejects_pattern():
     t = np.diag([1.0, 2.0]).astype(complex)
     with pytest.raises(InvalidInputError):
         decompose_block_toeplitz(rc.block_toeplitz_cone(2, 1), t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       size=st.sampled_from([(2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3)]))
+def test_decompose_toeplitz_atoms_sharing_a_phase(seed, size):
+    # up to (n - 1) m atoms w = (v, v q, ..., v q^{n-1}); the second atom
+    # takes the phase of the first and each later one that of any earlier
+    # atom or a new one, so U has repeated eigenvalues
+    n, m = size
+    rng = np.random.default_rng(seed)
+    count = int(rng.integers(2, (n - 1) * m + 2))
+    phases = [rng.uniform(-np.pi, np.pi)]
+    for k in range(1, count):
+        phases.append(phases[rng.integers(k)] if k == 1 or rng.random() < 0.5
+                      else rng.uniform(-np.pi, np.pi))
+    t_mat = sum(rng.uniform(0.5, 2.0) * symlin.outer(constructions._phase_vector(
+        np.exp(1j * phi), n, rng.standard_normal(m) + 1j * rng.standard_normal(m)))
+        for phi in phases)
+    cone = rc.block_toeplitz_cone(n, m)
+    dec = rc.decompose(cone, t_mat)
+    check_decomposition(cone, t_mat, dec, tol=1e-8)
+    for atom in dec.atoms:
+        _check_phase_structure(atom.vector, n, m)
 
 
 @pytest.mark.parametrize("n, edges, atoms", [

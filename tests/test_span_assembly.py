@@ -20,7 +20,8 @@ import rogcones as rc
 from rogcones import cli, cone_model, constructions, jsonio, symlin
 from rogcones.cone_model import RAY_MATCH, _normalize_generators
 
-from conftest import random_chordal_graph, rank_r_member
+from conftest import (count_calls, family_registry, random_chordal_graph,
+                      random_congruence, rank_r_member)
 
 
 # ---------------------------------------------------------------------------
@@ -28,7 +29,9 @@ from conftest import random_chordal_graph, rank_r_member
 
 
 def _pairwise_dedupe(generators, n, complex_field):
-    """The pairwise loop the batched dedupe replaces."""
+    """The pairwise loop the batched dedupe replaces.  A norm or phase
+    within rounding (1e-14) of 1 is not divided by, so that a ray already
+    normalized stays as it is."""
     dtype = complex if complex_field else float
     vecs = []
     for x in generators:
@@ -36,9 +39,12 @@ def _pairwise_dedupe(generators, n, complex_field):
         nrm = np.linalg.norm(x)
         if nrm < 1e-14:
             continue
-        x = x / nrm
+        if abs(nrm - 1.0) > 1e-14:
+            x = x / nrm
         i = int(np.argmax(np.abs(x)))
-        x = x / (x[i] / abs(x[i]))
+        phase = x[i] / abs(x[i])
+        if abs(phase - 1.0) > 1e-14:
+            x = x / phase
         if not any(abs(np.vdot(x, y)) > RAY_MATCH for y in vecs):
             vecs.append(x)
     return np.array(vecs) if vecs else np.zeros((0, n), dtype=dtype)
@@ -277,6 +283,39 @@ def test_orthogonal_rows_take_the_closed_form(monkeypatch, name):
     assert symlin.span_dim(mats) == basis.shape[0]
 
 
+def _unit_pattern(graph):
+    """The unit forms E_ii and E_ij + E_ji of a graph's coordinate pattern."""
+    mats = np.zeros((graph.n + len(graph.edges), graph.n, graph.n))
+    for k, (i, j) in enumerate([(v, v) for v in range(graph.n)] + list(graph.edges)):
+        mats[k, i, j] = mats[k, j, i] = 1.0
+    return mats
+
+
+@pytest.mark.parametrize("name", ["pattern40", "weighted_pattern", "chordal_span", "hankel",
+                                  "toeplitz", "straddling", "direct_sum"])
+def test_disjoint_rows_skip_the_gram_matrix(monkeypatch, name):
+    """Rows with disjoint supports take the closed form without the Gram
+    matrix, bit for bit what the Gram check gives them; orthogonal rows
+    that share a column still take the Gram check."""
+    rng = np.random.default_rng(7)
+    mats = {"pattern40": lambda: _unit_pattern(random_chordal_graph(rng, 40)),
+            "weighted_pattern": lambda: _chordal_pattern(rng),
+            "chordal_span": lambda: rc.chordal_cone(random_chordal_graph(rng, 12)).span_basis,
+            "hankel": lambda: rc.hankel_cone(5).span_basis,
+            "toeplitz": lambda: rc.block_toeplitz_cone(4, 1).span_basis,
+            "straddling": lambda: _straddling_rows()[0],
+            "direct_sum": _direct_sum_of_bases}[name]()
+    grams = count_calls(monkeypatch, symlin, "_gram_orthogonal")
+    calls = _record_svds(monkeypatch)
+    basis = symlin.orthonormal_span(mats)
+    assert calls == []
+    assert len(grams) == (name == "direct_sum")
+    monkeypatch.setattr(symlin, "_disjoint_supports", lambda rows: False)
+    via_gram = symlin.orthonormal_span(mats)
+    assert calls == []
+    assert basis.shape == via_gram.shape and basis.tobytes() == via_gram.tobytes()
+
+
 def test_certificate_complete_asks_for_no_singular_vectors(monkeypatch):
     cones = (rc.chordal_cone(random_chordal_graph(np.random.default_rng(5), 12)),
              rc.codim1_cone(np.diag([1.0, -1.0, 2.0])), rc.block_toeplitz_cone(2, 2))
@@ -304,6 +343,28 @@ def test_raw_cone_json_reloads_its_basis_unrotated():
     cone = rc.make_cone(3, [np.outer(x, x) for x in gens], gens)
     back = jsonio.cone_from_json(jsonio.cone_to_json(cone))
     assert np.abs(back.span_basis - cone.span_basis).max() <= 1e-14
+
+
+_RAW_SOURCES = {**family_registry(), "block_toeplitz22": rc.block_toeplitz_cone(2, 2)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), name=st.sampled_from(sorted(_RAW_SOURCES)))
+def test_raw_congruent_copies_round_trip_bit_for_bit(seed, name):
+    # a raw copy stores an orthonormal basis and unit generators; reading
+    # them back leaves every bit, so one round trip is a fixed point
+    cone = _RAW_SOURCES[name]
+    rng = np.random.default_rng(seed)
+    a = random_congruence(rng, cone.n)
+    if cone.complex_field:
+        a = a + 1j * random_congruence(rng, cone.n)
+    raw = rc.apply_congruence(cone, a, keep_expr=False)
+    data = json.loads(json.dumps(jsonio.cone_to_json(raw)))
+    back = jsonio.cone_from_json(data)
+    assert back.expr is None
+    for got, want in ((back.span_basis, raw.span_basis), (back.generators, raw.generators)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert json.loads(json.dumps(jsonio.cone_to_json(back))) == data
 
 
 def test_span_coords_matches_vec_rows():

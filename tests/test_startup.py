@@ -3,15 +3,17 @@ codes of ``python -m rogcones.cli``.
 
 Every check runs in a new interpreter (``subprocess.run`` with a timeout),
 since the modules an import pulls in only show in a process that has not
-loaded them yet.  ``import rogcones`` and the ``build``, ``analyze`` and
-``qcqp`` subcommands must not load ``scipy.linalg``, not even when ``qcqp``
-reaches the rank-1 sampler; it loads on first use by the block-Toeplitz
-decomposition and ``pencil_decompose``.  No closed form of ``qcqp`` (a
-chordal coordinate pattern, one indefinite form) loads ``scipy.optimize``.
+loaded them yet.  ``import rogcones`` and the ``build``, ``analyze``,
+``qcqp``, ``decompose`` and ``pencil`` subcommands must not load any
+``scipy`` module: not when ``qcqp`` reaches the rank-1 sampler or takes a
+closed form (a chordal coordinate pattern, one indefinite form), nor when
+``decompose`` takes the block-Toeplitz route, nor in ``pencil``.
 """
 
+import ast
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -19,14 +21,14 @@ import numpy as np
 
 import rogcones as rc
 from rogcones import jsonio
+from rogcones.symlin import to_json_array
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(rc.__file__)))
-HEAVY = ("scipy.linalg", "scipy.optimize", "networkx", "sympy", "hypothesis")
+HEAVY = ("scipy", "networkx", "sympy", "hypothesis")
 
 CHILD = """
 import json, sys
-import numpy as np
-import rogcones as rc
+import rogcones
 from rogcones import cli
 
 HEAVY = {heavy!r}
@@ -43,17 +45,10 @@ report["codes"] = [
     cli.run(["qcqp", {cycle!r}, "--gap-samples", "100", "--out", {cycle_solution!r}]),
     cli.run(["qcqp", {path!r}, "--gap-samples", "10", "--out", {path_solution!r}]),
     cli.run(["qcqp", {one_form!r}, "--gap-samples", "10", "--out", {one_form_solution!r}]),
+    cli.run(["decompose", {toeplitz!r}, {toeplitz_member!r}, "--out", {toeplitz_atoms!r}]),
+    cli.run(["pencil", {pencil!r}, "--out", {pencil_blocks!r}]),
 ]
 report["after_cli"] = loaded()
-
-# a rank-2 member of the 3 x 3 Toeplitz cone: w w^* with w = (1, q, q^2)
-t_mat = sum(np.outer(w, w.conj()) for w in
-            (q ** np.arange(3) for q in (np.exp(0.4j), np.exp(2.1j))))
-dec = rc.decompose(rc.block_toeplitz_cone(3, 1), t_mat)
-report["toeplitz_atoms"] = len(dec.atoms)
-report["toeplitz_residual"] = dec.residual
-pen = rc.pencil_decompose(rc.Pencil(np.diag([1.0, 0.0, 2.0]), np.diag([0.0, 1.0, 1.0])))
-report["pencil_blocks"] = len(pen.blocks)
 report["scipy_linalg_loaded"] = "scipy.linalg" in sys.modules
 print(json.dumps(report))
 """
@@ -103,6 +98,9 @@ def _four_cycle():
 
 def test_cold_start_keeps_heavy_modules_off_the_cli_path(tmp_path):
     cone = rc.direct_sum(rc.hankel_cone(3), rc.diagonal_cone(1))
+    # a rank-2 member of the 3 x 3 Toeplitz cone: w w^* with w = (1, q, q^2)
+    t_mat = sum(np.outer(w, w.conj()) for w in
+                (q ** np.arange(3) for q in (np.exp(0.4j), np.exp(2.1j))))
     script = CHILD.format(
         heavy=HEAVY,
         expr=_write(tmp_path, "expr.json", jsonio.expr_to_json(cone.expr)),
@@ -118,12 +116,19 @@ def test_cold_start_keeps_heavy_modules_off_the_cli_path(tmp_path):
         one_form=_write(tmp_path, "one_form.json", {
             "S": FOUR_CYCLE_S, "B": np.eye(4).tolist(),
             "A": [np.diag([1.0, -2.0, 0.5, -0.5]).tolist()]}),
-        one_form_solution=str(tmp_path / "one_form_solution.json"))
+        one_form_solution=str(tmp_path / "one_form_solution.json"),
+        toeplitz=_write(tmp_path, "toeplitz.json",
+                        jsonio.cone_to_json(rc.block_toeplitz_cone(3, 1))),
+        toeplitz_member=_write(tmp_path, "toeplitz_member.json", to_json_array(t_mat)),
+        toeplitz_atoms=str(tmp_path / "toeplitz_atoms.json"),
+        pencil=_write(tmp_path, "pencil.json", {"Q1": np.diag([1.0, 0.0, 2.0]).tolist(),
+                                                "Q2": np.diag([0.0, 1.0, 1.0]).tolist()}),
+        pencil_blocks=str(tmp_path / "pencil_blocks.json"))
     proc = _python("-c", script, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["after_import"] == []
-    assert report["codes"] == [0, 0, 0, 0, 0, 0]
+    assert report["codes"] == [0, 0, 0, 0, 0, 0, 0, 0]
     assert report["after_cli"] == []
     assert json.loads((tmp_path / "analysis.json").read_text())["degree"] == 4
     assert json.loads((tmp_path / "solution.json").read_text())["status"] \
@@ -137,11 +142,27 @@ def test_cold_start_keeps_heavy_modules_off_the_cli_path(tmp_path):
         solution = json.loads((tmp_path / name).read_text())
         assert solution["status"] == "exact-with-solution"
         assert solution["iterations"] == 0
-    # the two routines that need scipy.linalg load it themselves
-    assert report["toeplitz_atoms"] == 2
-    assert report["toeplitz_residual"] < 1e-10
-    assert report["pencil_blocks"] == 3  # angles 0, pi/2 and atan(1/2)
-    assert report["scipy_linalg_loaded"] is True
+    # the block-Toeplitz route and the pencil run on numpy alone
+    dec = json.loads((tmp_path / "toeplitz_atoms.json").read_text())
+    assert len(dec["atoms"]) == 2
+    assert dec["residual"] < 1e-10
+    pen = json.loads((tmp_path / "pencil_blocks.json").read_text())
+    assert len(pen["blocks"]) == 3  # angles 0, pi/2 and atan(1/2)
+    assert report["scipy_linalg_loaded"] is False
+
+
+def test_no_module_of_the_package_imports_scipy():
+    # rog runs on numpy alone; the tests keep scipy as an independent oracle
+    for path in sorted(pathlib.Path(rc.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(m.split(".")[0] == "scipy" for m in names), \
+                f"{path.name}:{node.lineno} imports scipy"
 
 
 def test_module_main_exit_codes(tmp_path):

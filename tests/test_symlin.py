@@ -247,6 +247,33 @@ def test_orthonormal_span_matches_a_dense_svd(seed, n, count, rank, complex_fiel
 
 
 # ---------------------------------------------------------------------------
+# eigenbasis of a unitary matrix
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 10),
+       phases=st.sampled_from(["distinct", "repeated", "near", "pi"]))
+@example(seed=0, k=10, phases="pi")
+def test_unitary_eigenbasis_diagonalizes_any_spectrum(seed, k, phases):
+    """Phases distinct, exactly repeated, repeated up to 1e-13 .. 1e-6, or
+    at pi, in a random unitary basis: V is unitary and V^* U V diagonal."""
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(-np.pi, np.pi, k)
+    if phases in ("repeated", "near"):
+        t = rng.choice(t[:max(1, k // 2)], k)
+    if phases == "near":
+        t = t + rng.choice([-1.0, 1.0], k) * 10.0 ** rng.uniform(-13, -6, k)
+    if phases == "pi":
+        t[rng.permutation(k)[:rng.integers(1, k + 1)]] = np.pi
+    q, _ = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+    u = (q * np.exp(1j * t)) @ q.conj().T
+    v = symlin.unitary_eigenbasis(u)
+    assert np.abs(v.conj().T @ v - np.eye(k)).max() <= 1e-12
+    d = v.conj().T @ u @ v
+    assert np.abs(d - np.diag(d.diagonal())).max() <= 1e-12
+
+
+# ---------------------------------------------------------------------------
 # distances to a span
 
 
