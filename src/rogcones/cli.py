@@ -167,7 +167,7 @@ def _tolerance(text: str) -> float:
 
 
 def _sample_count(text: str) -> int:
-    """The ``--gap-samples`` value: an integer >= 0."""
+    """The ``--gap-samples`` and ``--seed`` values: an integer >= 0."""
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
     return int(text)
@@ -181,7 +181,7 @@ def make_parser() -> argparse.ArgumentParser:
         prog="rog",
         description="Build, analyze and decompose rank-one-generated "
                     "spectrahedral cones.")
-    parser.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--seed", type=_sample_count, default=0,
                         help="seed of the gap sampler of qcqp (default 0)")
     parser.add_argument("--tol", type=_tolerance, default=1e-8,
                         help="relative numeric tolerance, finite and > 0 "

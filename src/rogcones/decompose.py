@@ -6,24 +6,26 @@ codimension 1 is a section {X >= 0 : <Q, X> = 0}, split by the S-lemma
 rotation of Sturm and Zhang with Q the normal of the span.  Both hold
 whatever built the cone: a bare span, a congruence transform or a full
 extension of codimension 1 takes them too.  Every other cone takes one of
-six routes by its kind, all returning a :class:`Decomposition` whose atom
+five routes by its kind, all returning a :class:`Decomposition` whose atom
 count equals the matrix rank:
 
-* a generic peeling loop (``carath_decompose``) that repeatedly extracts
-  an extreme ray from the face of the current iterate and steps to the
-  PSD boundary; only ``ternary_quartic``, ``moment`` and the Hankel
-  fallback still peel,
 * zero-fill elimination for the chordal kinds and ``diagonal``: one
   pivot column per vertex, in reverse perfect elimination order, with no
   peel,
 * compositional recursions over the construction tree for direct sums,
   full extensions and intertwinings,
-* a shift-invariance (Prony-type) node solver for block-Hankel matrices;
-  a full-rank member first sheds the Schur complement of its last block
-  as node-at-infinity atoms,
+* a shift-invariance (Prony-type) node solver for block-Hankel matrices,
+  on the factor of X at every rank,
 * a unitary spectral factorization for complex block-Toeplitz matrices,
 * a closed form for cross-ratio cones: one elimination per tail
   coordinate, then the eigenvectors of the base plane.
+
+A cone without a route (``ternary_quartic``, ``moment``, a bare span)
+goes to the generic peeling loop ``carath_decompose``, which repeatedly
+extracts an extreme ray from the face of the current iterate and steps
+to the PSD boundary.  None of these kinds has a rank-1 rule, so the peel
+raises OracleUnavailableError after the gate; it stays as the reference
+the direct routes are tested against.
 
 Every route opens with one membership gate, :func:`_span_member`: it
 projects X onto the span and eigendecomposes the projection once, and
@@ -102,7 +104,8 @@ def decompose(cone: SpectrahedralCone, x_mat: np.ndarray,
 
     A real cone of codimension 0 or 1 takes its closed form, whatever its
     kind; any other cone the direct route of its kind when it has one,
-    and the peeling loop otherwise.
+    and the peeling loop otherwise, which has no rank-1 rule for those
+    kinds and raises OracleUnavailableError.
     """
     x_mat = np.asarray(x_mat)
     codim = codimension(cone)
@@ -124,10 +127,10 @@ def carath_decompose(cone: SpectrahedralCone, x_mat: np.ndarray,
                      tol: float = DEFAULT_TOL) -> Decomposition:
     """Peel extreme rays until nothing is left.
 
-    :func:`decompose` peels only the kinds without a direct route,
-    ``ternary_quartic`` and ``moment`` (whose rules raise
-    OracleUnavailableError), and the Hankel members whose node solve
-    degenerates; called directly, it peels any kind with a rank-1 rule,
+    :func:`decompose` calls it only for the kinds without a direct route,
+    ``ternary_quartic``, ``moment`` and a bare span, which have no rank-1
+    rule, so it raises OracleUnavailableError for them after the gate;
+    called directly, it peels any kind with a rank-1 rule,
     which makes it the reference the direct routes are tested against,
     and raises OracleUnavailableError naming a kind without one (the
     chordal and composite kinds among them).  Each round finds a rank-1
@@ -420,9 +423,8 @@ def _diagonal_rays(cone, h, tol):
 
 
 def _hankel_rays(cone, h, tol):
-    finite, inf_dirs = _hankel_candidates(h, *_block_size(cone))
     p = h @ h.T
-    return [v for v in [v for _, v in finite] + inf_dirs
+    return [v for v in _hankel_candidates(h, *_block_size(cone))
             if np.linalg.norm(v - p @ v) <= 1e-6 * np.linalg.norm(v)]
 
 
@@ -584,10 +586,12 @@ def _snap_moment_vector(v, n, m, t):
 
 
 def _hankel_candidates(u, n, m):
-    """Candidate atom directions (moment vectors) for the Hankel face col(u)."""
+    """Candidate atom directions for the Hankel face col(u): the moment
+    vectors of the finite nodes, then the directions at the node at
+    infinity.  The node solve of a member passes the factor of X as u."""
     r = u.shape[1]
     if r == 0:
-        return [], []
+        return []
     u_up = u[:-m, :]
     u_dn = u[m:, :]
     ker = symlin.nullspace(u_up, 1e-7)
@@ -617,65 +621,46 @@ def _hankel_candidates(u, n, m):
             snapped = _snap_moment_vector(v, n, m, float(t.real))
             if np.linalg.norm(snapped) < 1e-10:
                 continue
-            finite.append((float(t.real), snapped / np.linalg.norm(snapped)))
-    return finite, inf_dirs
+            finite.append(snapped / np.linalg.norm(snapped))
+    return finite + inf_dirs
 
 
 def decompose_hankel(cone: SpectrahedralCone, x_mat: np.ndarray,
                      tol: float = DEFAULT_TOL) -> Decomposition:
-    """Node recovery for a member of a block-Hankel cone.
+    """Node recovery for a member of a block-Hankel cone, at every rank.
 
-    Finite nodes come from the shift-invariance eigenproblem on the
-    column space; directions that truncate to zero are the node at
-    infinity.  A full-rank member (rank n m), whose column space is all
-    of R^{nm} and pins no node, takes the node-at-infinity route of
-    :func:`_full_rank_directions` first.  Atom weights are then solved by
-    least squares.  Only when the node solve degenerates (clustered
-    nodes, a defective shift) does the generic peeling loop with the
-    Hankel ray oracle take over.  A cone of another kind, or a
-    non-member, raises InvalidInputError.
+    Factor X = F F^T over the eigenpairs above the cut (:func:`_factor`).
+    Any decomposition X = A A^T, the columns of A the weighted atoms, has
+    F = A R for an orthogonal R, so in F's coordinates the coefficient
+    vectors of the finite nodes are orthogonal to ker F_up, F_up the
+    factor without its last block row, whose image under F carries the
+    node at infinity.  The shift pencil (F_up, F_dn) restricted to the
+    complement of that kernel is then exact, and its eigenvalues are the
+    finite nodes (the flat-extension argument of Curto and Fialkow, Mem.
+    Amer. Math. Soc. 1996).  At full rank the same kernel split sheds the
+    Schur complement of the last block as atoms at infinity.  Atom weights
+    are then solved by least squares.  A node solve that misses (a weight
+    below zero, a residual, or a direction count other than the rank)
+    raises NumericalError.  A cone of another kind, or a non-member,
+    raises InvalidInputError.
     """
     if cone.expr is None or cone.expr.kind != "hankel":
         raise InvalidInputError("cone was not built by hankel_cone")
     n, m = _block_size(cone)
-    x_mat, current, dec = _span_member(cone, x_mat, tol)
-    rank = dec.rank(tol)
+    x_mat, _, dec = _span_member(cone, x_mat, tol)
+    cols = _factor(dec, symlin.cut(dec.values, tol))
+    rank = cols.shape[1]
     if rank == 0:
         return Decomposition(atoms=[], residual=float(np.linalg.norm(x_mat)))
-    if rank == n * m:
-        dirs = _full_rank_directions(current, n, m)
-    else:
-        finite, inf_dirs = _hankel_candidates(dec.range(tol), n, m)
-        dirs = [v for _, v in finite] + inf_dirs
+    dirs = _hankel_candidates(cols, n, m)
     result = _solve_weights(dirs, x_mat) if len(dirs) == rank else None
-    if result is not None:
-        return result
-    return carath_decompose(cone, x_mat, tol)
-
-
-def _full_rank_directions(x_mat, n, m):
-    """Atom directions of a positive definite block-Hankel X.
-
-    The last m x m block sits alone on its anti-diagonal, so subtracting
-    the Schur complement S = X22 - X12^T X11^{-1} X12 of the leading
-    (n-1) m block there keeps the block-Hankel pattern.  What remains is
-    a flat member of rank (n-1) m, whose nodes the shift-invariance solve
-    finds; the eigenvectors of S, placed at (0, ..., 0, x), are the atoms
-    at the node at infinity.
-    """
-    k = (n - 1) * m
-    x12 = x_mat[:k, k:]
-    flat = x_mat.copy()
-    flat[k:, k:] = symlin.sym(x12.T @ np.linalg.solve(x_mat[:k, :k], x12))
-    finite, inf_dirs = _hankel_candidates(symlin.eig_sym(flat).vectors[:, :k], n, m)
-    schur = symlin.eig_sym(x_mat[k:, k:] - flat[k:, k:])
-    return ([v for _, v in finite] + inf_dirs
-            + [_place(n * m, k, z) for z in schur.vectors.T])
+    if result is None:
+        raise NumericalError(
+            f"Hankel node solve missed: {len(dirs)} directions for rank {rank}")
+    return result
 
 
 def _solve_weights(dirs, x_mat):
-    if not dirs:
-        return None
     cols = np.array([symlin.vec(symlin.outer(v)) for v in dirs]).T
     w, *_ = np.linalg.lstsq(cols, symlin.vec(x_mat), rcond=None)
     if np.any(np.asarray(w) < -1e-7 * (1.0 + float(np.linalg.norm(x_mat)))):
@@ -879,7 +864,8 @@ class Family:
     ``block_toeplitz``, and the recursions of the composite and wrapper
     kinds (``full_psd`` and ``codim1`` need none: :func:`decompose` takes
     the closed form of their codimension first).  Without a route
-    (``ternary_quartic``, ``moment``), :func:`decompose` peels.  Every
+    (``ternary_quartic``, ``moment``), :func:`decompose` hands X to the
+    peel, which raises OracleUnavailableError for want of a rule.  Every
     route, the peel included, gates X with :func:`_span_member` and
     reuses its eigendecomposition; a direct route cuts ranks at the scale
     of X.  A wrapper route hands F X F^* to its child, and a composite

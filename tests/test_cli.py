@@ -237,6 +237,22 @@ def test_cli_gap_samples_must_be_a_count(tmp_path, capsys, value):
     assert "argument --gap-samples" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["-1", "1.5", "x"])
+def test_cli_seed_must_be_a_count(tmp_path, capsys, value):
+    # the 4-cycle gap problem reaches the sampler, which seeds default_rng
+    forms = []
+    for i, j in ((0, 2), (1, 3)):
+        a = np.zeros((4, 4))
+        a[i, j] = a[j, i] = 1.0
+        forms.append(a.tolist())
+    s = [[1.5791, 0.733, 0.1551, -0.5412], [0.733, 0.2194, 0.5624, 1.3786],
+         [0.1551, 0.5624, 0.1832, 0.2496], [-0.5412, 1.3786, 0.2496, -0.1795]]
+    problem = _write(tmp_path, "p.json", {"S": s, "B": np.eye(4).tolist(), "A": forms})
+    assert cli.run(["--seed", value, "qcqp", problem, "--gap-samples", "10"]) == 2
+    err = capsys.readouterr().err
+    assert "argument --seed" in err and "Traceback" not in err
+
+
 def test_cli_iso_ignores_the_seed(tmp_path):
     # a shuffled congruent copy of Han4 reaches the matching search
     rng = np.random.default_rng(4)

@@ -563,8 +563,7 @@ def test_closed_form_routes_decompose_without_peeling(case, seed):
         cone = _codim1_with_kernel(rng, int(rng.integers(3, 6)))
     else:
         cone = _routed_cone(case, int(rng.integers(2, 5)) if case == "hankel_m2" else None)
-    full_rank = case.startswith("hankel")
-    x = rank_r_member(cone, rng, cone.n if full_rank else int(rng.integers(1, rc.degree(cone) + 1)))
+    x = rank_r_member(cone, rng, int(rng.integers(1, rc.degree(cone) + 1)))
     module = importlib.import_module("rogcones.decompose")
     peels = []
     with pytest.MonkeyPatch.context() as mp:
@@ -657,3 +656,41 @@ def test_hankel22_members_never_peel(monkeypatch):
             x = rank_r_member(cone, rng, r)
             check_decomposition(cone, x, rc.decompose(cone, x))
     assert peels == []
+
+
+def _nodes_and_infinity(rng, n, m):
+    """A member of hankel_cone(n, m) with 1 to n - 1 finite nodes and an atom
+    at the node at infinity, of weights 10^U(-4, 0)."""
+    vecs = [constructions._moment_vector(t, n, rng.standard_normal(m))
+            for t in rng.uniform(-2.0, 2.0, int(rng.integers(1, n)))]
+    vecs.append(np.concatenate([np.zeros((n - 1) * m), rng.standard_normal(m)]))
+    return sum(10.0 ** rng.uniform(-4.0, 0.0) * symlin.outer(v / np.linalg.norm(v))
+               for v in vecs)
+
+
+def test_hankel_node_solve_takes_every_rank(monkeypatch):
+    # the node solve reads the nodes off the factor of X.  On the orthonormal
+    # eigenvectors of X the node at infinity bent the finite pencil, and
+    # these members peeled; the four rank_r_member draws stalled the peel
+    members = [(rc.hankel_cone(*shape), seed, r) for shape, seed, r in
+               (((5,), 83, 4), ((7,), 52, 4), ((4, 2), 46, 6), ((5, 2), 26, 7))]
+    members = [(cone, rank_r_member(cone, np.random.default_rng(seed), r))
+               for cone, seed, r in members]
+    rng = np.random.default_rng(30)
+    for n, m in ((4, 1), (5, 1), (3, 2), (4, 2)):
+        cone = rc.hankel_cone(n, m)
+        members += [(cone, _nodes_and_infinity(rng, n, m)) for _ in range(25)]
+    peels = count_calls(monkeypatch, importlib.import_module("rogcones.decompose"),
+                        "carath_decompose")
+    for cone, x in members:
+        check_decomposition(cone, x, rc.decompose(cone, x))
+    assert peels == []
+
+
+def test_hankel_node_solve_miss_raises(monkeypatch):
+    # no silent fallback: a miss names the route and both counts
+    monkeypatch.setattr(importlib.import_module("rogcones.decompose"), "_solve_weights",
+                        lambda dirs, x_mat: None)
+    x = sum(symlin.outer(constructions._moment_vector(t, 4, np.ones(1))) for t in (-1.0, 1.0))
+    with pytest.raises(rc.NumericalError, match="Hankel node solve.*2 directions.*rank 2"):
+        rc.decompose(rc.hankel_cone(4), x)

@@ -174,6 +174,25 @@ def test_decompose_tests_membership_only_in_its_gate():
     assert calls
 
 
+def test_no_route_falls_back_to_the_peel():
+    # carath_decompose is called in the package only by decompose, on the
+    # branch of the kinds without a route: no route hands a member it
+    # misses to the peel
+    allowed, calls = set(), []
+    for path in pathlib.Path(rc.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        if path.stem == "decompose":
+            top = next(node for node in tree.body
+                       if isinstance(node, ast.FunctionDef) and node.name == "decompose")
+            allowed = {id(node) for branch in ast.walk(top)
+                       if isinstance(branch, ast.If) and ast.unparse(branch.test) == "route is None"
+                       for stmt in branch.body for node in ast.walk(stmt)}
+        calls += [(path.name, node.lineno, id(node)) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", getattr(node.func, "attr", None)) == "carath_decompose"]
+    assert calls and [(name, line) for name, line, key in calls if key not in allowed] == []
+
+
 # ---------------------------------------------------------------------------
 # invertibility by singular values, relative to the largest
 
