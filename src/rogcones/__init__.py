@@ -31,10 +31,10 @@ from .isomorph import (IsoOutcome, IsoWitness, PartialMatrix,
                        Rank1Completion, cones_isomorphic, cross_ratio,
                        rank1_complete, rank1_complete_signs,
                        same_s4_orbit)
-from .pencil_struct import (ClassLabel, Codim2Structure, Pencil,
-                            PencilBlock, PencilDecomposition, biquartic_p,
-                            classify_small, codim2_structure,
-                            pencil_decompose, rank2_extreme_check)
+from .pencil_struct import (ClassLabel, Pencil, PencilBlock,
+                            PencilDecomposition, classify_small,
+                            pencil_decompose, rank2_extreme_check,
+                            split_vector)
 from .qcqp_relax import (ExactnessCertificate, QcqpProblem, SdpSolution,
                          certify_exactness, induced_cone, solve_relaxation)
 from .symlin import (EigDecomp, eig_sym, numeric_rank, pseudo_inverse,

@@ -1,18 +1,19 @@
 """Matrix pencils, rank-2 extremality, and the small-degree classifier.
 
 ``pencil_decompose`` splits a pair of quadratic forms admitting a full
-set of real pencil eigenvectors into angle-tagged blocks.  The rank-2
-utilities decide whether a codimension-2 section carries extreme
-elements of rank 2 (via the sign of a bi-quartic polynomial) and, when
-it does not, recover the structured normal form.  ``classify_small``
-names every simple certified cone of degree at most 4 from its
-dimension, the signature of its form in codimension 1, and, in degree 4
-and dimension 7, the census of the planes that carry full rank-2 faces.
+set of real pencil eigenvectors into angle-tagged blocks.
+``rank2_extreme_check`` tests a plane for a rank-2 extreme element of a
+section, and ``split_vector`` decides in closed form whether the two forms
+of a codimension-2 cone split, Q_i = u g_i^T + g_i u^T.  ``classify_small``
+names every simple certified cone of degree at most 4 from its dimension,
+the signature of its form in codimension 1, the split in codimension 2,
+and, in degree 4 and dimension 7, the census of the planes that carry
+full rank-2 faces; a cone with none of these proofs is ``Unknown``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -204,121 +205,44 @@ def rank2_extreme_check(forms, x: np.ndarray, y: np.ndarray) -> Optional[np.ndar
     return a * np.outer(x, x) + b * (np.outer(x, y) + np.outer(y, x)) + c * np.outer(y, y)
 
 
-def biquartic_p(q1: np.ndarray, q2: np.ndarray, x: np.ndarray,
-                y: np.ndarray) -> float:
-    """Sign certificate for rank-2 extremality of a two-form section.
+# ---------------------------------------------------------------------------
+# codimension 2
 
-    Negative exactly when the d = 2 section has an extreme rank-2 element
-    supported on span{x, y}: the value is the discriminant b^2 - ac of
-    the kernel vector of the restricted-form matrix.
+
+def split_vector(cone: SpectrahedralCone, tol: float) -> Optional[np.ndarray]:
+    """The common u of split forms Q_i = u g_i^T + g_i u^T of a real cone of
+    codimension 2, or None when its forms do not split.
+
+    The forms are the orthonormal basis of the normals of the span.  A split
+    form has rank 2 and u in its range, so u spans the meet of the ranges R1,
+    R2: R1 times the top left singular vector of R1^T R2.  Then
+    g_i = Q_i u - (u^T Q_i u) u / 2, and |Q_i - (u g_i^T + g_i u^T)| <=
+    tol |Q_i| for both forms proves the split.  Equal ranges would put a
+    semidefinite form in the pencil, which a nondegenerate cone rules out.
+    On the structure of pairs of forms see Uhlig (Linear Algebra Appl. 1979).
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    xq1x, xq1y, yq1y = x @ q1 @ x, x @ q1 @ y, y @ q1 @ y
-    xq2x, xq2y, yq2y = x @ q2 @ x, x @ q2 @ y, y @ q2 @ y
-    return float(
-        (yq1y * xq2x - xq1x * yq2y) ** 2
-        - 4.0 * (xq1y * yq2y - xq2y * yq1y) * (xq1x * xq2y - xq1y * xq2x))
-
-
-@dataclass
-class Codim2Structure:
-    case: str                    # "aligned-null-forms" | "split-form" | "rank2-extremes"
-    u: Optional[np.ndarray] = None
-    q1_form: Optional[np.ndarray] = None
-    q2_form: Optional[np.ndarray] = None
-    witness: Optional[tuple] = None
-    samples: int = 0
-
-
-def codim2_structure(q1: np.ndarray, q2: np.ndarray, seed: int = 0,
-                     null_seeds: int = 1000, p_samples: int = 10_000) -> Codim2Structure:
-    """Structure of the codimension-2 section cut out by two forms.
-
-    First samples the bi-quartic: a verified negative sample is a rank-2
-    extreme witness ("rank2-extremes").  Otherwise the joint null variety
-    {z : z^T Q1 z = z^T Q2 z = 0} is searched by Newton refinement from
-    random seeds; a null z with independent images Q1 z, Q2 z forces the
-    split structure Q_i = u q_i^T + q_i u^T ("split-form"), and when every
-    sampled null vector has aligned images the result is
-    "aligned-null-forms".  Both no-witness outcomes are sampled claims,
-    not proofs.
-    """
-    q1 = symlin.sym_matrix(q1)
-    q2 = symlin.sym_matrix(q2)
-    n = q1.shape[0]
-    gram = np.array([[np.tensordot(q1, q1), np.tensordot(q1, q2)],
-                     [np.tensordot(q2, q1), np.tensordot(q2, q2)]])
-    if np.linalg.matrix_rank(gram, tol=1e-10) < 2:
-        raise InvalidInputError("forms must be linearly independent")
-    rng = np.random.default_rng(seed)
-    form_scale = max(np.linalg.norm(q1), np.linalg.norm(q2))
-    scale = max(form_scale, 1.0) ** 2
-    for _ in range(p_samples):
-        x = rng.standard_normal(n)
-        y = rng.standard_normal(n)
-        if biquartic_p(q1, q2, x, y) < -1e-9 * scale ** 2:
-            elem = rank2_extreme_check([q1, q2], x, y)
-            if elem is not None:
-                return Codim2Structure(case="rank2-extremes", witness=(x, y),
-                                       samples=p_samples)
-    split_z = None
-    checked = 0
-    for _ in range(null_seeds):
-        z = _refine_null_vector(q1, q2, rng.standard_normal(n))
-        if z is None:
-            continue
-        checked += 1
-        g1, g2 = q1 @ z, q2 @ z
-        sv = np.linalg.svd(np.column_stack([g1, g2]), compute_uv=False)
-        if sv.size >= 2 and sv[1] > 1e-6 * form_scale:
-            split_z = z
-            break
-    if split_z is None:
-        return Codim2Structure(case="aligned-null-forms", samples=checked)
-    g1, g2 = q1 @ split_z, q2 @ split_z
-    u1 = _solve_split_vector(q1, g1)
-    u2 = _solve_split_vector(q2, g2)
-    resid = max(np.linalg.norm(q1 - np.outer(u1, g1) - np.outer(g1, u1)),
-                np.linalg.norm(q2 - np.outer(u2, g2) - np.outer(g2, u2)),
-                np.linalg.norm(u1 - u2))
-    if resid > 1e-7 * scale:
-        raise NumericalError(
-            "sampled nonnegativity did not yield the split structure "
-            f"(residual {resid:.2e}); more sampling may find a witness")
-    return Codim2Structure(case="split-form", u=u1, q1_form=g1, q2_form=g2,
-                           samples=p_samples)
-
-
-def _refine_null_vector(q1, q2, z0):
-    z = z0 / np.linalg.norm(z0)
-    for _ in range(60):
-        f = np.array([z @ q1 @ z, z @ q2 @ z])
-        if np.abs(f).max() < 1e-12:
-            return z if np.linalg.norm(z) > 1e-6 else None
-        jac = 2.0 * np.vstack([q1 @ z, q2 @ z])
-        step, *_ = np.linalg.lstsq(jac, -f, rcond=None)
-        z = z + step
-        nz = np.linalg.norm(z)
-        if nz < 1e-8:
+    n = cone.n
+    if codimension(cone) != 2:
+        raise InvalidInputError("cone is not of codimension 2")
+    # the span's coordinates in the orthonormal basis of symlin.sym_basis(n)
+    rows, cols = np.triu_indices(n)
+    weight = np.where(rows == cols, 1.0, np.sqrt(2.0))
+    normals = symlin.nullspace(cone.span_basis[:, rows, cols] * weight).T / weight
+    forms = np.zeros((2, n, n))
+    forms[:, rows, cols] = forms[:, cols, rows] = normals
+    values, vectors = np.linalg.eigh(forms)
+    ranges = []
+    for lam, vec in zip(values, vectors):
+        live = np.abs(lam) > symlin.cut(lam, tol)
+        if np.count_nonzero(live) != 2:
             return None
-        z = z / nz
-    return None
-
-
-def _solve_split_vector(q, g):
-    """Least-squares u with Q = u g^T + g u^T."""
-    n = q.shape[0]
-    rows = []
-    rhs = []
-    for i in range(n):
-        for j in range(i, n):
-            row = np.zeros(n)
-            row[i] += g[j]
-            row[j] += g[i]
-            rows.append(row)
-            rhs.append(q[i, j])
-    u, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
+        ranges.append(vec[:, live])
+    left, _, _ = np.linalg.svd(ranges[0].T @ ranges[1])
+    u = ranges[0] @ left[:, 0]
+    for q in forms:
+        g = q @ u - 0.5 * (u @ q @ u) * u
+        if np.linalg.norm(q - np.outer(u, g) - np.outer(g, u)) > tol * np.linalg.norm(q):
+            return None
     return u
 
 
@@ -357,7 +281,10 @@ def classify_small(cone: SpectrahedralCone, tol: float = DEFAULT_TOL) -> ClassLa
     Degree 4 and dimension 7 holds four classes, told apart by the census
     of the planes carrying full rank-2 faces: none for the Hankel class
     Han4, one for IntertwineHan3S2, and three meeting pairwise
-    (FullExtDiag3) or in a chain (Tri).
+    (FullExtDiag3) or in a chain (Tri).  Dimension 8 is codimension 2:
+    Codim2FullExt when the forms split (:func:`split_vector`), for then a
+    congruence takes the cone to the chordal pattern X_12 = X_13 = 0, and
+    Unknown otherwise.  A complex cone gets no real label.
     """
     cone, _ = reduce_nondegenerate(cone, tol)
     n = degree(cone, tol)
@@ -376,10 +303,11 @@ def classify_small(cone: SpectrahedralCone, tol: float = DEFAULT_TOL) -> ClassLa
             children.append(classify_small(factor, tol))
         children.sort(key=lambda c: (c.tag, c.n or 0, c.signature or ()))
         return ClassLabel(tag="DirectSum", children=tuple(children))
-    if n <= 2:
+    if n <= 2 or cone.complex_field:
         return ClassLabel(tag="Unknown", n=n)
     if n == 4 and cone.dim == 8:
-        return ClassLabel(tag="Codim2FullExt", n=4)
+        tag = "Unknown" if split_vector(cone, tol) is None else "Codim2FullExt"
+        return ClassLabel(tag=tag, n=4)
     if n == 4 and cone.dim == 7:
         return _plane_census_label(cone)
     return ClassLabel(tag="Unknown", n=n)

@@ -120,6 +120,16 @@ def catalog_constructions():
     return out
 
 
+def raw_four_cycle_cone():
+    """The 4-cycle pattern cone L = {X : X_02 = X_13 = 0}, with no
+    expression: e_i + e_j, e_i - e_j, e_i and e_j on the edges 01, 12, 23
+    and 30, twelve rays once deduped, whose outer products span L."""
+    eye = np.eye(4)
+    gens = [v for i, j in ((0, 1), (1, 2), (2, 3), (3, 0))
+            for v in (eye[i] + eye[j], eye[i] - eye[j], eye[i], eye[j])]
+    return rc.make_cone(4, [symlin.outer(g) for g in gens], gens)
+
+
 def count_span_tests(monkeypatch):
     """Patch ``symlin.span_distance`` and ``symlin.span_distances`` to record
     each call by name (the one-matrix case calls the kernel too)."""

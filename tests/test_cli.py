@@ -12,7 +12,7 @@ import pytest
 import rogcones as rc
 from rogcones import cli, jsonio, symlin
 
-from conftest import random_congruence
+from conftest import random_congruence, raw_four_cycle_cone
 
 
 def _write(tmp_path, name, data):
@@ -270,9 +270,13 @@ def test_cli_iso_ignores_the_seed(tmp_path):
 
 
 def test_cli_classify(tmp_path):
-    code, report = _run(tmp_path, "classify", _cone_path(tmp_path, rc.tridiagonal_cone(4)))
-    assert code == 0
-    assert report == {"tag": "Tri", "n": 4}
+    # the raw 4-cycle has the degree and dimension of Codim2FullExt, but its
+    # forms do not split: it gets no ROG label
+    for cone, label in ((rc.tridiagonal_cone(4), {"tag": "Tri", "n": 4}),
+                        (raw_four_cycle_cone(), {"tag": "Unknown", "n": 4})):
+        code, report = _run(tmp_path, "classify", _cone_path(tmp_path, cone))
+        assert code == 0
+        assert report == label
 
 
 def test_cli_qcqp(tmp_path):

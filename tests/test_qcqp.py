@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rogcones as rc
-from conftest import random_congruence
+from conftest import random_congruence, raw_four_cycle_cone
 from rogcones import qcqp_relax, symlin
 from rogcones.qcqp_relax import (QcqpProblem, certify_exactness, induced_cone,
                                  purify_to_extreme, solve_relaxation)
@@ -690,16 +690,6 @@ def four_cycle_problem():
     a2 = np.zeros((4, 4))
     a2[1, 3] = a2[3, 1] = 1.0
     return QcqpProblem(s, np.eye(4), [a1, a2])
-
-
-def raw_four_cycle_cone():
-    """The 4-cycle pattern cone L = {X : X_02 = X_13 = 0}, with no
-    expression: e_i + e_j, e_i - e_j, e_i and e_j on the edges 01, 12, 23
-    and 30, twelve rays once deduped, whose outer products span L."""
-    eye = np.eye(4)
-    gens = [v for i, j in ((0, 1), (1, 2), (2, 3), (3, 0))
-            for v in (eye[i] + eye[j], eye[i] - eye[j], eye[i], eye[j])]
-    return rc.make_cone(4, [symlin.outer(g) for g in gens], gens)
 
 
 @pytest.mark.parametrize("wrap", [lambda raw: raw,

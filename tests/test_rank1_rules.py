@@ -73,10 +73,8 @@ def test_iterate_kinds_have_no_rule():
 
 
 # the only functions of the package that draw random numbers: the QCQP
-# feasibility sampler, the gap test that calls it, and the sampled
-# codimension-2 structure test
-_RANDOMIZED = {("qcqp_relax", "rank1_feasible_samples"), ("qcqp_relax", "certify_exactness"),
-               ("pencil_struct", "codim2_structure")}
+# feasibility sampler and the gap test that calls it
+_RANDOMIZED = {("qcqp_relax", "rank1_feasible_samples"), ("qcqp_relax", "certify_exactness")}
 
 
 def test_rank1_rules_read_the_face_alone():
